@@ -104,12 +104,19 @@ def _segment_reduce(ufunc, values: np.ndarray, starts: np.ndarray, counts: np.nd
     element at the segment start), so the reduction runs over non-empty
     segments only and empty ones receive ``fill``.  Because consecutive
     non-empty segments are contiguous in ``values``, dropping the empty
-    starts does not change any non-empty segment's boundaries.
+    starts does not change any non-empty segment's boundaries.  Segments
+    run along the last axis, so several stacked columns reduce in one call.
     """
-    result = np.full(len(counts), fill, dtype=values.dtype if values.size else np.float64)
+    if values.shape[-1] and counts.all():
+        return ufunc.reduceat(values, starts[:-1], axis=-1)
+    result = np.full(
+        values.shape[:-1] + (len(counts),),
+        fill,
+        dtype=values.dtype if values.size else np.float64,
+    )
     nonempty = counts > 0
     if values.size and np.any(nonempty):
-        result[nonempty] = ufunc.reduceat(values, starts[:-1][nonempty])
+        result[..., nonempty] = ufunc.reduceat(values, starts[:-1][nonempty], axis=-1)
     return result
 
 
@@ -390,15 +397,31 @@ class FeatureMatrix:
             gap_counts < 2, 1.0, np.where(mean_gap <= 0, 0.0, cv_raw)
         )
 
+        # Every per-record flag counted in one stacked segment reduction.
         statuses = arrays.statuses
-        error_rate = _segment_count(statuses >= 400, starts, counts) / safe_counts
-        no_content = _segment_count(statuses == 204, starts, counts) / safe_counts
-        not_modified = _segment_count(statuses == 304, starts, counts) / safe_counts
-        asset_fraction = _segment_count(arrays.is_asset, starts, counts) / safe_counts
-        referrer_fraction = _segment_count(arrays.has_referrer, starts, counts) / safe_counts
-        head_fraction = _segment_count(arrays.is_head, starts, counts) / safe_counts
-        robots_hits = _segment_count(arrays.is_robots, starts, counts)
-        night_fraction = _segment_count(arrays.night, starts, counts) / safe_counts
+        flags = np.stack(
+            [
+                statuses >= 400,
+                statuses == 204,
+                statuses == 304,
+                arrays.is_asset,
+                arrays.has_referrer,
+                arrays.is_head,
+                arrays.night,
+                arrays.is_robots,
+            ]
+        )
+        flag_counts = _segment_count(flags, starts, counts)
+        (
+            error_rate,
+            no_content,
+            not_modified,
+            asset_fraction,
+            referrer_fraction,
+            head_fraction,
+            night_fraction,
+        ) = flag_counts[:-1] / safe_counts
+        robots_hits = flag_counts[-1]
 
         # Distinct URL paths per session: unique (session, path) pairs.
         if total:

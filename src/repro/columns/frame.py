@@ -33,13 +33,12 @@ from __future__ import annotations
 
 from datetime import datetime, timedelta, timezone
 from typing import Iterator, Mapping, Sequence
-from urllib.parse import urlsplit
 
 import numpy as np
 
 from repro.exceptions import ColumnsError, LabelError
 from repro.logs.dataset import MALICIOUS, Dataset, DatasetMetadata, GroundTruth
-from repro.logs.record import ASSET_SUFFIXES, LogRecord, RequestMethod
+from repro.logs.record import ASSET_SUFFIXES, LogRecord, RequestMethod, split_url_path
 from repro.obs.names import FRAME_ROWS
 
 #: The dictionary-encoded string columns, in canonical order (matches
@@ -76,26 +75,6 @@ def encode_column(values) -> tuple[np.ndarray, list]:
         table[key] = code
     codes = np.fromiter(map(table.__getitem__, values), np.int64, len(values))
     return codes, list(table)
-
-def _split_path(path: str) -> str:
-    """The path component of a request line, without the query string.
-
-    Exactly :attr:`repro.logs.record.LogRecord.url_path`, evaluated once
-    per distinct path-table entry instead of once per record.  Origin-form
-    targets (a single leading ``/``, the overwhelming majority in access
-    logs) take a fast path; anything that could carry a scheme or netloc
-    falls back to ``urlsplit``.
-    """
-    if path.startswith("/") and not path.startswith("//"):
-        cut = path.find("?")
-        if cut == -1:
-            cut = len(path)
-        fragment = path.find("#", 0, cut)
-        if fragment != -1:
-            cut = fragment
-        return path[:cut]
-    return urlsplit(path).path
-
 
 class RecordFrame:
     """An immutable columnar view of a sequence of log records."""
@@ -330,7 +309,7 @@ class RecordFrame:
     def url_paths(self) -> list[str]:
         """The query-stripped URL path behind each entry of the path table."""
         if self._url_paths is None:
-            self._url_paths = [_split_path(value) for value in self.tables["path"]]
+            self._url_paths = [split_url_path(value) for value in self.tables["path"]]
         return self._url_paths
 
     def url_path_codes(self) -> np.ndarray:

@@ -26,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.columns.frame import RecordFrame
+from repro.exceptions import ColumnsError
 from repro.logs.record import LogRecord
 from repro.logs.sessionization import DEFAULT_TIMEOUT, Session
 from repro.obs.names import FRAME_SESSIONS
@@ -90,6 +91,33 @@ class FrameSessions:
             [request_ids[row] for row in order[starts[j] : starts[j + 1]]]
             for j in range(len(self))
         ]
+
+    @classmethod
+    def from_sessions(cls, sessions: Sequence[Session]) -> "FrameSessions":
+        """Columnarise materialised sessions (the inverse of :meth:`to_sessions`).
+
+        The frame holds the sessions' records back to back, each session's
+        records in its own order, so ``order`` is the identity and the
+        session ids and visitor keys are the sessions' own.  This is how
+        the stream engine hands live sessions to the batch kernels.
+        """
+        counts = [len(session.records) for session in sessions]
+        if not all(counts):
+            raise ColumnsError("cannot columnarise a session without records")
+        frame = RecordFrame.from_records(
+            [record for session in sessions for record in session.records]
+        )
+        starts = np.zeros(len(sessions) + 1, dtype=np.int64)
+        np.cumsum(counts, out=starts[1:])
+        first_rows = starts[:-1]
+        return cls(
+            frame=frame,
+            order=np.arange(len(frame), dtype=np.int64),
+            starts=starts,
+            session_ids=[session.session_id for session in sessions],
+            ip_codes=frame.codes["client_ip"][first_rows],
+            agent_codes=frame.codes["user_agent"][first_rows],
+        )
 
     def to_sessions(self, records: Sequence[LogRecord] | None = None) -> list[Session]:
         """Materialise legacy :class:`Session` objects (compatibility layer).

@@ -35,6 +35,34 @@ ASSET_SUFFIXES: tuple[str, ...] = (
 )
 
 
+def split_url_path(path: str) -> str:
+    """The path component of a request target, without query or fragment.
+
+    Exactly ``urlsplit(path).path`` -- the single definition behind both
+    :attr:`LogRecord.url_path` and
+    :meth:`repro.columns.frame.RecordFrame.url_paths`.  Origin-form
+    targets (a single leading ``/``, the overwhelming majority in access
+    logs) take a fast path.  Anything that could carry a scheme or
+    netloc, or holds a tab, CR or LF (which ``urlsplit`` strips), falls
+    back to ``urlsplit``.
+    """
+    if (
+        path.startswith("/")
+        and not path.startswith("//")
+        and "\t" not in path
+        and "\r" not in path
+        and "\n" not in path
+    ):
+        cut = path.find("?")
+        if cut == -1:
+            cut = len(path)
+        fragment = path.find("#", 0, cut)
+        if fragment != -1:
+            cut = fragment
+        return path[:cut]
+    return urlsplit(path).path
+
+
 class RequestMethod(str, enum.Enum):
     """HTTP request methods that appear in the access logs."""
 
@@ -118,7 +146,7 @@ class LogRecord:
     @property
     def url_path(self) -> str:
         """The path component without the query string."""
-        return urlsplit(self.path).path
+        return split_url_path(self.path)
 
     @property
     def query_string(self) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import timedelta
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.logs.record import LogRecord
 
@@ -28,6 +28,12 @@ class Session:
     client_ip: str
     user_agent: str
     records: list[LogRecord] = field(default_factory=list)
+    #: The stream's memoised columnar view of this session,
+    #: ``(request count, view, session index)``; see
+    #: :func:`repro.stream.columnar.session_columns`.
+    columns: tuple[int, Any, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     def add(self, record: LogRecord) -> None:

@@ -5,7 +5,8 @@ conclusions* as the paper's retrospective analysis.  This module pairs
 each online detector port with its batch counterpart, replays a
 :class:`~repro.logs.dataset.Dataset` through the engine, and verifies
 that the final streaming alert sets match a batch
-:class:`~repro.detectors.pipeline.DetectionPipeline` run request-for-request.
+:class:`~repro.detectors.pipeline.DetectionPipeline` run request-for-request:
+the same alerted ids, each with the same score and reasons.
 
 A matching report means streaming results can be fed straight into the
 existing analysis (Tables 1-4, diversity metrics, adjudication schemes)
@@ -72,7 +73,7 @@ def replay(
 
 @dataclass(frozen=True)
 class DetectorEquivalence:
-    """Batch-vs-stream comparison of one detector's alerted request ids."""
+    """Batch-vs-stream comparison of one detector's alerts."""
 
     detector_name: str
     batch_alerts: int
@@ -81,11 +82,13 @@ class DetectorEquivalence:
     missing: frozenset[str]
     #: Request ids alerted by the stream but not the batch detector.
     extra: frozenset[str]
+    #: Request ids both alerted, with a different score or reasons.
+    mismatched: frozenset[str] = frozenset()
 
     @property
     def equivalent(self) -> bool:
-        """True when the alerted id sets are identical."""
-        return not self.missing and not self.extra
+        """True when both sides alerted the same ids with the same scores and reasons."""
+        return not self.missing and not self.extra and not self.mismatched
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,8 @@ class EquivalenceReport:
         ]
         for entry in self.entries:
             status = "OK" if entry.equivalent else (
-                f"MISMATCH (missing {len(entry.missing)}, extra {len(entry.extra)})"
+                f"MISMATCH (missing {len(entry.missing)}, extra {len(entry.extra)}, "
+                f"score/reason mismatches {len(entry.mismatched)})"
             )
             lines.append(
                 f"  {entry.detector_name}: batch={entry.batch_alerts:,} "
@@ -154,8 +158,14 @@ def verify_equivalence(
 
     entries = []
     for batch_detector, stream_set in zip(batch_detectors, stream_result.alert_sets):
-        batch_ids = batch_result.alert_set(batch_detector.name).request_ids()
+        batch_set = batch_result.alert_set(batch_detector.name)
+        batch_ids = batch_set.request_ids()
         stream_ids = stream_set.request_ids()
+        mismatched = set()
+        for request_id in batch_ids & stream_ids:
+            batch_alert, stream_alert = batch_set.get(request_id), stream_set.get(request_id)
+            if (batch_alert.score, batch_alert.reasons) != (stream_alert.score, stream_alert.reasons):
+                mismatched.add(request_id)
         entries.append(
             DetectorEquivalence(
                 detector_name=batch_detector.name,
@@ -163,6 +173,7 @@ def verify_equivalence(
                 stream_alerts=len(stream_ids),
                 missing=frozenset(batch_ids - stream_ids),
                 extra=frozenset(stream_ids - batch_ids),
+                mismatched=frozenset(mismatched),
             )
         )
     return EquivalenceReport(

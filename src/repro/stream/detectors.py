@@ -18,6 +18,20 @@ set *exactly* when the stream replays the same records in timestamp
 order, so streaming runs plug straight into the existing
 :class:`~repro.core.alerts.AlertMatrix` machinery.
 
+Session-level judgements -- the provisional re-judgement when a live
+session's request count doubles, and the judgement at session close --
+run the batch frame kernels, not per-record Python: the session becomes
+a :class:`~repro.stream.columnar.SessionColumns` view (a
+:class:`~repro.columns.frame.RecordFrame`, its
+:class:`~repro.columns.sessions.FrameSessions` spans and a
+:class:`~repro.columns.features.FeatureMatrix`), and the rate-limit and
+rule ports read their verdicts from the batch detectors'
+``alert_columns`` while the anomaly port reads its feature row.  The
+view is built at most once per session and request count and memoised
+on the live session, so every detector judging the session at that
+count shares it; the engine columnarises all the sessions one record
+closes as a single frame.
+
 Ports
 -----
 * :class:`OnlineRequestRateLimiter` -- per-request sliding-window rate
@@ -47,15 +61,16 @@ from repro.anomaly.base import AnomalyModel
 from repro.anomaly.zscore import RobustZScoreModel
 from repro.core.alerts import AlertSet
 from repro.detectors.anomaly_detector import alert_anomalous_groups
-from repro.detectors.features import extract_features
+from repro.detectors.base import Detector
 from repro.detectors.fingerprint import UserAgentFingerprintDetector
-from repro.detectors.heuristic import HeuristicRuleDetector
+from repro.detectors.heuristic import HeuristicRuleDetector, Rule
 from repro.detectors.inhouse import InHouseHeuristicDetector
 from repro.detectors.ratelimit import RateLimitDetector
 from repro.exceptions import DetectorError
 from repro.logs.record import LogRecord
 from repro.logs.sessionization import Session
 from repro.registry import Registry
+from repro.stream.columnar import session_columns, session_verdict
 from repro.stream.events import OnlineVerdict
 from repro.traffic.useragents import is_scripted_agent
 
@@ -294,6 +309,13 @@ class OnlineFingerprintDetector(OnlineDetector):
 # ----------------------------------------------------------------------
 # Session-level ports
 # ----------------------------------------------------------------------
+def _alert_closed_session(alerts: AlertSet, kernel: Detector, session: Session) -> None:
+    """Alert every request of a closed session that ``kernel`` flags."""
+    verdict = session_verdict(kernel, session)
+    if verdict is not None:
+        alerts.add_many(session.request_ids(), *verdict)
+
+
 class _SessionRateState:
     """Incremental per-session rate counters (peak window + averages)."""
 
@@ -319,9 +341,9 @@ class OnlineRateLimitDetector(OnlineDetector):
     average/peak-rate rule as the batch
     :class:`~repro.detectors.ratelimit.RateLimitDetector`, using O(1)
     incremental counters.  At session close the full session is judged
-    once more with the batch rule and every request of a flagged session
-    is alerted -- which makes the final alert set identical to the batch
-    detector's.  Because the peak one-minute window can only grow as a
+    once more with the batch detector's frame kernel and every request
+    of a flagged session is alerted -- which makes the final alert set
+    identical to the batch detector's.  Because the peak one-minute window can only grow as a
     session extends, an online alert is never retracted at close.
     """
 
@@ -374,24 +396,22 @@ class OnlineRateLimitDetector(OnlineDetector):
 
     def on_session_close(self, session: Session) -> None:
         self._state.pop(session.session_id, None)
-        verdict = self.batch.judge_session(session)
-        if verdict is None:
-            return
-        score, reasons = verdict
-        for request_id in session.request_ids():
-            self._alerts.add(request_id, score=score, reasons=reasons)
+        _alert_closed_session(self._alerts, self.batch, session)
 
 
 class OnlineInHouseDetector(OnlineDetector):
     """Online port of the in-house heuristic rule engine.
 
     The authoritative judgement happens at session close, where the full
-    session is run through the batch rule set (including the
-    verified-crawler whitelist), so the final alert set matches
+    session is run through the batch rule set's frame kernels (including
+    the verified-crawler whitelist), so the final alert set matches
     :class:`~repro.detectors.inhouse.InHouseHeuristicDetector` exactly.
     Online, sessions are re-judged whenever their request count doubles
     (1, 2, 4, 8, ...), which keeps the per-request cost amortised O(1)
     while still tripping on rule violations shortly after they appear.
+    Every rule must implement :meth:`~repro.detectors.heuristic.Rule.matches_frame`;
+    a rule without it is rejected with a
+    :class:`~repro.exceptions.DetectorError`.
     """
 
     name = "inhouse"
@@ -405,6 +425,12 @@ class OnlineInHouseDetector(OnlineDetector):
         resolved_name = name or (batch.name if batch is not None else self.name)
         super().__init__(name=resolved_name)
         self.batch = batch or InHouseHeuristicDetector(name=resolved_name)
+        for rule in self.batch.rules:
+            if getattr(type(rule), "matches_frame", Rule.matches_frame) is Rule.matches_frame:
+                raise DetectorError(
+                    f"rule {rule.name!r} ({type(rule).__name__}) has no matches_frame; "
+                    "online sessions are judged with the frame kernels only"
+                )
         #: session_id -> (request count at last evaluation, cached verdict)
         self._provisional: dict[str, tuple[int, tuple[float, Sequence[str]] | None]] = {}
 
@@ -417,7 +443,7 @@ class OnlineInHouseDetector(OnlineDetector):
         count = session.request_count
         cached = self._provisional.get(session.session_id)
         if cached is None or count >= 2 * cached[0]:
-            verdict = self.batch.judge_session(session)
+            verdict = session_verdict(self.batch, session)
             self._provisional[session.session_id] = (count, verdict)
         else:
             verdict = cached[1]
@@ -433,12 +459,7 @@ class OnlineInHouseDetector(OnlineDetector):
 
     def on_session_close(self, session: Session) -> None:
         self._provisional.pop(session.session_id, None)
-        verdict = self.batch.judge_session(session)
-        if verdict is None:
-            return
-        score, reasons = verdict
-        for request_id in session.request_ids():
-            self._alerts.add(request_id, score=score, reasons=reasons)
+        _alert_closed_session(self._alerts, self.batch, session)
 
 
 class OnlineAnomalyDetector(OnlineDetector):
@@ -496,8 +517,8 @@ class OnlineAnomalyDetector(OnlineDetector):
         count = session.request_count
         cached = self._provisional.get(session.session_id)
         if cached is None or count >= 2 * cached[0]:
-            vector = extract_features(session).vector().reshape(1, -1)
-            score = float(self._live_model.score(vector)[0])
+            columns, index = session_columns(session)
+            score = float(self._live_model.score(columns.features.values[index : index + 1])[0])
             alerted = score >= self._live_threshold
             self._provisional[session.session_id] = (count, alerted, score)
         else:
@@ -513,11 +534,12 @@ class OnlineAnomalyDetector(OnlineDetector):
 
     def on_session_close(self, session: Session) -> None:
         self._provisional.pop(session.session_id, None)
+        columns, index = session_columns(session)
         self._closed.append(
             (
                 session.start.isoformat(),
                 session.session_id,
-                extract_features(session).vector(),
+                columns.features.values[index],
                 tuple(session.request_ids()),
             )
         )

@@ -7,7 +7,10 @@ each record:
 
 1. attributes it to its visitor session via the
    :class:`~repro.stream.sessionizer.IncrementalSessionizer` (closing any
-   sessions whose inactivity timeout passed),
+   sessions whose inactivity timeout passed -- all the sessions one
+   record closes are columnarised as one
+   :class:`~repro.stream.columnar.SessionColumns` frame, then handed to
+   each detector's ``on_session_close``),
 2. collects an immediate :class:`~repro.stream.events.OnlineVerdict`
    from every :class:`~repro.stream.detectors.OnlineDetector`,
 3. combines the votes through the optional
@@ -42,6 +45,7 @@ from repro.logs.sessionization import DEFAULT_TIMEOUT, Session
 from repro.obs import names as metric_names
 from repro.obs.metrics import MetricsRegistry, resolve_registry
 from repro.stream.adjudicator import WindowedAdjudicator
+from repro.stream.columnar import SessionColumns
 from repro.stream.detectors import OnlineDetector
 from repro.stream.events import EngineStats, OnlineVerdict, RequestVerdict
 from repro.stream.sessionizer import IncrementalSessionizer
@@ -210,8 +214,7 @@ class StreamEngine:
             raise DetectorError("engine already finished")
         while self._buffer:
             self._ingest(heapq.heappop(self._buffer)[2])
-        for session in self.sessionizer.flush():
-            self._close_session(session)
+        self._close_sessions(self.sessionizer.flush())
         for detector in self.detectors:
             detector.finalize()
         self._finished = True
@@ -241,8 +244,7 @@ class StreamEngine:
             raise DetectorError("engine already finished")
         while self._buffer:
             self._ingest(heapq.heappop(self._buffer)[2])
-        for session in self.sessionizer.flush():
-            self._close_session(session)
+        self._close_sessions(self.sessionizer.flush())
         self._finished = True
         return {
             "states": [detector.export_state() for detector in self.detectors],
@@ -314,8 +316,7 @@ class StreamEngine:
         update = self.sessionizer.observe(record)
         if update.opened:
             self.stats.sessions_opened += 1
-        for session in update.closed:
-            self._close_session(session)
+        self._close_sessions(update.closed)
 
         votes: dict[str, OnlineVerdict] = {}
         timed = self._timed
@@ -354,7 +355,12 @@ class StreamEngine:
             session_id=update.session.session_id,
         )
 
-    def _close_session(self, session: Session) -> None:
-        self.stats.sessions_closed += 1
-        for detector in self.detectors:
-            detector.on_session_close(session)
+    def _close_sessions(self, sessions: list[Session]) -> None:
+        """Columnarise the closed sessions as one frame, then close each."""
+        if not sessions:
+            return
+        SessionColumns(sessions)
+        self.stats.sessions_closed += len(sessions)
+        for session in sessions:
+            for detector in self.detectors:
+                detector.on_session_close(session)

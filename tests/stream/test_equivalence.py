@@ -43,9 +43,34 @@ class TestBatchStreamEquivalence:
         assert report.equivalent, report.summary()
         assert all(entry.batch_alerts > 0 for entry in report.entries), report.summary()
 
-    def test_sharded_replay_is_also_equivalent(self, balanced_dataset):
-        report = verify_equivalence(balanced_dataset, shards=3, backend="serial")
+    # Each backend builds one engine per shard; the thread backend runs
+    # them in one process, so this also shows that the per-session
+    # columnar memo shares no state across engines.
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_sharded_replay_is_also_equivalent(self, balanced_dataset, backend):
+        report = verify_equivalence(balanced_dataset, shards=3, backend=backend)
         assert report.equivalent, report.summary()
+
+    def test_equivalence_compares_scores_and_reasons(self, balanced_dataset):
+        from repro.core.alerts import AlertSet
+        from repro.detectors.ratelimit import RateLimitDetector
+        from repro.stream.detectors import OnlineRateLimitDetector
+
+        class Rescored(OnlineRateLimitDetector):
+            """Alerts the batch ids, with a different score."""
+
+            def final_alert_set(self):
+                alerts = AlertSet(self.name)
+                for alert in super().final_alert_set().alerts():
+                    alerts.add(alert.request_id, score=alert.score / 2, reasons=alert.reasons)
+                return alerts
+
+        report = verify_equivalence(balanced_dataset, [(Rescored, RateLimitDetector)])
+        (entry,) = report.entries
+        assert not entry.missing and not entry.extra
+        assert len(entry.mismatched) == entry.batch_alerts > 0
+        assert not report.equivalent
+        assert "score/reason mismatches" in report.summary()
 
     def test_stream_matrix_plugs_into_batch_analysis(self, balanced_dataset):
         from repro.core.adjudication import adjudicate
