@@ -399,7 +399,7 @@ class FeatureMatrix:
 
         # Every per-record flag counted in one stacked segment reduction.
         statuses = arrays.statuses
-        flags = np.stack(
+        flags = np.array(
             [
                 statuses >= 400,
                 statuses == 204,
@@ -436,7 +436,9 @@ class FeatureMatrix:
             unique_paths = np.zeros(n_sessions, dtype=np.int64)
         unique_ratio = np.where(counts > 0, unique_paths / safe_counts, 0.0)
 
-        values = np.column_stack(
+        # Stacked row-wise then transposed: one C-contiguous copy, cheaper
+        # than column_stack for the one-session matrices the stream builds.
+        values = np.array(
             [
                 counts.astype(np.float64),
                 rpm,
@@ -454,8 +456,9 @@ class FeatureMatrix:
                 arrays.scripted.astype(np.float64),
                 arrays.headless.astype(np.float64),
                 arrays.crawler_claim.astype(np.float64),
-            ]
-        )
+            ],
+            dtype=np.float64,
+        ).T.copy()
         return cls(
             values,
             list(arrays.session_ids),

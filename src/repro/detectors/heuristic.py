@@ -84,13 +84,14 @@ class RateRule(Rule):
     def matches_frame(
         self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
     ) -> list[str | None]:
-        counts = features.counts
+        out: list[str | None] = [None] * len(features)
+        eligible = features.counts >= self.min_requests
+        if not eligible.any():
+            return out
         rates = features.column("requests_per_minute")
-        eligible = counts >= self.min_requests
         average_fired = eligible & (rates > self.threshold_rpm)
         peaks = features.peak_rpm()
         peak_fired = eligible & ~average_fired & (peaks > self.threshold_rpm)
-        out: list[str | None] = [None] * len(features)
         for index in np.flatnonzero(average_fired).tolist():
             out[index] = (
                 f"{self.name}: {float(rates[index]):.0f} req/min > {self.threshold_rpm:.0f}"
@@ -187,8 +188,9 @@ class ErrorProbeRule(Rule):
         self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
     ) -> list[str | None]:
         n = len(features)
-        counts = features.counts
-        eligible = counts >= self.min_requests
+        eligible = features.counts >= self.min_requests
+        if not eligible.any():
+            return [None] * n
         error_rate = features.column("error_rate")
         head_fraction = features.column("head_fraction")
 
@@ -249,13 +251,16 @@ class RobotsNoAssetRule(Rule):
     def matches_frame(
         self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
     ) -> list[str | None]:
+        out: list[str | None] = [None] * len(features)
+        eligible = features.counts >= self.min_requests
+        if not eligible.any():
+            return out
         asset_fraction = features.column("asset_fraction")
         fired = (
-            (features.counts >= self.min_requests)
+            eligible
             & (features.column("robots_hits") > 0)
             & (asset_fraction <= self.asset_threshold)
         )
-        out: list[str | None] = [None] * len(features)
         for index in np.flatnonzero(fired).tolist():
             out[index] = (
                 f"{self.name}: robots.txt fetched, {float(asset_fraction[index]):.1%} assets"
@@ -283,14 +288,15 @@ class PathRepetitionRule(Rule):
     def matches_frame(
         self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
     ) -> list[str | None]:
+        out: list[str | None] = [None] * len(features)
+        eligible = features.counts >= self.min_requests
+        if not eligible.any():
+            return out
         unique = features.unique_paths
         repetition = np.where(
             unique > 0, features.counts / np.maximum(unique, 1), 0.0
         )
-        fired = (features.counts >= self.min_requests) & (
-            repetition >= self.repetition_threshold
-        )
-        out: list[str | None] = [None] * len(features)
+        fired = eligible & (repetition >= self.repetition_threshold)
         for index in np.flatnonzero(fired).tolist():
             out[index] = f"{self.name}: {float(repetition[index]):.1f} requests per distinct path"
         return out
