@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import pytest
-
 from repro.bench.comparison import ShapeCheck
 from repro.core.confusion import ConfusionMatrix
 from repro.core.evaluation import per_actor_class_detection
@@ -33,12 +31,12 @@ from repro.detectors.heuristic import (
     RobotsNoAssetRule,
     ScriptedAgentRule,
 )
-from repro.logs.sessionization import Sessionizer
 
 
-@pytest.fixture(scope="module")
-def shared_sessions(bench_dataset):
-    return Sessionizer().sessionize(bench_dataset.records)
+def _alerted_ids(detector, bench_frame) -> set[str]:
+    """The request ids ``detector`` alerts on over the shared frame triple."""
+    frame = bench_frame[0]
+    return detector.alert_columns(*bench_frame).to_alert_set(frame.request_ids).request_ids()
 
 
 def _rule_variants():
@@ -56,7 +54,7 @@ def _rule_variants():
     return variants
 
 
-def test_ablation_inhouse_rules(benchmark, bench_dataset, shared_sessions):
+def test_ablation_inhouse_rules(benchmark, bench_dataset, bench_frame):
     """Leave-one-out ablation of the in-house rule set."""
     variants = _rule_variants()
 
@@ -64,8 +62,7 @@ def test_ablation_inhouse_rules(benchmark, bench_dataset, shared_sessions):
         results = {}
         for name, rules in variants.items():
             detector = HeuristicRuleDetector(rules, name="inhouse-ablation")
-            alerts = detector.analyze(bench_dataset, sessions=shared_sessions)
-            results[name] = alerts.request_ids()
+            results[name] = _alerted_ids(detector, bench_frame)
         return results
 
     alerted_by_variant = benchmark.pedantic(run_all, rounds=1, iterations=1)
@@ -143,7 +140,7 @@ def _behavioural_variants():
     }
 
 
-def test_ablation_behavioural_signals(benchmark, bench_dataset, shared_sessions):
+def test_ablation_behavioural_signals(benchmark, bench_dataset, bench_frame):
     """Signal ablation of the behavioural session model."""
     variants = _behavioural_variants()
 
@@ -151,8 +148,7 @@ def test_ablation_behavioural_signals(benchmark, bench_dataset, shared_sessions)
         results = {}
         for name, config in variants.items():
             detector = BehavioralSessionDetector(config, name="behavioral-ablation")
-            alerts = detector.analyze(bench_dataset, sessions=shared_sessions)
-            results[name] = alerts.request_ids()
+            results[name] = _alerted_ids(detector, bench_frame)
         return results
 
     alerted_by_variant = benchmark.pedantic(run_all, rounds=1, iterations=1)

@@ -20,10 +20,9 @@ Two measurements, both at the analysis benchmark scale
   must agree exactly;
 * **bounded-memory streamed run** -- a full tables experiment on a
   frame streamed straight out of a trace file must peak well below the
-  same experiment on the record path (materialise the trace, build
-  session objects, extract per-session features), proving the frame
-  path keeps Tables 1-4 feasible at scales where the record path no
-  longer fits.
+  same experiment run from a materialised :class:`Dataset` (every record
+  object, plus the frame built from them), proving a trace-backed run
+  never pays for the record objects.
 
 All numbers land in ``BENCH_perf_analysis.json`` via the shared conftest
 hook, and both floors are asserted so a regression fails the job loudly.
@@ -155,13 +154,14 @@ def test_perf_analysis_slice_frame_vs_records(
 def test_perf_streamed_tables_bounded_memory(
     analysis_dataset, record_bench, tmp_path
 ):
-    """A trace-streamed tables run peaks well below the record path.
+    """A trace-streamed tables run peaks well below a Dataset-backed one.
 
     The frame read out of the trace is the only copy of the data for the
     whole experiment -- detection, Tables 1-4, diversity, evaluations.
-    The record path pays for the materialised :class:`Dataset`, the
-    per-session objects *and* the per-session feature vectors on top, so
-    its peak must sit comfortably above the streamed run's.
+    Reading the trace into a :class:`Dataset` and running
+    :meth:`PaperExperiment.run_on` pays for the materialised record
+    objects on top of the frame built from them, so its peak must sit
+    comfortably above the streamed run's.
     """
     path = str(tmp_path / "analysis-bench.trace")
     write_trace(analysis_dataset, path)
@@ -176,17 +176,17 @@ def test_perf_streamed_tables_bounded_memory(
 
     tracemalloc.start()
     dataset = read_trace(path)
-    by_records = PaperExperiment().run_on(dataset, engine="records")
-    _, record_path_peak = tracemalloc.get_traced_memory()
+    by_dataset = PaperExperiment().run_on(dataset)
+    _, dataset_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    assert by_records.render_all() == result.render_all()  # same tables
+    assert by_dataset.render_all() == result.render_all()  # same tables
 
-    ratio = record_path_peak / streamed_peak
+    ratio = dataset_peak / streamed_peak
     bytes_per_record = streamed_peak / max(len(frame), 1)
     print(
         f"\nstreamed tables run: {len(frame):,} records, peak "
         f"{streamed_peak / 1e6:.1f} MB ({bytes_per_record:.0f} B/record) vs "
-        f"{record_path_peak / 1e6:.1f} MB on the record path (x{ratio:.1f})"
+        f"{dataset_peak / 1e6:.1f} MB through a Dataset (x{ratio:.1f})"
     )
     record_bench(
         "perf_analysis",
@@ -194,13 +194,13 @@ def test_perf_streamed_tables_bounded_memory(
         scale=ANALYSIS_SCALE,
         records=len(frame),
         streamed_peak_bytes=streamed_peak,
-        record_path_peak_bytes=record_path_peak,
+        dataset_peak_bytes=dataset_peak,
         peak_ratio=ratio,
         bytes_per_record=bytes_per_record,
     )
-    # The record path's peak keeps growing with session count (objects +
-    # feature vectors); 1.5x holds with margin at the 0.1 scale.
-    assert streamed_peak * 1.5 < record_path_peak, (
-        "the streamed frame tables run should peak well below the record "
-        f"path ({streamed_peak / 1e6:.1f} MB vs {record_path_peak / 1e6:.1f} MB)"
+    # The Dataset-backed run holds every record object as well as the
+    # frame; 1.5x holds at the 0.1 scale.
+    assert streamed_peak * 1.5 < dataset_peak, (
+        "the streamed frame tables run should peak well below a Dataset-backed "
+        f"run ({streamed_peak / 1e6:.1f} MB vs {dataset_peak / 1e6:.1f} MB)"
     )

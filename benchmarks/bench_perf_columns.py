@@ -1,21 +1,20 @@
-"""Experiment ``perf_columns``: the columnar substrate vs the record path.
+"""Experiment ``perf_columns``: the columnar substrate vs per-record loops.
 
-The :mod:`repro.columns` refactor claims the batch detection hot path --
-sessionization, feature extraction, detector scoring -- runs several
-times faster on the vectorized substrate than on per-record Python
-loops, without changing a single result.  This module measures the three
-layers at the columns benchmark scale (``REPRO_COLUMNS_BENCH_SCALE``,
-default 0.1 -- about 144k requests):
+The :mod:`repro.columns` substrate claims the batch detection hot path
+-- sessionization and feature extraction -- runs several times faster
+vectorized than as per-record Python loops, without changing a single
+result.  This module measures two layers at the columns benchmark scale
+(``REPRO_COLUMNS_BENCH_SCALE``, default 0.1 -- about 144k requests):
 
 * **dataset-wide feature extraction** -- ``RecordFrame.from_dataset`` +
   vectorized sessionization + ``FeatureMatrix.from_frame`` against the
-  legacy ``Sessionizer`` + per-session ``extract_features`` loop; the
+  ``Sessionizer`` + per-session ``extract_features`` loop; the
   acceptance floor is a 3x speedup;
-* **tables run** -- the full paper experiment
-  (``PaperExperiment.run_on``) under the ``columnar`` and ``records``
-  engines;
 * **zero-decode trace ingestion** -- ``TraceReader.read_frame`` against
   ``read_dataset`` + ``from_dataset`` for trace-backed runs.
+
+The full tables run is measured in absolute terms by the end-to-end
+``tables`` workload in ``benchmarks/e2e``.
 
 All numbers land in ``BENCH_perf_columns.json`` via the shared conftest
 hook, and the feature-extraction speedup is asserted so a regression in
@@ -32,7 +31,6 @@ import pytest
 
 from repro.bench.harness import BENCH_SEED, scenario_dataset
 from repro.columns import FeatureMatrix, RecordFrame, sessionize_frame
-from repro.core.experiment import PaperExperiment
 from repro.detectors.features import extract_features
 from repro.logs.sessionization import Sessionizer
 from repro.trace import TraceReader, write_trace
@@ -94,32 +92,6 @@ def test_perf_feature_extraction_frame_vs_records(columns_dataset, record_bench)
     assert speedup >= FEATURE_SPEEDUP_FLOOR, (
         f"frame-path feature extraction regressed: {speedup:.1f}x < "
         f"{FEATURE_SPEEDUP_FLOOR}x over the record path"
-    )
-
-
-def test_perf_tables_run_columnar_vs_records(columns_dataset, record_bench):
-    """The full tables experiment must not be slower on the columnar engine."""
-    records_seconds = _best_of(
-        lambda: PaperExperiment().run_on(columns_dataset, engine="records"), rounds=1
-    )
-    columnar_seconds = _best_of(
-        lambda: PaperExperiment().run_on(columns_dataset, engine="columnar"), rounds=2
-    )
-    speedup = records_seconds / columnar_seconds
-    print(
-        f"\ntables run: records engine {records_seconds:.2f}s, "
-        f"columnar engine {columnar_seconds:.2f}s (x{speedup:.1f})"
-    )
-    record_bench(
-        "perf_columns",
-        "tables_run",
-        records=len(columns_dataset),
-        records_engine_seconds=records_seconds,
-        columnar_engine_seconds=columnar_seconds,
-        speedup=speedup,
-    )
-    assert speedup >= 1.0, (
-        f"the columnar tables run is slower than the record path ({speedup:.2f}x)"
     )
 
 

@@ -1,7 +1,8 @@
 """Experiment ``perf_detectors``: detector throughput comparison.
 
-Measures how long each detector family takes to analyse the benchmark
-data set (with sessionization shared, as in the real pipeline).  No paper
+Measures how long each detector family's ``alert_columns`` takes over
+the benchmark data set's frame (with the frame, sessionization and
+session features shared, as in the real pipeline).  No paper
 table corresponds to this; it documents the cost side of the diversity
 trade-off -- running two (or five) detectors in parallel costs what the
 serial-configuration experiment tries to save.
@@ -17,7 +18,6 @@ from repro.detectors.inhouse import InHouseHeuristicDetector
 from repro.detectors.naive_bayes import NaiveBayesRobotDetector
 from repro.detectors.ratelimit import RateLimitDetector
 from repro.detectors.reputation import IPReputationDetector
-from repro.logs.sessionization import Sessionizer
 
 DETECTOR_FACTORIES = {
     "commercial": CommercialBotDefenceDetector,
@@ -29,22 +29,12 @@ DETECTOR_FACTORIES = {
 }
 
 
-@pytest.fixture(scope="module")
-def shared_sessions(bench_dataset):
-    return Sessionizer().sessionize(bench_dataset.records)
-
-
 @pytest.mark.parametrize("detector_name", sorted(DETECTOR_FACTORIES))
-def test_perf_detector_throughput(benchmark, bench_dataset, shared_sessions, detector_name):
+def test_perf_detector_throughput(benchmark, bench_frame, detector_name):
     detector = DETECTOR_FACTORIES[detector_name]()
 
-    alerts = benchmark.pedantic(
-        detector.analyze,
-        args=(bench_dataset,),
-        kwargs={"sessions": shared_sessions},
-        rounds=2,
-        iterations=1,
-    )
+    alerts = benchmark.pedantic(detector.alert_columns, args=bench_frame, rounds=2, iterations=1)
 
-    print(f"\n{detector_name}: {len(alerts):,} of {len(bench_dataset):,} requests alerted")
-    assert len(alerts) <= len(bench_dataset)
+    frame = bench_frame[0]
+    print(f"\n{detector_name}: {alerts.alert_count():,} of {len(frame):,} requests alerted")
+    assert alerts.alert_count() <= len(frame)

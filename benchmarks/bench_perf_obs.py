@@ -59,11 +59,11 @@ def test_perf_tables_instrumentation_overhead(obs_dataset, record_bench):
     registries: list[MetricsRegistry] = []
 
     def plain_run():
-        experiment.run_on(obs_dataset, engine="columnar")
+        experiment.run_on(obs_dataset)
 
     def instrumented_run():
         registry = MetricsRegistry()
-        experiment.run_on(obs_dataset, engine="columnar", registry=registry)
+        experiment.run_on(obs_dataset, registry=registry)
         registries.append(registry)
 
     # One warm-up apiece so caches and allocators settle before timing.

@@ -65,14 +65,14 @@ def _timed_runs(dataset, options: ProfileOptions, rounds: int) -> tuple[float, f
     profiles: list[Profile] = []
 
     def plain_run():
-        experiment.run_on(dataset, engine="columnar", registry=MetricsRegistry())
+        experiment.run_on(dataset, registry=MetricsRegistry())
 
     def profiled_run():
         registry = MetricsRegistry()
         profiler = Profiler(registry, options)
         profiler.start()
         try:
-            experiment.run_on(dataset, engine="columnar", registry=registry)
+            experiment.run_on(dataset, registry=registry)
         finally:
             profiles.append(profiler.stop())
 

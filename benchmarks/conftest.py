@@ -36,6 +36,21 @@ def bench_dataset():
 
 
 @pytest.fixture(scope="session")
+def bench_frame(bench_dataset):
+    """The benchmark data set's ``(frame, sessions, features)`` triple.
+
+    Built once and shared, as :class:`~repro.detectors.pipeline.DetectionPipeline`
+    shares it between detectors: a detector's ``alert_columns(*bench_frame)``
+    is its own cost on top of the shared sessionization and features.
+    """
+    from repro.columns import FeatureMatrix, RecordFrame, sessionize_frame
+
+    frame = RecordFrame.from_dataset(bench_dataset)
+    sessions = sessionize_frame(frame)
+    return frame, sessions, FeatureMatrix.from_frame(frame, sessions)
+
+
+@pytest.fixture(scope="session")
 def bench_experiment():
     """Both stand-in tools run over the benchmark data set."""
     return experiment_result(BENCH_SCALE, BENCH_SEED)

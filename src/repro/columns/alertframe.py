@@ -24,10 +24,10 @@ tuple and gathering through codes removes the per-alert Python.
 :class:`AlertFrame` bundles one ``DetectorAlerts`` per detector over a
 shared frame; :meth:`~repro.core.alerts.AlertMatrix.from_alert_frame`
 stacks the flag columns into the boolean matrix with no per-alert
-iteration.  The dict path stays available through
-:meth:`DetectorAlerts.to_alert_set` / :meth:`from_alert_set` -- the
-bridge the equivalence suite uses to prove both representations carry
-identical ids, scores and reasons.
+iteration.  :meth:`DetectorAlerts.to_alert_set` and
+:meth:`DetectorAlerts.from_alert_set` convert to and from the dict
+representation (``Detector.analyze`` returns alert sets; the anomaly
+and stream-replay detectors build one first).
 
 Shard merge: :meth:`DetectorAlerts.scatter` writes a sub-frame's arrays
 back into a global frame's arrays at the shard's row positions,
@@ -37,7 +37,7 @@ join step of the multi-process frame pipeline.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -137,7 +137,7 @@ class DetectorAlerts:
     def from_alert_set(
         cls, frame: "RecordFrame", alert_set: AlertSet
     ) -> "DetectorAlerts":
-        """Columnarise a dict-path :class:`AlertSet` (the fallback bridge).
+        """Columnarise a dict-path :class:`AlertSet`.
 
         Unknown request ids are an error, mirroring the strict mode of
         :meth:`~repro.core.alerts.AlertMatrix.from_alert_sets`.
@@ -177,7 +177,7 @@ class DetectorAlerts:
     # Bridges and merging
     # ------------------------------------------------------------------
     def to_alert_set(self, request_ids: Sequence[str]) -> AlertSet:
-        """The dict-path view of these alerts (the equivalence oracle)."""
+        """The dict-path view of these alerts."""
         table = self.reason_table
         scores = self.scores
         codes = self.reason_codes
@@ -254,7 +254,7 @@ class AlertFrame:
         )
 
     def to_alert_sets(self) -> list[AlertSet]:
-        """Dict-path views of every detector's alerts (oracle bridge)."""
+        """Dict-path views of every detector's alerts."""
         ids = self.frame.request_ids
         return [alerts.to_alert_set(ids) for alerts in self.detectors]
 
@@ -291,28 +291,31 @@ def whitelist_row_mask(
     return mask
 
 
-def encode_session_reasons(
-    verdict_reasons: Iterable[tuple[str, ...]],
-) -> tuple[np.ndarray, list[tuple[str, ...]]]:
-    """Dictionary-encode an iterable of per-session reason tuples."""
-    encoder = ReasonEncoder()
-    codes = np.fromiter(
-        (encoder.code(reasons) for reasons in verdict_reasons), np.int64
-    )
-    return codes, encoder.table
-
-
-def merge_scored_rows(
+def threshold_session_alerts(
     detector_name: str,
-    n: int,
-    scored_rows: Mapping[int, tuple[float, tuple[str, ...]]],
+    frame: "RecordFrame",
+    sessions: "FrameSessions",
+    session_scores: np.ndarray,
+    threshold: float,
+    reason: str,
 ) -> DetectorAlerts:
-    """Alert columns from a ``{row: (score, reasons)}`` mapping."""
-    alerts = DetectorAlerts.empty(detector_name, n)
+    """Alert every session scoring at least ``threshold``.
+
+    Each alerted session's rows carry the session's score and the single
+    reason ``"{reason} {score:.2f}"`` -- the verdict shape of the
+    probabilistic session classifiers.
+    """
+    alerted = session_scores >= threshold
+    codes = np.full(len(session_scores), -1, dtype=np.int64)
     encoder = ReasonEncoder()
-    for row, (score, reasons) in scored_rows.items():
-        alerts.flags[row] = True
-        alerts.scores[row] = score
-        alerts.reason_codes[row] = encoder.code(tuple(reasons))
-    alerts.reason_table = encoder.table
-    return alerts
+    for index in np.flatnonzero(alerted).tolist():
+        codes[index] = encoder.code((f"{reason} {float(session_scores[index]):.2f}",))
+    return DetectorAlerts.from_sessions(
+        detector_name,
+        frame,
+        sessions,
+        alerted,
+        np.where(alerted, session_scores, 0.0),
+        codes,
+        encoder.table,
+    )

@@ -321,8 +321,12 @@ class FeatureMatrix:
     def peak_rpm(self, window_seconds: float = 60.0) -> np.ndarray:
         """Per-session peak sliding-window request rate, per minute.
 
-        Exactly :meth:`repro.logs.sessionization.Session.peak_requests_per_minute`
-        for every session at once (memoised per window).
+        The most requests any ``window_seconds`` window of the session
+        holds, scaled to a per-minute rate; sessions of at most one
+        request report their request count.  Average session rate hides
+        bursts -- a scraper that fires 300 requests in three minutes and
+        then sleeps for an hour averages under 5 requests/minute -- so
+        rate rules also look at the busiest window.  Memoised per window.
         """
         if window_seconds <= 0:
             raise ValueError("window_seconds must be positive")

@@ -20,7 +20,7 @@ classifier and several unsupervised anomaly detectors) so the extension
 experiments can study ensembles with more than two members.
 """
 
-from repro.detectors.base import Detector, SessionDetector
+from repro.detectors.base import Detector
 from repro.detectors.behavioral import BehavioralSessionDetector, BehaviouralScoreConfig
 from repro.detectors.commercial import CommercialBotDefenceDetector
 from repro.detectors.crawler_ml import CrawlerDecisionTreeDetector
@@ -63,7 +63,6 @@ __all__ = [
     "RobotsNoAssetRule",
     "Rule",
     "ScriptedAgentRule",
-    "SessionDetector",
     "SessionFeatures",
     "UserAgentFingerprintDetector",
     "available_detectors",

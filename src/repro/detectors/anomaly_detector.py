@@ -17,12 +17,10 @@ from repro.anomaly.base import AnomalyModel
 from repro.anomaly.isolation_forest import IsolationForestModel
 from repro.core.alerts import AlertSet
 from repro.detectors.base import Detector
-from repro.detectors.features import feature_matrix
-from repro.logs.dataset import Dataset
-from repro.logs.sessionization import Session, Sessionizer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.columns import FeatureMatrix, FrameSessions, RecordFrame
+    from repro.columns.alertframe import DetectorAlerts
 
 
 def alert_anomalous_groups(
@@ -58,55 +56,34 @@ def alert_anomalous_groups(
 class AnomalySessionDetector(Detector):
     """Alert on the most anomalous sessions according to an unsupervised model."""
 
-    #: The frame pipeline bridges the dict-path alert set into arrays;
-    #: model scoring has no array-native formulation worth maintaining.
-    frame_fallback = True
-
     def __init__(
         self,
         model: AnomalyModel | None = None,
         *,
         name: str = "anomaly",
         contamination: float = 0.3,
-        sessionizer: Sessionizer | None = None,
     ) -> None:
         if not 0.0 < contamination < 1.0:
             raise ValueError("contamination must be in (0, 1)")
         self.name = name
         self.model = model or IsolationForestModel()
         self.contamination = contamination
-        self.sessionizer = sessionizer or Sessionizer()
 
-    def analyze(self, dataset: Dataset, *, sessions: Sequence[Session] | None = None) -> AlertSet:
-        alert_set = AlertSet(self.name)
-        if sessions is None:
-            sessions = self.sessionizer.sessionize(dataset.records)
-        if len(sessions) < 2:
-            return alert_set
-
-        matrix = feature_matrix(list(sessions))
-        alert_anomalous_groups(
-            alert_set,
-            self.model,
-            matrix,
-            [session.request_ids() for session in sessions],
-            self.contamination,
-        )
-        return alert_set
-
-    def analyze_columns(
+    def alert_columns(
         self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
-    ) -> AlertSet:
+    ) -> "DetectorAlerts":
+        """Alert every session in the top ``contamination`` fraction of scores."""
+        from repro.columns.alertframe import DetectorAlerts
+
         alert_set = AlertSet(self.name)
-        if len(features) < 2:
-            return alert_set
-        # Copy so a model that standardises in place can never corrupt
-        # the shared matrix for later detectors.
-        alert_anomalous_groups(
-            alert_set,
-            self.model,
-            features.values.copy(),
-            sessions.request_id_groups(),
-            self.contamination,
-        )
-        return alert_set
+        if len(features) >= 2:
+            # Copy so a model that standardises in place can never corrupt
+            # the shared matrix for later detectors.
+            alert_anomalous_groups(
+                alert_set,
+                self.model,
+                features.values.copy(),
+                sessions.request_id_groups(),
+                self.contamination,
+            )
+        return DetectorAlerts.from_alert_set(frame, alert_set)

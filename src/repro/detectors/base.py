@@ -1,25 +1,28 @@
-"""Detector base classes.
+"""The detector contract.
 
-Every detector consumes a :class:`~repro.logs.dataset.Dataset` (records
-only -- never the ground truth) and produces an
-:class:`~repro.core.alerts.AlertSet`.  Two base classes are provided:
+Every detector judges the same columnar triple: a
+:class:`~repro.columns.RecordFrame` (records only -- never the ground
+truth), its visitor sessions as :class:`~repro.columns.FrameSessions`
+spans and the session :class:`~repro.columns.FeatureMatrix`.
+:meth:`Detector.alert_columns` turns that triple into per-row
+flag/score/reason arrays; it is the only batch judgement a detector
+implements, so every detection rule is defined exactly once.
+Sessionization and feature extraction are the dominant shared costs, so
+:class:`~repro.detectors.pipeline.DetectionPipeline` computes the triple
+once and hands it to every detector.
 
-* :class:`Detector` -- the minimal interface (``analyze``).
-* :class:`SessionDetector` -- for detectors that reason about visitor
-  sessions; it handles sessionization and lets subclasses implement a
-  single ``judge_session`` method.  Sessionization is the dominant cost
-  when running many detectors over the same data, so pre-computed
-  sessions can be passed in and shared.
+:meth:`Detector.analyze` is the record-set convenience wrapper: it
+builds the triple from a :class:`~repro.logs.dataset.Dataset` and
+returns the verdicts as an :class:`~repro.core.alerts.AlertSet`.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from repro.core.alerts import AlertSet
 from repro.logs.dataset import Dataset
-from repro.logs.sessionization import Session, Sessionizer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.columns import FeatureMatrix, FrameSessions, RecordFrame
@@ -40,55 +43,29 @@ class Detector(abc.ABC):
     frame_shardable: bool = False
 
     @abc.abstractmethod
-    def analyze(self, dataset: Dataset, *, sessions: Sequence[Session] | None = None) -> AlertSet:
-        """Analyse the data set and return this detector's alerts.
-
-        Parameters
-        ----------
-        dataset:
-            The access-log data set to analyse.
-        sessions:
-            Optional pre-computed sessions (from
-            :class:`~repro.logs.sessionization.Sessionizer`) so several
-            detectors can share the sessionization work.  Detectors that
-            do not need sessions ignore the argument.
-        """
-
-    def analyze_columns(
-        self,
-        frame: "RecordFrame",
-        sessions: "FrameSessions",
-        features: "FeatureMatrix",
-    ) -> AlertSet | None:
-        """Analyse a columnar frame directly (the vectorized batch path).
-
-        Returns the detector's alert set, or ``None`` when this detector
-        has no columnar implementation -- the pipeline then falls back to
-        :meth:`analyze` over materialised
-        :class:`~repro.logs.sessionization.Session` objects.  A columnar
-        implementation must produce exactly the alerts :meth:`analyze`
-        would (ids, scores and reasons); the equivalence suite pins this
-        for every built-in detector.
-        """
-        return None
-
     def alert_columns(
         self,
         frame: "RecordFrame",
         sessions: "FrameSessions",
         features: "FeatureMatrix",
-    ) -> "DetectorAlerts | None":
-        """Analyse a frame into columnar alert arrays (the frame-native path).
+    ) -> "DetectorAlerts":
+        """Judge a frame into columnar alert arrays.
 
-        Returns a :class:`~repro.columns.alertframe.DetectorAlerts` --
-        per-row flag/score/reason-code arrays -- or ``None`` when this
-        detector has no array implementation; the frame pipeline then
-        falls back to :meth:`analyze_columns` (bridging its
-        :class:`AlertSet` into arrays) and finally to :meth:`analyze`
-        over materialised records.  An implementation must carry exactly
-        the ids, scores and reasons the dict path would.
+        ``sessions`` are the frame's visitor sessions (default timeout)
+        and ``features`` their feature rows, in session order.  Returns a
+        :class:`~repro.columns.alertframe.DetectorAlerts` named after the
+        detector: per-row flags, scores and reason codes over ``frame``.
         """
-        return None
+
+    def analyze(self, dataset: Dataset) -> AlertSet:
+        """Judge a data set: build the frame triple, then :meth:`alert_columns`."""
+        from repro.columns import FeatureMatrix, RecordFrame, sessionize_frame
+
+        frame = RecordFrame.from_dataset(dataset)
+        sessions = sessionize_frame(frame)
+        features = FeatureMatrix.from_frame(frame, sessions)
+        alerts = self.alert_columns(frame, sessions, features)
+        return alerts.to_alert_set(frame.request_ids)
 
     def describe(self) -> str:
         """A one-line description (defaults to the class docstring's first line)."""
@@ -97,37 +74,3 @@ class Detector(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{self.__class__.__name__}(name={self.name!r})"
-
-
-class SessionDetector(Detector):
-    """Base class for detectors that reason about whole sessions.
-
-    Subclasses implement :meth:`judge_session`, returning either ``None``
-    (no alert) or a ``(score, reasons)`` tuple; every request of a flagged
-    session is then alerted, which matches how both commercial products
-    and in-house tools attribute session verdicts back to requests.
-    """
-
-    #: Session detectors deliberately run the record path under the
-    #: columnar engine: sessionization is inherently row-ordered.
-    columnar_fallback = True
-
-    def __init__(self, sessionizer: Sessionizer | None = None):
-        self.sessionizer = sessionizer or Sessionizer()
-
-    @abc.abstractmethod
-    def judge_session(self, session: Session) -> tuple[float, Sequence[str]] | None:
-        """Return ``(score, reasons)`` when the session is malicious, else ``None``."""
-
-    def analyze(self, dataset: Dataset, *, sessions: Sequence[Session] | None = None) -> AlertSet:
-        alert_set = AlertSet(self.name)
-        if sessions is None:
-            sessions = self.sessionizer.sessionize(dataset.records)
-        for session in sessions:
-            verdict = self.judge_session(session)
-            if verdict is None:
-                continue
-            score, reasons = verdict
-            for request_id in session.request_ids():
-                alert_set.add(request_id, score=score, reasons=reasons)
-        return alert_set

@@ -17,15 +17,12 @@ extension experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.alerts import AlertSet
-from repro.detectors.base import SessionDetector
-from repro.detectors.features import SessionFeatures, extract_features
+from repro.detectors.base import Detector
 from repro.detectors.fingerprint import UserAgentFingerprintDetector
-from repro.logs.sessionization import Session, Sessionizer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.columns import FeatureMatrix, FrameSessions, RecordFrame
@@ -62,7 +59,7 @@ class BehaviouralScoreConfig:
     alert_threshold: float = 4.0
 
 
-class BehavioralSessionDetector(SessionDetector):
+class BehavioralSessionDetector(Detector):
     """Weighted-evidence behavioural model over session features."""
 
     #: Evidence is per-session + per-(agent, IP) pair; both survive
@@ -75,156 +72,11 @@ class BehavioralSessionDetector(SessionDetector):
         *,
         name: str = "behavioral",
         fingerprint: UserAgentFingerprintDetector | None = None,
-        sessionizer: Sessionizer | None = None,
     ) -> None:
-        super().__init__(sessionizer)
         self.name = name
         self.config = config or BehaviouralScoreConfig()
         self.fingerprint = fingerprint or UserAgentFingerprintDetector()
 
-    # ------------------------------------------------------------------
-    def score_session(self, session: Session) -> tuple[float, list[str]]:
-        """Return the accumulated evidence score and the contributing signals."""
-        config = self.config
-        features = extract_features(session)
-        score = 0.0
-        signals: list[str] = []
-
-        if features.asset_fraction < config.no_assets_threshold:
-            score += config.no_assets_weight
-            signals.append("no static assets loaded")
-        if features.referrer_fraction < config.no_referrer_threshold:
-            score += config.no_referrer_weight
-            signals.append("no referrer headers")
-        if (
-            features.request_count >= config.machine_timing_min_requests
-            and features.interarrival_cv < config.machine_timing_cv
-        ):
-            score += config.machine_timing_weight
-            signals.append(f"machine-regular timing (cv={features.interarrival_cv:.2f})")
-        if features.request_count >= config.high_volume_requests:
-            score += config.high_volume_weight
-            signals.append(f"high volume ({features.request_count} requests)")
-        if (
-            features.request_count >= config.coverage_min_requests
-            and features.unique_path_ratio > config.coverage_ratio
-        ):
-            score += config.coverage_weight
-            signals.append("exhaustive URL coverage")
-        if features.night_fraction > config.night_fraction:
-            score += config.night_weight
-            signals.append("night-time activity")
-        if self._suspicious_fingerprint(session, features):
-            score += config.fingerprint_weight
-            signals.append("non-browser client fingerprint")
-        return score, signals
-
-    def _suspicious_fingerprint(self, session: Session, features: SessionFeatures) -> bool:
-        verdict = self.fingerprint.judge_request(session.user_agent, session.client_ip)
-        return verdict is not None
-
-    # ------------------------------------------------------------------
-    def judge_session(self, session: Session) -> tuple[float, Sequence[str]] | None:
-        score, signals = self.score_session(session)
-        if score < self.config.alert_threshold:
-            return None
-        normalised = min(1.0, score / (2 * self.config.alert_threshold))
-        return normalised, tuple(signals)
-
-    # ------------------------------------------------------------------
-    def scored_columns(
-        self,
-        frame: "RecordFrame",
-        sessions: "FrameSessions",
-        features: "FeatureMatrix",
-        fingerprint_verdicts: "dict | None" = None,
-    ) -> dict[str, tuple[float, tuple[str, ...]]]:
-        """Per-record ``{request_id: (score, reasons)}`` over a frame.
-
-        ``fingerprint_verdicts`` shares an already-computed
-        :meth:`~repro.detectors.fingerprint.UserAgentFingerprintDetector.pair_verdicts`
-        result (the commercial composite judges each pair once for all
-        its layers).
-        """
-        config = self.config
-        counts = features.counts
-        cv = features.column("interarrival_cv")
-
-        verdicts = (
-            fingerprint_verdicts
-            if fingerprint_verdicts is not None
-            else self.fingerprint.pair_verdicts(frame)
-        )
-        fingerprinted = np.fromiter(
-            (
-                (int(agent), int(ip)) in verdicts
-                for agent, ip in zip(sessions.agent_codes, sessions.ip_codes)
-            ),
-            bool,
-            len(features),
-        )
-        # The same evidence signals as score_session, evaluated for every
-        # session at once; the weight additions run in the same order, so
-        # the accumulated scores are bit-identical (adding 0.0 is exact).
-        signals = (
-            (
-                features.column("asset_fraction") < config.no_assets_threshold,
-                config.no_assets_weight,
-            ),
-            (
-                features.column("referrer_fraction") < config.no_referrer_threshold,
-                config.no_referrer_weight,
-            ),
-            (
-                (counts >= config.machine_timing_min_requests)
-                & (cv < config.machine_timing_cv),
-                config.machine_timing_weight,
-            ),
-            (counts >= config.high_volume_requests, config.high_volume_weight),
-            (
-                (counts >= config.coverage_min_requests)
-                & (features.column("unique_path_ratio") > config.coverage_ratio),
-                config.coverage_weight,
-            ),
-            (features.column("night_fraction") > config.night_fraction, config.night_weight),
-            (fingerprinted, config.fingerprint_weight),
-        )
-        scores = np.zeros(len(features))
-        for fired, weight in signals:
-            scores = scores + np.where(fired, weight, 0.0)
-
-        alerted = scores >= config.alert_threshold
-        normalised = np.minimum(1.0, scores / (2 * config.alert_threshold))
-        request_ids = frame.request_ids
-        order, starts = sessions.order, sessions.starts
-        scored: dict[str, tuple[float, tuple[str, ...]]] = {}
-        for index in np.flatnonzero(alerted).tolist():
-            reasons: list[str] = []
-            if signals[0][0][index]:
-                reasons.append("no static assets loaded")
-            if signals[1][0][index]:
-                reasons.append("no referrer headers")
-            if signals[2][0][index]:
-                reasons.append(f"machine-regular timing (cv={float(cv[index]):.2f})")
-            if signals[3][0][index]:
-                reasons.append(f"high volume ({int(counts[index])} requests)")
-            if signals[4][0][index]:
-                reasons.append("exhaustive URL coverage")
-            if signals[5][0][index]:
-                reasons.append("night-time activity")
-            if signals[6][0][index]:
-                reasons.append("non-browser client fingerprint")
-            verdict = (float(normalised[index]), tuple(reasons))
-            for row in order[starts[index] : starts[index + 1]].tolist():
-                scored[request_ids[row]] = verdict
-        return scored
-
-    def analyze_columns(
-        self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
-    ) -> AlertSet:
-        return AlertSet.from_scored(self.name, self.scored_columns(frame, sessions, features))
-
-    # ------------------------------------------------------------------
     def verdict_alerts(
         self,
         frame: "RecordFrame",
@@ -232,12 +84,15 @@ class BehavioralSessionDetector(SessionDetector):
         features: "FeatureMatrix",
         fingerprint_verdicts: "dict | None" = None,
     ) -> "DetectorAlerts":
-        """Frame-native alert arrays: per-session evidence scattered to rows.
+        """Per-session evidence scores, scattered to every row of the session.
 
-        The evidence accumulation is identical to :meth:`scored_columns`
-        (same signal order, bit-identical scores); only the per-row
-        expansion differs -- a vectorized session -> row scatter instead
-        of a Python loop over every alerted request.
+        A session alerts when its accumulated evidence reaches the
+        threshold; its score is the evidence normalised by twice the
+        threshold (capped at 1.0) and its reasons are the contributing
+        signals.  ``fingerprint_verdicts`` shares an already-computed
+        :meth:`~repro.detectors.fingerprint.UserAgentFingerprintDetector.pair_verdicts`
+        result (the commercial composite judges each pair once for all
+        its layers).
         """
         from repro.columns.alertframe import DetectorAlerts, ReasonEncoder
 

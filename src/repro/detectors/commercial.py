@@ -19,18 +19,15 @@ alerts, with the triggering layer(s) recorded as alert reasons.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from repro.core.alerts import AlertSet
 from repro.detectors.base import Detector
 from repro.detectors.behavioral import BehavioralSessionDetector, BehaviouralScoreConfig
 from repro.detectors.fingerprint import UserAgentFingerprintDetector
 from repro.detectors.ratelimit import RateLimitDetector
 from repro.detectors.reputation import IPReputationDetector
-from repro.logs.dataset import Dataset
-from repro.logs.sessionization import Session, Sessionizer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.columns import FeatureMatrix, FrameSessions, RecordFrame
@@ -47,22 +44,18 @@ class CommercialBotDefenceDetector(Detector):
         reputation_blocklist: Iterable[str] | None = None,
         rate_threshold_rpm: float = 90.0,
         behavioural_config: BehaviouralScoreConfig | None = None,
-        sessionizer: Sessionizer | None = None,
     ) -> None:
         self.name = name
-        self.sessionizer = sessionizer or Sessionizer()
         self.fingerprint = UserAgentFingerprintDetector(name=f"{name}/fingerprint")
         self.reputation = IPReputationDetector(reputation_blocklist, name=f"{name}/reputation")
         self.ratelimit = RateLimitDetector(
             name=f"{name}/rate",
             threshold_rpm=rate_threshold_rpm,
-            sessionizer=self.sessionizer,
         )
         self.behavioral = BehavioralSessionDetector(
             behavioural_config,
             name=f"{name}/behavioral",
             fingerprint=self.fingerprint,
-            sessionizer=self.sessionizer,
         )
         # The composite shards iff every layer does (the reputation layer
         # opts out when it uses a global per-prefix count threshold).
@@ -73,116 +66,20 @@ class CommercialBotDefenceDetector(Detector):
             and self.behavioral.frame_shardable
         )
 
-    # ------------------------------------------------------------------
-    def _combine(
-        self, layer_alerts: Sequence[tuple[str, AlertSet]], whitelisted: set[str]
-    ) -> AlertSet:
-        """Union the layers' alerts (layer names become reason prefixes).
-
-        Scores merge by maximum and reasons concatenate in layer order
-        with order-preserving dedup -- exactly the
-        :meth:`~repro.core.alerts.AlertSet.add` merge semantics, computed
-        in plain dictionaries and materialised once at the end.
-        """
-        layer_scored = [
-            (
-                layer_name,
-                {alert.request_id: (alert.score, alert.reasons) for alert in alerts.alerts()},
-            )
-            for layer_name, alerts in layer_alerts
-        ]
-        return self._merge_scored(layer_scored, whitelisted)
-
-    def _merge_scored(
-        self,
-        layer_scored: Sequence[tuple[str, dict[str, tuple[float, tuple[str, ...]]]]],
-        whitelisted: set[str],
-    ) -> AlertSet:
-        merged: dict[str, list] = {}
-        for layer_name, scored in layer_scored:
-            for request_id, (score, raw_reasons) in scored.items():
-                if request_id in whitelisted:
-                    continue
-                reasons = tuple(
-                    f"{layer_name}: {reason}" for reason in raw_reasons
-                ) or (layer_name,)
-                entry = merged.get(request_id)
-                if entry is None:
-                    merged[request_id] = [score, reasons]
-                else:
-                    if score > entry[0]:
-                        entry[0] = score
-                    entry[1] = entry[1] + reasons
-        return AlertSet.from_scored(
-            self.name,
-            {
-                request_id: (score, tuple(dict.fromkeys(reasons)))
-                for request_id, (score, reasons) in merged.items()
-            },
-        )
-
-    def analyze(self, dataset: Dataset, *, sessions: Sequence[Session] | None = None) -> AlertSet:
-        if sessions is None:
-            sessions = self.sessionizer.sessionize(dataset.records)
-
-        layer_alerts = [
-            ("fingerprint", self.fingerprint.analyze(dataset, sessions=sessions)),
-            ("reputation", self.reputation.analyze(dataset, sessions=sessions)),
-            ("rate", self.ratelimit.analyze(dataset, sessions=sessions)),
-            ("behavioral", self.behavioral.analyze(dataset, sessions=sessions)),
-        ]
-        return self._combine(layer_alerts, self._whitelisted_request_ids(sessions))
-
-    def analyze_columns(
-        self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
-    ) -> AlertSet:
-        # The layers hand over plain scored dictionaries: the composite
-        # merges those directly and materialises alert objects exactly
-        # once, for the combined set.  The fingerprint pair verdicts are
-        # judged once and shared between the two layers that need them.
-        verdicts = self.fingerprint.pair_verdicts(frame)
-        layer_scored = [
-            ("fingerprint", self.fingerprint.scored_columns(frame, verdicts)),
-            ("reputation", self.reputation.scored_columns(frame)),
-            ("rate", self.ratelimit.scored_columns(frame, sessions, features)),
-            (
-                "behavioral",
-                self.behavioral.scored_columns(
-                    frame, sessions, features, fingerprint_verdicts=verdicts
-                ),
-            ),
-        ]
-        # Verified-crawler whitelist, per (agent, IP) pair instead of per
-        # session: a pair's verdict covers all its sessions at once.
-        whitelisted: set[str] = set()
-        agents = frame.tables["user_agent"]
-        ips = frame.tables["client_ip"]
-        pair_cache: dict[tuple[int, int], bool] = {}
-        request_ids = frame.request_ids
-        order, starts = sessions.order, sessions.starts
-        for index in range(len(sessions)):
-            pair = (int(sessions.agent_codes[index]), int(sessions.ip_codes[index]))
-            verified = pair_cache.get(pair)
-            if verified is None:
-                verified = self.fingerprint.is_verified_crawler(agents[pair[0]], ips[pair[1]])
-                pair_cache[pair] = verified
-            if verified:
-                whitelisted.update(
-                    request_ids[row] for row in order[starts[index] : starts[index + 1]]
-                )
-        return self._merge_scored(layer_scored, whitelisted)
-
     def alert_columns(
         self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
     ) -> "DetectorAlerts":
-        """Frame-native composite: merge the layers' alert arrays directly.
+        """The union of the layers' alerts, minus verified crawlers.
 
-        Scores merge by elementwise maximum over the alerting layers
-        (identical to the dict path's first-sets / strictly-greater-
-        replaces walk); reasons merge per *distinct layer reason-code
-        combination* -- a handful of combos stand in for every alerted
-        row, so the layer-prefixing and order-preserving dedup run once
-        per combo instead of once per alert.
+        Scores merge by elementwise maximum over the alerting layers;
+        reasons are prefixed with their layer's name (a layer alert
+        without reasons contributes the bare layer name) and concatenated
+        in layer order with order-preserving dedup.  The merge runs per
+        *distinct layer reason-code combination* -- a handful of combos
+        stand in for every alerted row, so the prefixing and dedup run
+        once per combo instead of once per alert.  The fingerprint pair
+        verdicts are judged once and shared by the two layers that need
+        them.
         """
         from repro.columns.alertframe import (
             DetectorAlerts,
@@ -249,12 +146,3 @@ class CommercialBotDefenceDetector(Detector):
                 np.asarray(inverse, dtype=np.int64).reshape(-1)
             ]
         return DetectorAlerts(self.name, flags, scores, reason_codes, encoder.table)
-
-    # ------------------------------------------------------------------
-    def _whitelisted_request_ids(self, sessions: Sequence[Session]) -> set[str]:
-        """Requests from verified search-engine crawlers are never alerted."""
-        whitelisted: set[str] = set()
-        for session in sessions:
-            if self.fingerprint.is_verified_crawler(session.user_agent, session.client_ip):
-                whitelisted.update(session.request_ids())
-        return whitelisted

@@ -14,32 +14,21 @@ used in two modes:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.alerts import AlertSet
 from repro.detectors.base import Detector
-from repro.detectors.features import extract_features, feature_matrix
-from repro.detectors.pseudolabels import (
-    PseudoLabelConfig,
-    pseudo_label_matrix,
-    pseudo_label_sessions,
-)
-from repro.logs.dataset import Dataset
-from repro.logs.sessionization import Session, Sessionizer
+from repro.detectors.pseudolabels import PseudoLabelConfig, pseudo_label_matrix
 from repro.ml.decision_tree import DecisionTreeClassifier
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.columns import FeatureMatrix, FrameSessions, RecordFrame
+    from repro.columns.alertframe import DetectorAlerts
 
 
 class CrawlerDecisionTreeDetector(Detector):
     """Session classifier built on the from-scratch CART tree."""
-
-    #: The frame pipeline bridges the dict-path alert set into arrays;
-    #: model scoring has no array-native formulation worth maintaining.
-    frame_fallback = True
 
     def __init__(
         self,
@@ -49,7 +38,6 @@ class CrawlerDecisionTreeDetector(Detector):
         max_depth: int = 6,
         min_leaf: int = 5,
         pseudo_label_config: PseudoLabelConfig | None = None,
-        sessionizer: Sessionizer | None = None,
     ) -> None:
         if not 0.0 < alert_probability < 1.0:
             raise ValueError("alert_probability must be in (0, 1)")
@@ -58,7 +46,6 @@ class CrawlerDecisionTreeDetector(Detector):
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.pseudo_label_config = pseudo_label_config
-        self.sessionizer = sessionizer or Sessionizer()
         self.model: DecisionTreeClassifier | None = None
         self._externally_trained = False
 
@@ -71,21 +58,22 @@ class CrawlerDecisionTreeDetector(Detector):
         return self
 
     # ------------------------------------------------------------------
-    def analyze(self, dataset: Dataset, *, sessions: Sequence[Session] | None = None) -> AlertSet:
-        alert_set = AlertSet(self.name)
-        if sessions is None:
-            sessions = self.sessionizer.sessionize(dataset.records)
-        if not sessions:
-            return alert_set
+    def alert_columns(
+        self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
+    ) -> "DetectorAlerts":
+        """Alert every session whose bot probability reaches the threshold."""
+        from repro.columns.alertframe import DetectorAlerts, threshold_session_alerts
 
-        matrix = feature_matrix(list(sessions))
+        if len(features) == 0:
+            return DetectorAlerts.empty(self.name, len(frame))
+
+        matrix = features.values
 
         if not self._externally_trained:
-            feature_list = [extract_features(session) for session in sessions]
-            indices, labels = pseudo_label_sessions(feature_list, self.pseudo_label_config)
+            indices, labels = pseudo_label_matrix(features, self.pseudo_label_config)
             if indices.size == 0 or np.unique(labels).size < 2:
                 # Nothing confident to train on; stay silent rather than guess.
-                return alert_set
+                return DetectorAlerts.empty(self.name, len(frame))
             # Shrink the leaf-size floor on tiny pseudo-labelled populations so
             # the tree can still form one split per class.
             effective_min_leaf = max(1, min(self.min_leaf, int(indices.size) // 4))
@@ -94,45 +82,11 @@ class CrawlerDecisionTreeDetector(Detector):
 
         assert self.model is not None
         probabilities = self.model.predict_proba(matrix)
-        for session, probability in zip(sessions, probabilities):
-            if probability < self.alert_probability:
-                continue
-            for request_id in session.request_ids():
-                alert_set.add(
-                    request_id,
-                    score=float(probability),
-                    reasons=(f"decision tree bot probability {probability:.2f}",),
-                )
-        return alert_set
-
-    # ------------------------------------------------------------------
-    def analyze_columns(
-        self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
-    ) -> AlertSet:
-        alert_set = AlertSet(self.name)
-        if len(features) == 0:
-            return alert_set
-
-        matrix = features.values
-
-        if not self._externally_trained:
-            indices, labels = pseudo_label_matrix(features, self.pseudo_label_config)
-            if indices.size == 0 or np.unique(labels).size < 2:
-                # Nothing confident to train on; stay silent rather than guess.
-                return alert_set
-            effective_min_leaf = max(1, min(self.min_leaf, int(indices.size) // 4))
-            self.model = DecisionTreeClassifier(max_depth=self.max_depth, min_leaf=effective_min_leaf)
-            self.model.fit(matrix[indices], labels)
-
-        assert self.model is not None
-        probabilities = self.model.predict_proba(matrix)
-        request_ids = frame.request_ids
-        order, starts = sessions.order, sessions.starts
-        for index in np.flatnonzero(probabilities >= self.alert_probability).tolist():
-            probability = float(probabilities[index])
-            alert_set.add_many(
-                (request_ids[row] for row in order[starts[index] : starts[index + 1]]),
-                score=probability,
-                reasons=(f"decision tree bot probability {probability:.2f}",),
-            )
-        return alert_set
+        return threshold_session_alerts(
+            self.name,
+            frame,
+            sessions,
+            probabilities,
+            self.alert_probability,
+            "decision tree bot probability",
+        )

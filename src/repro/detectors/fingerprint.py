@@ -9,14 +9,11 @@ published IP ranges (fake Googlebots are a scraping staple).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.alerts import AlertSet
 from repro.detectors.base import Detector
-from repro.logs.dataset import Dataset
-from repro.logs.sessionization import Session
 from repro.traffic.ipspace import IPPool, IPSpace
 from repro.traffic.useragents import is_headless_agent, is_known_crawler_agent, is_scripted_agent
 
@@ -67,22 +64,6 @@ class UserAgentFingerprintDetector(Detector):
         """True for crawler user agents whose source IP checks out."""
         return is_known_crawler_agent(user_agent) and self.crawler_pool.contains(client_ip)
 
-    def analyze(self, dataset: Dataset, *, sessions: Sequence[Session] | None = None) -> AlertSet:
-        alert_set = AlertSet(self.name)
-        # Fingerprints depend only on (user agent, client IP), so cache
-        # verdicts per pair instead of re-evaluating per request.
-        cache: dict[tuple[str, str], tuple[float, str] | None] = {}
-        for record in dataset:
-            key = (record.user_agent, record.client_ip)
-            if key not in cache:
-                cache[key] = self.judge_request(record.user_agent, record.client_ip)
-            verdict = cache[key]
-            if verdict is None:
-                continue
-            score, reason = verdict
-            alert_set.add(record.request_id, score=score, reasons=(reason,))
-        return alert_set
-
     # ------------------------------------------------------------------
     def pair_verdicts(
         self, frame: "RecordFrame"
@@ -102,60 +83,19 @@ class UserAgentFingerprintDetector(Detector):
                 verdicts[(agent_code, ip_code)] = verdict
         return verdicts
 
-    def scored_columns(
-        self,
-        frame: "RecordFrame",
-        verdicts: dict[tuple[int, int], tuple[float, str]] | None = None,
-    ) -> dict[str, tuple[float, tuple[str, ...]]]:
-        """Per-record ``{request_id: (score, reasons)}`` over a frame.
-
-        The columnar scoring core shared by :meth:`analyze_columns` and
-        the commercial composite (which merges layer dictionaries
-        directly instead of paying for intermediate alert objects).
-        ``verdicts`` lets a caller that already ran :meth:`pair_verdicts`
-        share the result instead of judging every pair again.
-        """
-        if verdicts is None:
-            verdicts = self.pair_verdicts(frame)
-        if not verdicts:
-            return {}
-        agent_codes = frame.codes["user_agent"]
-        ip_codes = frame.codes["client_ip"]
-        request_ids = frame.request_ids
-        # One boolean gather marks the suspicious records; alerts are
-        # then assembled in frame (= data set) order like the record path.
-        suspicious_agents = np.zeros(len(frame.tables["user_agent"]) + 1, dtype=bool)
-        for agent_code, _ in verdicts:
-            suspicious_agents[agent_code] = True
-        candidates = np.flatnonzero(suspicious_agents[agent_codes])
-        scored: dict[str, tuple[float, tuple[str, ...]]] = {}
-        get_verdict = verdicts.get
-        agent_list = agent_codes.tolist()
-        ip_list = ip_codes.tolist()
-        for row in candidates.tolist():
-            verdict = get_verdict((agent_list[row], ip_list[row]))
-            if verdict is None:
-                continue
-            score, reason = verdict
-            scored[request_ids[row]] = (score, (reason,))
-        return scored
-
-    def analyze_columns(
-        self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
-    ) -> AlertSet:
-        return AlertSet.from_scored(self.name, self.scored_columns(frame))
-
     # ------------------------------------------------------------------
     def verdict_alerts(
         self,
         frame: "RecordFrame",
         verdicts: dict[tuple[int, int], tuple[float, str]] | None = None,
     ) -> "DetectorAlerts":
-        """Frame-native alert arrays: one judgement per distinct pair.
+        """Alert arrays with one judgement per distinct (agent, IP) pair.
 
-        Per-pair flag/score/reason-code arrays are filled from
+        Fingerprints depend only on the pair, so per-pair
+        flag/score/reason-code arrays are filled from
         :meth:`pair_verdicts` and gathered through the pair key's inverse
-        index -- no per-record Python at all.
+        index -- no per-record Python at all.  ``verdicts`` lets a caller
+        that already ran :meth:`pair_verdicts` share the result.
         """
         from repro.columns.alertframe import DetectorAlerts, ReasonEncoder
 

@@ -16,9 +16,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.alerts import AlertSet
-from repro.detectors.base import SessionDetector
-from repro.logs.sessionization import Session, Sessionizer
+from repro.detectors.base import Detector
 from repro.traffic.ipspace import IPPool, IPSpace
 from repro.traffic.useragents import is_known_crawler_agent, is_scripted_agent
 
@@ -28,27 +26,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class Rule(abc.ABC):
-    """One heuristic rule evaluated against a session."""
+    """One heuristic rule evaluated against every session of a frame."""
 
     #: Short rule name (shows up as an alert reason prefix).
     name: str = "rule"
 
     @abc.abstractmethod
-    def matches(self, session: Session) -> str | None:
-        """Return a human-readable reason when the rule fires, else ``None``."""
-
     def matches_frame(
         self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
-    ) -> list[str | None] | None:
+    ) -> list[str | None]:
         """Evaluate the rule for every session of a frame at once.
 
-        Returns one entry per session (the reason string, or ``None``
-        when the rule does not fire), or ``None`` when the rule has no
-        vectorized implementation -- the detector then falls back to the
-        record path for the whole rule set.  Implementations must return
-        exactly what :meth:`matches` would per session.
+        Returns one entry per session: a human-readable reason when the
+        rule fires, else ``None``.
         """
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{self.__class__.__name__}()"
@@ -58,7 +49,7 @@ class RateRule(Rule):
     """Sessions faster than a human could sustain.
 
     The rule fires on either the session's average rate or its busiest
-    one-minute window (:meth:`~repro.logs.sessionization.Session.peak_requests_per_minute`),
+    one-minute window (:meth:`~repro.columns.features.FeatureMatrix.peak_rpm`),
     so bursty scrapers cannot hide behind long idle gaps.
     """
 
@@ -69,17 +60,6 @@ class RateRule(Rule):
             raise ValueError("threshold_rpm must be positive")
         self.threshold_rpm = threshold_rpm
         self.min_requests = min_requests
-
-    def matches(self, session: Session) -> str | None:
-        if session.request_count < self.min_requests:
-            return None
-        rate = session.requests_per_minute()
-        if rate > self.threshold_rpm:
-            return f"{self.name}: {rate:.0f} req/min > {self.threshold_rpm:.0f}"
-        peak = session.peak_requests_per_minute()
-        if peak > self.threshold_rpm:
-            return f"{self.name}: peak {peak:.0f} req/min > {self.threshold_rpm:.0f}"
-        return None
 
     def matches_frame(
         self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
@@ -107,13 +87,6 @@ class ScriptedAgentRule(Rule):
     """Obvious scripted-client user agents (requests/curl/Scrapy/...)."""
 
     name = "scripted-agent"
-
-    def matches(self, session: Session) -> str | None:
-        if is_scripted_agent(session.user_agent):
-            return f"{self.name}: {session.user_agent.split('/')[0]}"
-        if not session.user_agent.strip():
-            return f"{self.name}: empty user agent"
-        return None
 
     def matches_frame(
         self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
@@ -162,27 +135,6 @@ class ErrorProbeRule(Rule):
     def _is_tracking_path(self, path: str) -> bool:
         lowered = path.lower()
         return any(marker in lowered for marker in self.tracking_path_markers)
-
-    def _no_content_fraction(self, session: Session) -> float:
-        """Fraction of 204 responses, ignoring the site's own tracking endpoints."""
-        relevant = [r for r in session.records if not self._is_tracking_path(r.url_path)]
-        if not relevant:
-            return 0.0
-        return sum(1 for r in relevant if r.status == 204) / len(relevant)
-
-    def matches(self, session: Session) -> str | None:
-        if session.request_count < self.min_requests:
-            return None
-        error_rate = session.error_rate()
-        if error_rate >= self.error_rate_threshold:
-            return f"{self.name}: error rate {error_rate:.1%}"
-        no_content = self._no_content_fraction(session)
-        if no_content >= self.no_content_threshold:
-            return f"{self.name}: 204 fraction {no_content:.1%}"
-        head_fraction = session.head_fraction()
-        if head_fraction >= self.head_threshold:
-            return f"{self.name}: HEAD fraction {head_fraction:.1%}"
-        return None
 
     def matches_frame(
         self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
@@ -239,15 +191,6 @@ class RobotsNoAssetRule(Rule):
         self.min_requests = min_requests
         self.asset_threshold = asset_threshold
 
-    def matches(self, session: Session) -> str | None:
-        if session.request_count < self.min_requests:
-            return None
-        if session.robots_txt_hits() == 0:
-            return None
-        if session.asset_fraction() <= self.asset_threshold:
-            return f"{self.name}: robots.txt fetched, {session.asset_fraction():.1%} assets"
-        return None
-
     def matches_frame(
         self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
     ) -> list[str | None]:
@@ -277,14 +220,6 @@ class PathRepetitionRule(Rule):
         self.min_requests = min_requests
         self.repetition_threshold = repetition_threshold
 
-    def matches(self, session: Session) -> str | None:
-        if session.request_count < self.min_requests:
-            return None
-        repetition = session.path_repetition()
-        if repetition >= self.repetition_threshold:
-            return f"{self.name}: {repetition:.1f} requests per distinct path"
-        return None
-
     def matches_frame(
         self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
     ) -> list[str | None]:
@@ -302,7 +237,7 @@ class PathRepetitionRule(Rule):
         return out
 
 
-class HeuristicRuleDetector(SessionDetector):
+class HeuristicRuleDetector(Detector):
     """A rule engine: a session is alerted when any rule fires.
 
     Verified crawlers (well-known crawler user agent from the operator's
@@ -321,9 +256,7 @@ class HeuristicRuleDetector(SessionDetector):
         name: str = "heuristic-rules",
         whitelist_verified_crawlers: bool = True,
         crawler_pool: IPPool | None = None,
-        sessionizer: Sessionizer | None = None,
     ) -> None:
-        super().__init__(sessionizer)
         if not rules:
             raise ValueError("a rule detector needs at least one rule")
         self.name = name
@@ -331,27 +264,6 @@ class HeuristicRuleDetector(SessionDetector):
         self.whitelist_verified_crawlers = whitelist_verified_crawlers
         self.crawler_pool = crawler_pool or IPSpace().crawler
 
-    def is_whitelisted(self, session: Session) -> bool:
-        """True for sessions from verified, well-known crawlers."""
-        if not self.whitelist_verified_crawlers:
-            return False
-        return is_known_crawler_agent(session.user_agent) and self.crawler_pool.contains(session.client_ip)
-
-    def judge_session(self, session: Session) -> tuple[float, Sequence[str]] | None:
-        if self.is_whitelisted(session):
-            return None
-        reasons = []
-        for rule in self.rules:
-            reason = rule.matches(session)
-            if reason is not None:
-                reasons.append(reason)
-        if not reasons:
-            return None
-        # More independent rules firing means higher confidence.
-        score = min(1.0, 0.6 + 0.2 * (len(reasons) - 1))
-        return score, tuple(reasons)
-
-    # ------------------------------------------------------------------
     def whitelisted_sessions(
         self, frame: "RecordFrame", sessions: "FrameSessions"
     ) -> np.ndarray:
@@ -375,50 +287,17 @@ class HeuristicRuleDetector(SessionDetector):
             flags[index] = verified
         return flags
 
-    def analyze_columns(
-        self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
-    ) -> AlertSet | None:
-        per_rule: list[list[str | None]] = []
-        for rule in self.rules:
-            reasons = rule.matches_frame(frame, sessions, features)
-            if reasons is None:
-                # A custom rule without a vectorized implementation sends
-                # the whole detector down the record path.
-                return None
-            per_rule.append(reasons)
-        whitelisted = self.whitelisted_sessions(frame, sessions)
-        request_ids = frame.request_ids
-        order, starts = sessions.order, sessions.starts
-        scored: dict[str, tuple[float, tuple[str, ...]]] = {}
-        for index in range(len(sessions)):
-            if whitelisted[index]:
-                continue
-            reasons = [rule[index] for rule in per_rule if rule[index] is not None]
-            if not reasons:
-                continue
-            verdict = (min(1.0, 0.6 + 0.2 * (len(reasons) - 1)), tuple(reasons))
-            for row in order[starts[index] : starts[index + 1]].tolist():
-                scored[request_ids[row]] = verdict
-        return AlertSet.from_scored(self.name, scored)
-
     def alert_columns(
         self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
-    ) -> "DetectorAlerts | None":
-        """Frame-native alert arrays: per-session rule verdicts, scattered.
+    ) -> "DetectorAlerts":
+        """Per-session rule verdicts, scattered to every row of the session.
 
-        Same per-session rule evaluation as :meth:`analyze_columns`
-        (including the whole-detector record fallback when a rule lacks a
-        vectorized implementation); the per-request expansion is a
-        vectorized session -> row scatter.
+        More independent rules firing means higher confidence: one rule
+        scores 0.6, each further rule adds 0.2 (capped at 1.0).
         """
         from repro.columns.alertframe import DetectorAlerts, ReasonEncoder
 
-        per_rule: list[list[str | None]] = []
-        for rule in self.rules:
-            reasons = rule.matches_frame(frame, sessions, features)
-            if reasons is None:
-                return None
-            per_rule.append(reasons)
+        per_rule = [rule.matches_frame(frame, sessions, features) for rule in self.rules]
         whitelisted = self.whitelisted_sessions(frame, sessions)
         n_sessions = len(sessions)
         session_flags = np.zeros(n_sessions, dtype=bool)

@@ -31,7 +31,6 @@ from repro.detectors.heuristic import (
     Rule,
     ScriptedAgentRule,
 )
-from repro.logs.sessionization import Sessionizer
 
 
 def default_rules(
@@ -64,11 +63,9 @@ class InHouseHeuristicDetector(HeuristicRuleDetector):
         *,
         name: str = "inhouse",
         rate_threshold_rpm: float = 30.0,
-        sessionizer: Sessionizer | None = None,
     ) -> None:
         super().__init__(
             list(rules) if rules is not None else default_rules(rate_threshold_rpm=rate_threshold_rpm),
             name=name,
             whitelist_verified_crawlers=True,
-            sessionizer=sessionizer,
         )

@@ -13,24 +13,17 @@ the confidently automated sessions.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.alerts import AlertSet
 from repro.detectors.base import Detector
-from repro.detectors.features import SessionFeatures, extract_features
-from repro.detectors.pseudolabels import (
-    PseudoLabelConfig,
-    pseudo_label_matrix,
-    pseudo_label_sessions,
-)
-from repro.logs.dataset import Dataset
-from repro.logs.sessionization import Session, Sessionizer
+from repro.detectors.pseudolabels import PseudoLabelConfig, pseudo_label_matrix
 from repro.ml.naive_bayes import BernoulliNaiveBayes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.columns import FeatureMatrix, FrameSessions, RecordFrame
+    from repro.columns.alertframe import DetectorAlerts
 
 #: Names of the binary indicators, in vector order.
 INDICATOR_NAMES: tuple[str, ...] = (
@@ -45,29 +38,8 @@ INDICATOR_NAMES: tuple[str, ...] = (
 )
 
 
-def binarize_features(features: SessionFeatures) -> np.ndarray:
-    """Convert session features into the binary indicator vector."""
-    return np.array(
-        [
-            float(features.requests_per_minute > 30.0),
-            float(features.asset_fraction < 0.05),
-            float(features.referrer_fraction < 0.2),
-            float(features.unique_path_ratio > 0.85 and features.request_count >= 15),
-            float(features.error_rate > 0.04 or features.no_content_fraction > 0.06 or features.head_fraction > 0.08),
-            float(features.night_fraction > 0.4),
-            float(features.scripted_agent or features.headless_agent),
-            float(features.request_count >= 30),
-        ],
-        dtype=float,
-    )
-
-
 def binarize_matrix(features: "FeatureMatrix") -> np.ndarray:
-    """All sessions' binary indicator vectors at once.
-
-    The batched counterpart of :func:`binarize_features`: same columns
-    in :data:`INDICATOR_NAMES` order, bit-identical values.
-    """
+    """Every session's binary indicator vector, in :data:`INDICATOR_NAMES` order."""
     counts = features.counts
     return np.column_stack(
         [
@@ -89,69 +61,29 @@ def binarize_matrix(features: "FeatureMatrix") -> np.ndarray:
 class NaiveBayesRobotDetector(Detector):
     """Self-trained Bernoulli naive-Bayes session classifier."""
 
-    #: The frame pipeline bridges the dict-path alert set into arrays;
-    #: model scoring has no array-native formulation worth maintaining.
-    frame_fallback = True
-
     def __init__(
         self,
         *,
         name: str = "naive-bayes",
         alert_probability: float = 0.7,
         pseudo_label_config: PseudoLabelConfig | None = None,
-        sessionizer: Sessionizer | None = None,
     ) -> None:
         if not 0.0 < alert_probability < 1.0:
             raise ValueError("alert_probability must be in (0, 1)")
         self.name = name
         self.alert_probability = alert_probability
         self.pseudo_label_config = pseudo_label_config
-        self.sessionizer = sessionizer or Sessionizer()
         self.model: BernoulliNaiveBayes | None = None
 
     # ------------------------------------------------------------------
-    def analyze(self, dataset: Dataset, *, sessions: Sequence[Session] | None = None) -> AlertSet:
-        alert_set = AlertSet(self.name)
-        if sessions is None:
-            sessions = self.sessionizer.sessionize(dataset.records)
-        if not sessions:
-            return alert_set
-
-        feature_list = [extract_features(session) for session in sessions]
-        indicator_matrix = np.vstack([binarize_features(features) for features in feature_list])
-        indices, labels = pseudo_label_sessions(list(feature_list), self.pseudo_label_config)
-
-        if indices.size and np.unique(labels).size == 2:
-            self.model = BernoulliNaiveBayes()
-            self.model.fit(indicator_matrix[indices], labels)
-            probabilities = self.model.predict_proba(indicator_matrix)
-            bot_column = int(np.where(self.model.classes_ == 1)[0][0])
-            bot_probability = probabilities[:, bot_column]
-        else:
-            # Degenerate pseudo-label population: fall back to flagging only
-            # the sessions the pseudo-labeller itself is confident about.
-            self.model = None
-            bot_probability = np.zeros(len(sessions))
-            bot_probability[indices[labels == 1]] = 1.0 if indices.size else 0.0
-
-        for session, probability in zip(sessions, bot_probability):
-            if probability < self.alert_probability:
-                continue
-            for request_id in session.request_ids():
-                alert_set.add(
-                    request_id,
-                    score=float(probability),
-                    reasons=(f"naive Bayes bot posterior {probability:.2f}",),
-                )
-        return alert_set
-
-    # ------------------------------------------------------------------
-    def analyze_columns(
+    def alert_columns(
         self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
-    ) -> AlertSet:
-        alert_set = AlertSet(self.name)
+    ) -> "DetectorAlerts":
+        """Alert every session whose bot posterior reaches the threshold."""
+        from repro.columns.alertframe import DetectorAlerts, threshold_session_alerts
+
         if len(features) == 0:
-            return alert_set
+            return DetectorAlerts.empty(self.name, len(frame))
 
         indicator_matrix = binarize_matrix(features)
         indices, labels = pseudo_label_matrix(features, self.pseudo_label_config)
@@ -163,17 +95,17 @@ class NaiveBayesRobotDetector(Detector):
             bot_column = int(np.where(self.model.classes_ == 1)[0][0])
             bot_probability = probabilities[:, bot_column]
         else:
+            # Degenerate pseudo-label population: fall back to flagging only
+            # the sessions the pseudo-labeller itself is confident about.
             self.model = None
             bot_probability = np.zeros(len(features))
             bot_probability[indices[labels == 1]] = 1.0 if indices.size else 0.0
 
-        request_ids = frame.request_ids
-        order, starts = sessions.order, sessions.starts
-        for index in np.flatnonzero(bot_probability >= self.alert_probability).tolist():
-            probability = float(bot_probability[index])
-            alert_set.add_many(
-                (request_ids[row] for row in order[starts[index] : starts[index + 1]]),
-                score=probability,
-                reasons=(f"naive Bayes bot posterior {probability:.2f}",),
-            )
-        return alert_set
+        return threshold_session_alerts(
+            self.name,
+            frame,
+            sessions,
+            bot_probability,
+            self.alert_probability,
+            "naive Bayes bot posterior",
+        )

@@ -1,27 +1,23 @@
 """Running several detectors over one data set.
 
 The paper's setting is exactly this: multiple tools observing the same
-traffic.  :class:`DetectionPipeline` sessionizes the data once, runs each
-detector with the shared sessions and returns the per-detector alert sets
-together with the assembled :class:`~repro.core.alerts.AlertMatrix`.
+traffic.  :class:`DetectionPipeline` turns the traffic into a
+:class:`~repro.columns.RecordFrame` once, sessionizes it and computes
+the session feature matrix once, and hands that shared triple to every
+detector's :meth:`~repro.detectors.base.Detector.alert_columns`.  The
+result carries every detector's alert arrays and the assembled
+:class:`~repro.core.alerts.AlertMatrix`.
 
-Two engines are available.  The default ``"columnar"`` engine converts
-the data set into a :class:`~repro.columns.RecordFrame`, sessionizes it
-with the vectorized group-by-visitor path and hands every detector the
-shared frame / session-span / feature-matrix triple via
-:meth:`~repro.detectors.base.Detector.analyze_columns`; detectors
-without a columnar implementation transparently fall back to the record
-path over sessions materialised once from the same spans.  The
-``"records"`` engine is the legacy object pipeline.  Both produce
-identical results -- the equivalence suite pins alert sets, scores and
-reasons against each other -- the columnar engine is simply several
-times faster.
+:meth:`DetectionPipeline.run_frame` is the frame-native entry point (a
+frame read straight from a trace never becomes a
+:class:`~repro.logs.dataset.Dataset`); :meth:`DetectionPipeline.run`
+converts a data set into a frame and bridges the result back to
+per-detector :class:`~repro.core.alerts.AlertSet` objects.
 
-Both engines report the same logical telemetry through an optional
+Both report their telemetry through an optional
 :class:`~repro.obs.metrics.MetricsRegistry` (records ingested, sessions
-opened/closed, per-detector alerts) so the metrics-equivalence suite can
-hold them to identical counts, plus per-detector duration histograms and
-spans for the shared stages.
+opened/closed, per-detector alerts and durations) plus spans for the
+shared stages.
 """
 
 from __future__ import annotations
@@ -36,22 +32,18 @@ from repro.core.alerts import AlertMatrix, AlertSet
 from repro.detectors.base import Detector
 from repro.exceptions import DetectorError
 from repro.logs.dataset import Dataset
-from repro.logs.sessionization import Sessionizer
 from repro.obs import names as metric_names
 from repro.obs.metrics import MetricsRegistry, resolve_registry
 from repro.obs.spans import trace_span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.columns import FrameSessions, RecordFrame
+    from repro.columns import RecordFrame
     from repro.columns.alertframe import AlertFrame, DetectorAlerts
-
-#: The batch execution engines of the pipeline.
-ENGINES = ("columnar", "records")
 
 
 @dataclass
 class PipelineResult:
-    """Everything produced by one pipeline run."""
+    """Everything produced by one pipeline run over a data set."""
 
     dataset: Dataset
     alert_sets: list[AlertSet]
@@ -72,8 +64,8 @@ class FramePipelineResult:
 
     No :class:`~repro.logs.dataset.Dataset` and no per-alert objects:
     the alerts live as columnar arrays in ``alert_frame`` and the matrix
-    is stacked straight from them.  :meth:`alert_sets` bridges back to
-    the dict path on demand (the equivalence oracle).
+    is stacked straight from them.  :meth:`alert_sets` bridges to
+    :class:`~repro.core.alerts.AlertSet` objects on demand.
     """
 
     frame: "RecordFrame"
@@ -82,18 +74,17 @@ class FramePipelineResult:
     timings: dict[str, float] = field(default_factory=dict)
 
     def alert_sets(self) -> list[AlertSet]:
-        """Dict-path views of the columnar alerts (built on demand)."""
+        """Per-detector alert sets of the columnar alerts (built on demand)."""
         return self.alert_frame.to_alert_sets()
 
 
 class DetectionPipeline:
-    """Run a list of detectors over a data set with shared sessionization."""
+    """Run a list of detectors over one frame with shared sessionization."""
 
     def __init__(
         self,
         detectors: Sequence[Detector],
         *,
-        sessionizer: Sessionizer | None = None,
         registry: MetricsRegistry | None = None,
     ):
         if not detectors:
@@ -102,30 +93,30 @@ class DetectionPipeline:
         if len(set(names)) != len(names):
             raise DetectorError(f"detector names must be unique, got {names}")
         self.detectors = list(detectors)
-        self.sessionizer = sessionizer or Sessionizer()
         self.registry = resolve_registry(registry)
 
-    def run(self, dataset: Dataset, *, engine: str = "columnar") -> PipelineResult:
-        """Run every detector and assemble the alert matrix.
+    def run(self, dataset: Dataset) -> PipelineResult:
+        """Run every detector over a data set and assemble the alert matrix.
 
-        ``timings`` holds one entry per detector plus the shared
-        ``"sessionization"`` step every detector's cost sits on top of
-        (for the columnar engine this covers frame building and the
-        vectorized group-by; the batched feature extraction is reported
-        separately as ``"features"``).
+        The data set becomes a frame once and runs through
+        :meth:`run_frame`.  ``timings`` holds one entry per detector plus
+        the shared ``"sessionization"`` and ``"features"`` steps every
+        detector's cost sits on top of.
         """
-        if engine not in ENGINES:
-            raise DetectorError(f"unknown pipeline engine {engine!r}; expected one of {ENGINES}")
-        # A Sessionizer subclass may override sessionize() itself; the
-        # vectorized group-by only reproduces the base behaviour, so
-        # custom sessionizers keep the record engine.
-        if engine == "columnar" and type(self.sessionizer) is Sessionizer:
-            return self._run_columnar(dataset)
-        return self._run_records(dataset)
+        from repro.columns import RecordFrame
+
+        frame = RecordFrame.from_dataset(dataset, registry=self.registry)
+        result = self.run_frame(frame)
+        return PipelineResult(
+            dataset=dataset,
+            alert_sets=result.alert_sets(),
+            matrix=result.matrix,
+            timings=result.timings,
+        )
 
     # ------------------------------------------------------------------
     def _account_shared(self, record_count: int, session_count: int) -> None:
-        """The logical events every engine must count identically."""
+        """The logical events the batch and stream engines both count."""
         registry = self.registry
         registry.counter(
             metric_names.RECORDS_INGESTED, "Records fed into a detection engine."
@@ -138,121 +129,37 @@ class DetectionPipeline:
             session_count
         )
 
-    def _account_detector(
-        self, detector_name: str, path: str, alert_count: int, elapsed: float
-    ) -> None:
+    def _account_detector(self, detector_name: str, alert_count: int, elapsed: float) -> None:
         registry = self.registry
-        registry.counter(
-            metric_names.DETECTOR_RUNS, "Batch detector executions by code path."
-        ).inc(detector=detector_name, path=path)
+        registry.counter(metric_names.DETECTOR_RUNS, "Batch detector executions.").inc(
+            detector=detector_name
+        )
         registry.counter(
             metric_names.DETECTOR_ALERTS, "Requests alerted per detector."
         ).inc(alert_count, detector=detector_name)
         registry.histogram(
             metric_names.DETECTOR_SECONDS, "Batch per-detector analysis duration."
         ).observe(elapsed, detector=detector_name)
+        registry.counter(
+            metric_names.FRAME_ALERT_ROWS,
+            "Alerted rows in columnar alert frames.",
+        ).inc(alert_count, detector=detector_name)
 
-    def _account_matrix(self, alert_sets: Sequence[AlertSet]) -> None:
-        alerted = set()
-        for alert_set in alert_sets:
-            alerted |= alert_set.request_ids()
-        self._account_alerted(len(alerted))
-
-    def _account_alerted(self, alerted_count: int) -> None:
-        self.registry.counter(
-            metric_names.ALERTED_REQUESTS,
-            "Requests alerted by at least one detector (batch).",
-        ).inc(alerted_count)
-
-    # ------------------------------------------------------------------
-    def _run_records(self, dataset: Dataset) -> PipelineResult:
-        timings: dict[str, float] = {}
-        with trace_span("sessionize", self.registry, engine="records") as span:
-            started = time.perf_counter()
-            sessions = self.sessionizer.sessionize(dataset.records)
-            timings["sessionization"] = time.perf_counter() - started
-            span.set_attribute(records=len(dataset.records), sessions=len(sessions))
-        self._account_shared(len(dataset.records), len(sessions))
-        alert_sets: list[AlertSet] = []
-        with trace_span("detectors", self.registry, engine="records"):
-            for detector in self.detectors:
-                with trace_span("detector", self.registry, detector=detector.name):
-                    started = time.perf_counter()
-                    alerts = detector.analyze(dataset, sessions=sessions)
-                    elapsed = time.perf_counter() - started
-                alert_sets.append(alerts)
-                timings[detector.name] = elapsed
-                self._account_detector(detector.name, "records", len(alerts), elapsed)
-        matrix = AlertMatrix.from_alert_sets(dataset, alert_sets)
-        self._account_matrix(alert_sets)
-        return PipelineResult(dataset=dataset, alert_sets=alert_sets, matrix=matrix, timings=timings)
-
-    def _run_columnar(self, dataset: Dataset) -> PipelineResult:
-        from repro.columns import FeatureMatrix, RecordFrame, sessionize_frame
-
-        timings: dict[str, float] = {}
-        with trace_span("sessionize", self.registry, engine="columnar") as span:
-            started = time.perf_counter()
-            frame = RecordFrame.from_dataset(dataset, registry=self.registry)
-            sessions = sessionize_frame(
-                frame, timeout=self.sessionizer.timeout, registry=self.registry
-            )
-            timings["sessionization"] = time.perf_counter() - started
-            span.set_attribute(records=len(frame), sessions=len(sessions))
-        self._account_shared(len(dataset.records), len(sessions))
-
-        with trace_span("features", self.registry):
-            started = time.perf_counter()
-            features = FeatureMatrix.from_frame(frame, sessions, registry=self.registry)
-            timings["features"] = time.perf_counter() - started
-
-        legacy_sessions = None
-        alert_sets: list[AlertSet] = []
-        with trace_span("detectors", self.registry, engine="columnar"):
-            for detector in self.detectors:
-                with trace_span("detector", self.registry, detector=detector.name):
-                    started = time.perf_counter()
-                    alerts = detector.analyze_columns(frame, sessions, features)
-                    path = "columnar"
-                    if alerts is None:
-                        # Compatibility fallback: materialise Session objects once
-                        # (from the already-computed spans) for detectors that
-                        # only implement the record path.
-                        if legacy_sessions is None:
-                            legacy_sessions = sessions.to_sessions(dataset.records)
-                        alerts = detector.analyze(dataset, sessions=legacy_sessions)
-                        path = "fallback"
-                    elapsed = time.perf_counter() - started
-                alert_sets.append(alerts)
-                timings[detector.name] = elapsed
-                self._account_detector(detector.name, path, len(alerts), elapsed)
-        matrix = AlertMatrix.from_alert_sets(dataset, alert_sets)
-        self._account_matrix(alert_sets)
-        return PipelineResult(dataset=dataset, alert_sets=alert_sets, matrix=matrix, timings=timings)
-
-    # ------------------------------------------------------------------
-    # Frame-native execution (no Dataset, no per-alert objects)
     # ------------------------------------------------------------------
     def run_frame(self, frame: "RecordFrame", *, workers: int = 1) -> "FramePipelineResult":
         """Run every detector over a frame into columnar alert arrays.
 
         The frame may come straight from
         :meth:`~repro.trace.store.TraceReader.read_frame` -- no
-        :class:`Dataset` is ever materialised unless a detector without
-        any columnar implementation forces the record fallback.  With
-        ``workers > 1`` (and every detector declaring
-        ``frame_shardable``) the frame is hash-sharded by client IP
-        across forked worker processes, mirroring the stream runner's
-        visitor sharding, and the per-shard alert arrays are scattered
-        back into frame-global arrays at join.
+        :class:`Dataset` is ever materialised.  With ``workers > 1`` (and
+        every detector declaring ``frame_shardable``) the frame is
+        hash-sharded by client IP across forked worker processes,
+        mirroring the stream runner's visitor sharding, and the
+        per-shard alert arrays are scattered back into frame-global
+        arrays at join.
         """
         from repro.columns.alertframe import AlertFrame
 
-        if type(self.sessionizer) is not Sessionizer:
-            raise DetectorError(
-                "the frame-native pipeline requires the base Sessionizer; "
-                "custom sessionizers must use run(dataset, engine='records')"
-            )
         if workers < 1:
             raise DetectorError("workers must be at least 1")
         shardable = all(detector.frame_shardable for detector in self.detectors)
@@ -270,7 +177,10 @@ class DetectionPipeline:
             if detector_alerts
             else np.zeros(len(frame), dtype=bool)
         )
-        self._account_alerted(int(np.count_nonzero(union)))
+        self.registry.counter(
+            metric_names.ALERTED_REQUESTS,
+            "Requests alerted by at least one detector (batch).",
+        ).inc(int(np.count_nonzero(union)))
         return FramePipelineResult(
             frame=frame, alert_frame=alert_frame, matrix=matrix, timings=timings
         )
@@ -281,11 +191,9 @@ class DetectionPipeline:
         from repro.columns import FeatureMatrix, sessionize_frame
 
         timings: dict[str, float] = {}
-        with trace_span("sessionize", self.registry, engine="columnar") as span:
+        with trace_span("sessionize", self.registry) as span:
             started = time.perf_counter()
-            sessions = sessionize_frame(
-                frame, timeout=self.sessionizer.timeout, registry=self.registry
-            )
+            sessions = sessionize_frame(frame, registry=self.registry)
             timings["sessionization"] = time.perf_counter() - started
             span.set_attribute(records=len(frame), sessions=len(sessions))
         with trace_span("features", self.registry):
@@ -294,23 +202,15 @@ class DetectionPipeline:
             timings["features"] = time.perf_counter() - started
 
         detector_alerts: list["DetectorAlerts"] = []
-        materialised: dict[str, object] = {}
-        with trace_span("detectors", self.registry, engine="columnar"):
+        with trace_span("detectors", self.registry):
             for detector in self.detectors:
                 with trace_span("detector", self.registry, detector=detector.name):
                     started = time.perf_counter()
-                    alerts, path = _frame_alerts_of(
-                        detector, frame, sessions, features, materialised
-                    )
+                    alerts = detector.alert_columns(frame, sessions, features)
                     elapsed = time.perf_counter() - started
                 detector_alerts.append(alerts)
                 timings[detector.name] = elapsed
-                count = alerts.alert_count()
-                self._account_detector(detector.name, path, count, elapsed)
-                self.registry.counter(
-                    metric_names.FRAME_ALERT_ROWS,
-                    "Alerted rows in columnar alert frames.",
-                ).inc(count, detector=detector.name)
+                self._account_detector(detector.name, alerts.alert_count(), elapsed)
         return detector_alerts, len(sessions), timings
 
     def _run_frame_sharded(
@@ -339,12 +239,7 @@ class DetectionPipeline:
 
         with trace_span("shards", self.registry, workers=workers) as span:
             started = time.perf_counter()
-            _FRAME_SHARD_STATE = (
-                frame,
-                shard_rows,
-                self.detectors,
-                self.sessionizer.timeout,
-            )
+            _FRAME_SHARD_STATE = (frame, shard_rows, self.detectors)
             try:
                 try:
                     import multiprocessing
@@ -380,104 +275,59 @@ class DetectionPipeline:
                 alerts = DetectorAlerts.empty(detector.name, len(frame))
                 encoder = ReasonEncoder()
                 elapsed = 0.0
-                path = "columnar"
                 for shard_index, (_, per_detector) in enumerate(shard_results):
-                    flags, scores, codes, table, shard_path, shard_elapsed = per_detector[
-                        position
-                    ]
+                    flags, scores, codes, table, shard_elapsed = per_detector[position]
                     alerts.scatter(
                         shard_rows[shard_index],
                         DetectorAlerts(detector.name, flags, scores, codes, table),
                         encoder,
                     )
                     elapsed += shard_elapsed
-                    if shard_path == "fallback":
-                        path = "fallback"
                 merged.append(alerts)
                 timings[detector.name] = elapsed
-                count = alerts.alert_count()
-                self._account_detector(detector.name, path, count, elapsed)
-                self.registry.counter(
-                    metric_names.FRAME_ALERT_ROWS,
-                    "Alerted rows in columnar alert frames.",
-                ).inc(count, detector=detector.name)
+                self._account_detector(detector.name, alerts.alert_count(), elapsed)
             timings["merge"] = time.perf_counter() - started
             span.set_attribute(detectors=len(merged))
         return merged, session_count, timings
 
 
-#: ``(frame, shard row arrays, detectors, session timeout)`` shared with
-#: forked shard workers through copy-on-write memory -- set immediately
-#: before the fork, cleared at join (the stream runner's pattern).
+#: ``(frame, shard row arrays, detectors)`` shared with forked shard
+#: workers through copy-on-write memory -- set immediately before the
+#: fork, cleared at join (the stream runner's pattern).
 _FRAME_SHARD_STATE: tuple | None = None
 
 
 def _run_frame_shard(index: int):
     """Run every detector over one shard (executes in a worker process)."""
     assert _FRAME_SHARD_STATE is not None
-    frame, shard_rows, detectors, timeout = _FRAME_SHARD_STATE
+    frame, shard_rows, detectors = _FRAME_SHARD_STATE
     from repro.columns import FeatureMatrix, sessionize_frame
     from repro.columns.alertframe import DetectorAlerts
 
     rows = shard_rows[index]
     if not len(rows):
         empty = [
-            (alerts.flags, alerts.scores, alerts.reason_codes, alerts.reason_table, "columnar", 0.0)
+            (alerts.flags, alerts.scores, alerts.reason_codes, alerts.reason_table, 0.0)
             for alerts in (DetectorAlerts.empty(d.name, 0) for d in detectors)
         ]
         return 0, empty
     sub = frame.take(rows)
-    sessions = sessionize_frame(sub, timeout=timeout)
+    sessions = sessionize_frame(sub)
     features = FeatureMatrix.from_frame(sub, sessions)
-    materialised: dict[str, object] = {}
     out = []
     for detector in detectors:
         started = time.perf_counter()
-        alerts, path = _frame_alerts_of(detector, sub, sessions, features, materialised)
+        alerts = detector.alert_columns(sub, sessions, features)
         elapsed = time.perf_counter() - started
-        out.append(
-            (alerts.flags, alerts.scores, alerts.reason_codes, alerts.reason_table, path, elapsed)
-        )
+        out.append((alerts.flags, alerts.scores, alerts.reason_codes, alerts.reason_table, elapsed))
     return len(sessions), out
-
-
-def _frame_alerts_of(
-    detector: Detector,
-    frame: "RecordFrame",
-    sessions: "FrameSessions",
-    features,
-    materialised: dict,
-) -> tuple["DetectorAlerts", str]:
-    """One detector's columnar alerts, via the three-step fallback chain.
-
-    ``alert_columns`` (native arrays) -> ``analyze_columns`` (dict-path
-    alert set, bridged into arrays) -> ``analyze`` over records
-    materialised from the frame exactly once (shared via
-    ``materialised`` across detectors).
-    """
-    from repro.columns.alertframe import DetectorAlerts
-
-    alerts = detector.alert_columns(frame, sessions, features)
-    if alerts is not None:
-        return alerts, "columnar"
-    alert_set = detector.analyze_columns(frame, sessions, features)
-    if alert_set is not None:
-        return DetectorAlerts.from_alert_set(frame, alert_set), "columnar"
-    dataset = materialised.get("dataset")
-    if dataset is None:
-        dataset = frame.to_dataset()
-        materialised["dataset"] = dataset
-        materialised["sessions"] = sessions.to_sessions(dataset.records)
-    alert_set = detector.analyze(dataset, sessions=materialised["sessions"])
-    return DetectorAlerts.from_alert_set(frame, alert_set), "fallback"
 
 
 def run_detectors(
     dataset: Dataset,
     detectors: Sequence[Detector],
     *,
-    engine: str = "columnar",
     registry: MetricsRegistry | None = None,
 ) -> PipelineResult:
     """Convenience wrapper: ``DetectionPipeline(detectors).run(dataset)``."""
-    return DetectionPipeline(detectors, registry=registry).run(dataset, engine=engine)
+    return DetectionPipeline(detectors, registry=registry).run(dataset)

@@ -17,8 +17,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.detectors.features import SessionFeatures
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.columns import FeatureMatrix
 
@@ -38,54 +36,16 @@ class PseudoLabelConfig:
     human_max_rate_rpm: float = 25.0
 
 
-def pseudo_label(features: SessionFeatures, config: PseudoLabelConfig | None = None) -> int | None:
-    """Return 1 (bot), 0 (human) or ``None`` (ambiguous) for a session."""
-    config = config or PseudoLabelConfig()
-    if features.scripted_agent or features.headless_agent:
-        return 1
-    if (
-        features.requests_per_minute > config.bot_rate_rpm
-        and features.request_count >= config.bot_min_requests
-    ):
-        return 1
-    if (
-        features.asset_fraction >= config.human_asset_fraction
-        and features.referrer_fraction >= config.human_referrer_fraction
-        and features.request_count <= config.human_max_requests
-        and features.requests_per_minute <= config.human_max_rate_rpm
-    ):
-        return 0
-    return None
-
-
-def pseudo_label_sessions(
-    feature_list: list[SessionFeatures],
-    config: PseudoLabelConfig | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pseudo-label a list of session features.
-
-    Returns ``(indices, labels)`` where ``indices`` are positions into
-    ``feature_list`` that received a confident label and ``labels`` are the
-    corresponding 0/1 values.
-    """
-    indices: list[int] = []
-    labels: list[int] = []
-    for position, features in enumerate(feature_list):
-        label = pseudo_label(features, config)
-        if label is not None:
-            indices.append(position)
-            labels.append(label)
-    return np.array(indices, dtype=int), np.array(labels, dtype=int)
-
-
 def pseudo_label_matrix(
     features: "FeatureMatrix", config: PseudoLabelConfig | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pseudo-label every session of a :class:`~repro.columns.FeatureMatrix`.
 
-    The batched counterpart of :func:`pseudo_label_sessions`: same
-    ``(indices, labels)`` contract, same decision logic, evaluated as
-    vector comparisons over the matrix columns.
+    A session is a confident bot (label 1) when its client is scripted or
+    headless, or when it is both fast and large; it is a confident human
+    (label 0) when it loads assets, sends referrers and stays modest in
+    size and rate.  Returns ``(indices, labels)``: the rows that received
+    a confident label, in row order, and their 0/1 labels.
     """
     config = config or PseudoLabelConfig()
     rate = features.column("requests_per_minute")

@@ -8,20 +8,18 @@ stand-alone detector for the multi-detector extension experiments.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.alerts import AlertSet
-from repro.detectors.base import SessionDetector
-from repro.logs.sessionization import Session, Sessionizer
+from repro.detectors.base import Detector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.columns import FeatureMatrix, FrameSessions, RecordFrame
     from repro.columns.alertframe import DetectorAlerts
 
 
-class RateLimitDetector(SessionDetector):
+class RateLimitDetector(Detector):
     """Flag sessions whose sustained or peak request rate exceeds a threshold.
 
     Both the session's average rate and its busiest one-minute window are
@@ -38,9 +36,7 @@ class RateLimitDetector(SessionDetector):
         threshold_rpm: float = 60.0,
         min_requests: int = 10,
         use_peak_rate: bool = True,
-        sessionizer: Sessionizer | None = None,
     ) -> None:
-        super().__init__(sessionizer)
         if threshold_rpm <= 0:
             raise ValueError("threshold_rpm must be positive")
         if min_requests < 1:
@@ -50,52 +46,14 @@ class RateLimitDetector(SessionDetector):
         self.min_requests = min_requests
         self.use_peak_rate = use_peak_rate
 
-    def judge_session(self, session: Session) -> tuple[float, Sequence[str]] | None:
-        if session.request_count < self.min_requests:
-            return None
-        rate = session.requests_per_minute()
-        if self.use_peak_rate:
-            rate = max(rate, session.peak_requests_per_minute())
-        if rate <= self.threshold_rpm:
-            return None
-        # Score grows with how far above the threshold the session is.
-        score = min(1.0, 0.5 + 0.5 * (rate - self.threshold_rpm) / self.threshold_rpm)
-        return score, (f"rate {rate:.0f} req/min exceeds {self.threshold_rpm:.0f}",)
-
-    # ------------------------------------------------------------------
-    def scored_columns(
-        self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
-    ) -> dict[str, tuple[float, tuple[str, ...]]]:
-        """Per-record ``{request_id: (score, reasons)}`` over a frame."""
-        rates = features.column("requests_per_minute")
-        if self.use_peak_rate:
-            rates = np.maximum(rates, features.peak_rpm())
-        eligible = (features.counts >= self.min_requests) & (rates > self.threshold_rpm)
-        scores = np.minimum(
-            1.0, 0.5 + 0.5 * (rates - self.threshold_rpm) / self.threshold_rpm
-        )
-        request_ids = frame.request_ids
-        order, starts = sessions.order, sessions.starts
-        scored: dict[str, tuple[float, tuple[str, ...]]] = {}
-        for index in np.flatnonzero(eligible).tolist():
-            rate = float(rates[index])
-            verdict = (
-                float(scores[index]),
-                (f"rate {rate:.0f} req/min exceeds {self.threshold_rpm:.0f}",),
-            )
-            for row in order[starts[index] : starts[index + 1]].tolist():
-                scored[request_ids[row]] = verdict
-        return scored
-
-    def analyze_columns(
-        self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
-    ) -> AlertSet:
-        return AlertSet.from_scored(self.name, self.scored_columns(frame, sessions, features))
-
     def alert_columns(
         self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
     ) -> "DetectorAlerts":
-        """Frame-native alert arrays: per-session verdicts scattered to rows."""
+        """Per-session rate verdicts, scattered to every row of the session.
+
+        The score grows with how far above the threshold the session's
+        rate is.
+        """
         from repro.columns.alertframe import DetectorAlerts, ReasonEncoder
 
         rates = features.column("requests_per_minute")

@@ -11,7 +11,7 @@ the original batch-facing surface as thin adapters over that engine:
   ``observe`` / ``observe_stream`` / ``reset`` API as before).
 * :class:`StreamingDetector` -- wraps any online detector into the batch
   :class:`~repro.detectors.base.Detector` interface by replaying the
-  data set through a :class:`~repro.stream.engine.StreamEngine`, so
+  frame's records through a :class:`~repro.stream.engine.StreamEngine`, so
   online detection can participate in the same diversity/adjudication
   analyses as the offline tools.
 * :data:`StreamingVerdict` -- re-export of
@@ -20,16 +20,17 @@ the original batch-facing surface as thin adapters over that engine:
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
-from repro.core.alerts import AlertSet
+from repro.columns.alertframe import DetectorAlerts
 from repro.detectors.base import Detector
-from repro.logs.dataset import Dataset
 from repro.logs.record import LogRecord
-from repro.logs.sessionization import Session
 from repro.stream.detectors import OnlineDetector, OnlineRequestRateLimiter
 from repro.stream.engine import StreamEngine
 from repro.stream.events import OnlineVerdict
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.columns import FeatureMatrix, FrameSessions, RecordFrame
 
 #: Backwards-compatible name for the per-request online verdict.
 StreamingVerdict = OnlineVerdict
@@ -76,16 +77,13 @@ class StreamingRateLimiter(OnlineRequestRateLimiter):
 class StreamingDetector(Detector):
     """Adapter exposing an online detector through the batch interface.
 
-    The data set is replayed in timestamp order (as the requests would
-    have arrived) through a single-detector
+    The frame's records are replayed in timestamp order (as the requests
+    would have arrived) through a single-detector
     :class:`~repro.stream.engine.StreamEngine` and the engine's final
-    alert set is returned, so online detection can participate in the
-    same diversity/adjudication analyses as the offline tools.
+    alert set becomes the detector's alerts, so online detection can
+    participate in the same diversity/adjudication analyses as the
+    offline tools.
     """
-
-    #: The replay is a stateful, time-ordered stream; there is no
-    #: columnar formulation, so the record path is the specification.
-    columnar_fallback = True
 
     def __init__(
         self,
@@ -96,7 +94,9 @@ class StreamingDetector(Detector):
         self.name = name
         self.limiter = limiter or StreamingRateLimiter()
 
-    def analyze(self, dataset: Dataset, *, sessions: Sequence[Session] | None = None) -> AlertSet:
+    def alert_columns(
+        self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
+    ) -> DetectorAlerts:
         from repro.stream.sources import dataset_replay
 
         engine = StreamEngine([self.limiter])
@@ -106,14 +106,10 @@ class StreamingDetector(Detector):
         if forced_recording:
             self.limiter.record_alerts = True
         try:
-            result = engine.run(dataset_replay(dataset))
+            result = engine.run(dataset_replay(frame.to_dataset()))
         finally:
             if forced_recording:
                 self.limiter.record_alerts = False
-        streamed = result.alert_sets[0]
-        if streamed.detector_name == self.name:
-            return streamed
-        renamed = AlertSet(self.name)
-        for alert in streamed.alerts():
-            renamed.add(alert.request_id, score=alert.score, reasons=alert.reasons)
-        return renamed
+        alerts = DetectorAlerts.from_alert_set(frame, result.alert_sets[0])
+        alerts.detector_name = self.name
+        return alerts

@@ -87,34 +87,6 @@ def iter_classes(tree: ast.Module) -> Iterator[ast.ClassDef]:
             yield node
 
 
-def class_has_method(cls: ast.ClassDef, name: str) -> bool:
-    """Whether the class *body* defines a function called ``name``."""
-    return any(
-        isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == name
-        for item in cls.body
-    )
-
-
-def class_assigns_true(cls: ast.ClassDef, name: str) -> bool:
-    """Whether the class body contains ``name = True`` (marker attribute)."""
-    for item in cls.body:
-        targets: list[ast.expr] = []
-        value: ast.expr | None = None
-        if isinstance(item, ast.Assign):
-            targets, value = item.targets, item.value
-        elif isinstance(item, ast.AnnAssign) and item.value is not None:
-            targets, value = [item.target], item.value
-        for target in targets:
-            if (
-                isinstance(target, ast.Name)
-                and target.id == name
-                and isinstance(value, ast.Constant)
-                and value.value is True
-            ):
-                return True
-    return False
-
-
 def is_dataclass(cls: ast.ClassDef) -> bool:
     """Whether the class carries a ``@dataclass`` / ``@dataclass(...)`` decorator."""
     for decorator in cls.decorator_list:

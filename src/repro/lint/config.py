@@ -56,8 +56,6 @@ class LintConfig:
     ignore: tuple[str, ...] = ()
     #: REP001 determinism scope.
     deterministic_paths: tuple[str, ...] = DEFAULT_ENGINE_PATHS
-    #: REP003 engine-parity scope (where Detector subclasses live).
-    detector_paths: tuple[str, ...] = ("src/repro",)
     #: REP006 lock-guard scope (threaded classes).
     lock_paths: tuple[str, ...] = ("src/repro",)
     #: REP007 swallowed-exception scope (bare ``except:`` is flagged

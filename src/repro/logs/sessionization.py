@@ -47,7 +47,7 @@ class Session:
         return iter(self.records)
 
     # ------------------------------------------------------------------
-    # Derived metrics (the raw material for detector features)
+    # Derived metrics (detector features live in repro.columns.features)
     # ------------------------------------------------------------------
     @property
     def start(self):
@@ -75,89 +75,6 @@ class Session:
             return float(self.request_count)
         minutes = max(self.duration_seconds / 60.0, 1.0 / 60.0)
         return self.request_count / minutes
-
-    def peak_requests_per_minute(self, window_seconds: float = 60.0) -> float:
-        """Maximum number of requests in any sliding window, per minute.
-
-        Average session rate hides bursty behaviour: a scraper that fires
-        300 requests in three minutes and then sleeps for an hour averages
-        under 5 requests/minute.  Rate rules therefore look at the busiest
-        window instead.
-        """
-        if window_seconds <= 0:
-            raise ValueError("window_seconds must be positive")
-        if self.request_count <= 1:
-            return float(self.request_count)
-        times = [record.timestamp for record in self.records]
-        best = 1
-        start = 0
-        for end in range(len(times)):
-            while (times[end] - times[start]).total_seconds() > window_seconds:
-                start += 1
-            best = max(best, end - start + 1)
-        return best * (60.0 / window_seconds)
-
-    def mean_interarrival_seconds(self) -> float:
-        """Mean gap between consecutive requests (0 for single-request sessions)."""
-        if self.request_count <= 1:
-            return 0.0
-        gaps = [
-            (b.timestamp - a.timestamp).total_seconds()
-            for a, b in zip(self.records, self.records[1:])
-        ]
-        return sum(gaps) / len(gaps)
-
-    def interarrival_seconds(self) -> list[float]:
-        """All gaps between consecutive requests, in seconds."""
-        return [
-            (b.timestamp - a.timestamp).total_seconds()
-            for a, b in zip(self.records, self.records[1:])
-        ]
-
-    def error_rate(self) -> float:
-        """Fraction of 4xx/5xx responses in the session."""
-        if not self.records:
-            return 0.0
-        return sum(1 for r in self.records if r.is_error) / len(self.records)
-
-    def status_fraction(self, status: int) -> float:
-        """Fraction of requests with the given status code."""
-        if not self.records:
-            return 0.0
-        return sum(1 for r in self.records if r.status == status) / len(self.records)
-
-    def asset_fraction(self) -> float:
-        """Fraction of requests for static assets (images/CSS/JS/fonts)."""
-        if not self.records:
-            return 0.0
-        return sum(1 for r in self.records if r.is_asset_request) / len(self.records)
-
-    def referrer_fraction(self) -> float:
-        """Fraction of requests carrying a Referer header."""
-        if not self.records:
-            return 0.0
-        return sum(1 for r in self.records if r.has_referrer) / len(self.records)
-
-    def unique_paths(self) -> int:
-        """Number of distinct URL paths requested."""
-        return len({r.url_path for r in self.records})
-
-    def path_repetition(self) -> float:
-        """Requests per distinct path (1.0 means every path requested once)."""
-        unique = self.unique_paths()
-        if unique == 0:
-            return 0.0
-        return self.request_count / unique
-
-    def head_fraction(self) -> float:
-        """Fraction of HEAD requests (bots probe with HEAD far more than humans)."""
-        if not self.records:
-            return 0.0
-        return sum(1 for r in self.records if r.method.value == "HEAD") / len(self.records)
-
-    def robots_txt_hits(self) -> int:
-        """Number of requests for ``/robots.txt`` (a strong bot indicator)."""
-        return sum(1 for r in self.records if r.url_path == "/robots.txt")
 
     def request_ids(self) -> list[str]:
         """The request ids of the session, in order."""

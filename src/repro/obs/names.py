@@ -1,9 +1,8 @@
 """The shared instrumentation vocabulary: one constant per metric name.
 
 Every instrumentation point in the library references these constants
-instead of string literals, so the batch and stream engines *provably*
-count the same logical events (the equivalence suite iterates
-:data:`ENGINE_EQUIVALENT_COUNTERS`), dashboards can rely on stable
+instead of string literals, so the batch and stream engines count the
+same logical events under the same names, dashboards can rely on stable
 names, and the README's metrics reference table has a single source of
 truth (:data:`METRIC_REFERENCE`).
 
@@ -27,15 +26,6 @@ RECORDS_INGESTED = "repro_records_ingested_total"
 SESSIONS_OPENED = "repro_sessions_opened_total"
 SESSIONS_CLOSED = "repro_sessions_closed_total"
 DETECTOR_ALERTS = "repro_detector_alerts_total"
-
-#: The logical counters the batch (columnar *and* record) engines must
-#: agree on request for request -- asserted by the equivalence suite.
-ENGINE_EQUIVALENT_COUNTERS = (
-    RECORDS_INGESTED,
-    SESSIONS_OPENED,
-    SESSIONS_CLOSED,
-    DETECTOR_ALERTS,
-)
 
 # ----------------------------------------------------------------------
 # Run / dataset bookkeeping
@@ -111,7 +101,7 @@ METRIC_REFERENCE: tuple[tuple[str, str, str, str], ...] = (
     (SESSIONS_EVICTED, "counter", "-", "idle sessions closed by the stream evictor"),
     (SESSIONS_OPEN, "gauge", "-", "sessions still open (streaming, sampled at finish)"),
     (DETECTOR_ALERTS, "counter", "detector", "requests alerted per detector"),
-    (DETECTOR_RUNS, "counter", "detector, path", "batch detector executions by code path"),
+    (DETECTOR_RUNS, "counter", "detector", "batch detector executions"),
     (DETECTOR_SECONDS, "histogram", "detector", "batch per-detector analysis duration"),
     (ALERTED_REQUESTS, "counter", "-", "requests alerted by at least one detector (batch)"),
     (ENSEMBLE_ALERTS, "counter", "-", "requests alerted by the adjudicated ensemble"),

@@ -27,7 +27,6 @@ if TYPE_CHECKING:
     from repro.runstore.store import RunStore
 
 from repro.core.configurations import compare_configurations
-from repro.core.evaluation import per_actor_class_detection
 from repro.core.experiment import ExperimentResult, PaperExperiment
 from repro.core.framestats import per_actor_rates_from_frame
 from repro.core.reporting import render_evaluation_rows, render_table1
@@ -166,10 +165,6 @@ def _validate_for_mode(spec: RunSpec) -> None:
         reject(execution.max_skew_seconds != 0.0, "replays in order; max_skew_seconds is stream-only")
         reject(execution.track_latency, "has no per-request latency; track_latency is stream-only")
         reject(execution.progress_every != 0, "emits no live progress; progress_every is stream-only")
-        reject(
-            execution.workers != 1 and execution.engine != "columnar",
-            "shards frames across workers only with execution.engine 'columnar'",
-        )
     else:
         reject(
             execution.workers != 1,
@@ -179,11 +174,6 @@ def _validate_for_mode(spec: RunSpec) -> None:
         reject(
             execution.compare_configurations,
             "has no configuration comparison; compare_configurations is evaluate-only",
-        )
-    if spec.mode in ("stream", "defend"):
-        reject(
-            execution.engine != "columnar",
-            "processes records one at a time; execution.engine is batch-only",
         )
     if spec.mode == "defend":
         reject(execution.shards != 1, "runs a single closed loop; shards are stream-only")
@@ -323,39 +313,33 @@ def _paper_experiment(
     spec: RunSpec,
     dataset: Dataset | None = None,
     registry: MetricsRegistry | None = None,
-) -> tuple[Dataset | None, ExperimentResult]:
+) -> ExperimentResult:
     """Run the pairwise paper experiment a batch spec describes.
 
-    The ``"columnar"`` engine runs frame-natively: the traffic becomes a
-    :class:`~repro.columns.RecordFrame` (for trace-backed specs straight
-    from :meth:`~repro.trace.store.TraceReader.read_frame`, so no
-    :class:`Dataset` is ever materialised and the returned dataset is
-    ``None``) and detection *and* table analysis run as columnar kernels,
-    sharded across ``execution.workers`` processes when asked.  The
-    ``"records"`` engine keeps the legacy object path; both produce
-    identical results.
+    The traffic becomes a :class:`~repro.columns.RecordFrame` -- for
+    trace-backed specs straight from
+    :meth:`~repro.trace.store.TraceReader.read_frame`, so no
+    :class:`Dataset` is ever materialised and the result's ``dataset``
+    is ``None`` -- and detection *and* table analysis run as columnar
+    kernels, sharded across ``execution.workers`` processes when asked.
     """
+    from repro.columns import RecordFrame
+
     registry = resolve_registry(registry)
     if spec.detectors and len(spec.detectors) != 2:
         raise SpecError(
             f"the paper experiment is pairwise: {spec.mode!r} mode needs exactly "
             f"two detectors, got {len(spec.detectors)}"
         )
-    frame = None
-    if spec.execution.engine == "columnar":
-        if dataset is None and spec.traffic.resolved_source() == "trace":
-            path = spec.traffic.path
-            assert path is not None  # TrafficSpec validates this
-            with trace_span("dataset", registry=registry, source="trace"):
-                frame = TraceReader(path).read_frame()
-        else:
-            if dataset is None:
-                dataset = build_dataset(spec.traffic, registry=registry)
-            from repro.columns import RecordFrame
-
-            frame = RecordFrame.from_dataset(dataset, registry=registry)
-    elif dataset is None:
-        dataset = build_dataset(spec.traffic, registry=registry)
+    if dataset is None and spec.traffic.resolved_source() == "trace":
+        path = spec.traffic.path
+        assert path is not None  # TrafficSpec validates this
+        with trace_span("dataset", registry=registry, source="trace"):
+            frame = TraceReader(path).read_frame()
+    else:
+        if dataset is None:
+            dataset = build_dataset(spec.traffic, registry=registry)
+        frame = RecordFrame.from_dataset(dataset, registry=registry)
     if spec.detectors:
         first, second = (
             create_detector(detector.name, **detector.params) for detector in spec.detectors
@@ -363,25 +347,19 @@ def _paper_experiment(
         experiment = PaperExperiment(first, second)
     else:
         experiment = PaperExperiment()
-    with trace_span("experiment", registry=registry, engine=spec.execution.engine):
-        if frame is not None:
-            result = experiment.run_on_frame(
-                frame,
-                workers=spec.execution.workers,
-                registry=registry,
-                dataset=dataset,
-            )
-        else:
-            result = experiment.run_on(dataset, engine=spec.execution.engine, registry=registry)
-    return dataset, result
+    with trace_span("experiment", registry=registry):
+        result = experiment.run_on_frame(
+            frame,
+            workers=spec.execution.workers,
+            registry=registry,
+            dataset=dataset,
+        )
+    return result
 
 
 def _source_of(spec: RunSpec, result: ExperimentResult) -> str:
     if spec.traffic.log_file:
         return spec.traffic.log_file
-    if result.dataset is not None:
-        return result.dataset.metadata.name
-    assert result.frame is not None  # frame-native runs always carry the frame
     return result.frame.metadata.name
 
 
@@ -412,7 +390,7 @@ def _run_tables(
     dataset: Dataset | None = None,
     registry: MetricsRegistry | None = None,
 ) -> RunResult:
-    _dataset, result = _paper_experiment(spec, dataset, registry)
+    result = _paper_experiment(spec, dataset, registry)
     run_result = _batch_result(spec, result)
     run_result.tables = {
         "table1": result.render_table1(),
@@ -428,7 +406,7 @@ def _run_evaluate(
     dataset: Dataset | None = None,
     registry: MetricsRegistry | None = None,
 ) -> RunResult:
-    dataset, result = _paper_experiment(spec, dataset, registry)
+    result = _paper_experiment(spec, dataset, registry)
     run_result = _batch_result(spec, result)
 
     tool_rows = [evaluation.as_dict() for evaluation in result.tool_evaluations]
@@ -442,24 +420,10 @@ def _run_evaluate(
         scheme_rows, title="Adjudication schemes (k-out-of-2)"
     )
 
-    labelled = dataset.is_labelled if dataset is not None else (
-        result.frame is not None and result.frame.is_labelled
-    )
-    if labelled:
+    if result.frame.is_labelled:
         first, second = result.matrix.detector_names[:2]
-        if dataset is not None:
-            first_rates = per_actor_class_detection(dataset, result.matrix.alerted_by(first))
-            second_rates = per_actor_class_detection(dataset, result.matrix.alerted_by(second))
-        else:
-            # Frame-native run (trace source): the per-actor rates come
-            # from the frame's actor dictionary, no record objects needed.
-            assert result.frame is not None
-            first_rates = per_actor_rates_from_frame(
-                result.frame, result.matrix.column(first)
-            )
-            second_rates = per_actor_rates_from_frame(
-                result.frame, result.matrix.column(second)
-            )
+        first_rates = per_actor_rates_from_frame(result.frame, result.matrix.column(first))
+        second_rates = per_actor_rates_from_frame(result.frame, result.matrix.column(second))
         actor_rows = [
             {"actor_class": actor, first: first_rates[actor], second: second_rates[actor]}
             for actor in first_rates
@@ -470,11 +434,10 @@ def _run_evaluate(
         )
 
     if spec.execution.compare_configurations:
-        if dataset is None:
-            # The configuration comparison replays the record path; a
-            # frame-native run materialises the data set for it once.
-            assert result.frame is not None
-            dataset = result.frame.to_dataset()
+        # The configuration comparison filters records into the serial
+        # deployments' sub-data sets; a frame-native run materialises
+        # the data set for it once.
+        dataset = result.dataset if result.dataset is not None else result.frame.to_dataset()
         if spec.detectors:
             first_detector, second_detector = (
                 create_detector(d.name, **d.params) for d in spec.detectors

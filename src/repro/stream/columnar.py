@@ -26,7 +26,6 @@ from repro.columns.alertframe import DetectorAlerts
 from repro.columns.features import FeatureMatrix
 from repro.columns.sessions import FrameSessions
 from repro.detectors.base import Detector
-from repro.exceptions import DetectorError
 from repro.logs.sessionization import Session
 
 
@@ -55,8 +54,6 @@ class SessionColumns:
         alerts = self._alerts.get(kernel)
         if alerts is None:
             alerts = kernel.alert_columns(self.spans.frame, self.spans, self.features)
-            if alerts is None:
-                raise DetectorError(f"detector {kernel.name!r} has no frame kernel")
             self._alerts[kernel] = alerts
         row = int(self.spans.order[self.spans.starts[index]])
         if not alerts.flags[row]:

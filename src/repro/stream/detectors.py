@@ -63,7 +63,7 @@ from repro.core.alerts import AlertSet
 from repro.detectors.anomaly_detector import alert_anomalous_groups
 from repro.detectors.base import Detector
 from repro.detectors.fingerprint import UserAgentFingerprintDetector
-from repro.detectors.heuristic import HeuristicRuleDetector, Rule
+from repro.detectors.heuristic import HeuristicRuleDetector
 from repro.detectors.inhouse import InHouseHeuristicDetector
 from repro.detectors.ratelimit import RateLimitDetector
 from repro.exceptions import DetectorError
@@ -409,9 +409,6 @@ class OnlineInHouseDetector(OnlineDetector):
     Online, sessions are re-judged whenever their request count doubles
     (1, 2, 4, 8, ...), which keeps the per-request cost amortised O(1)
     while still tripping on rule violations shortly after they appear.
-    Every rule must implement :meth:`~repro.detectors.heuristic.Rule.matches_frame`;
-    a rule without it is rejected with a
-    :class:`~repro.exceptions.DetectorError`.
     """
 
     name = "inhouse"
@@ -425,12 +422,6 @@ class OnlineInHouseDetector(OnlineDetector):
         resolved_name = name or (batch.name if batch is not None else self.name)
         super().__init__(name=resolved_name)
         self.batch = batch or InHouseHeuristicDetector(name=resolved_name)
-        for rule in self.batch.rules:
-            if getattr(type(rule), "matches_frame", Rule.matches_frame) is Rule.matches_frame:
-                raise DetectorError(
-                    f"rule {rule.name!r} ({type(rule).__name__}) has no matches_frame; "
-                    "online sessions are judged with the frame kernels only"
-                )
         #: session_id -> (request count at last evaluation, cached verdict)
         self._provisional: dict[str, tuple[int, tuple[float, Sequence[str]] | None]] = {}
 

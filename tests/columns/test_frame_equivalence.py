@@ -1,13 +1,16 @@
-"""Frame-native pipeline equivalence: dict path == frame arrays == shards.
+"""Frame pipeline equivalence: data-set entry points == frame arrays == shards.
 
-The frame-native pipeline (:meth:`DetectionPipeline.run_frame` and
-:meth:`PaperExperiment.run_on_frame`) must be a pure representation
-change: for every preset scenario the dict-path oracle, the
-single-process frame run and the ``workers=2`` sharded run must carry
-byte-identical alerts (ids, scores *and* reasons), identical matrices
-and identical Tables 1-4 / labelled evaluations.  A trace-backed
-``tables`` run additionally proves the frame path never materialises a
-:class:`Dataset` at all.
+The batch pipeline has one engine -- every detector's ``alert_columns``
+over a frame -- and several ways in: a :class:`Dataset` through
+:meth:`DetectionPipeline.run` / :meth:`PaperExperiment.run_on`, a frame
+through :meth:`DetectionPipeline.run_frame` /
+:meth:`PaperExperiment.run_on_frame`, single-process or hash-sharded
+across ``workers=2`` processes.  For every preset scenario all of them
+must carry byte-identical alerts (ids, scores *and* reasons), identical
+matrices and identical Tables 1-4 / labelled evaluations.  The values
+themselves are pinned by the golden fixtures in ``tests/golden``.  A
+trace-backed ``tables`` run additionally proves the frame path never
+materialises a :class:`Dataset` at all.
 """
 
 from __future__ import annotations
@@ -22,15 +25,14 @@ from repro.detectors.commercial import CommercialBotDefenceDetector
 from repro.detectors.inhouse import InHouseHeuristicDetector
 from repro.detectors.pipeline import DetectionPipeline
 from repro.exceptions import DetectorError, SpecError
-from repro.logs.sessionization import Sessionizer
 from repro.runspec import RunSpec, TrafficSpec, execute
 from repro.runspec.spec import ExecutionSpec
 from repro.trace import write_trace
 from repro.traffic.generator import generate_dataset
 from repro.traffic.scenarios import get_scenario
 
-#: The same presets the engine-equivalence suite pins (seeded, scaled
-#: down to keep the suite fast).
+#: The presets the golden batch fixtures pin (seeded, scaled down to
+#: keep the suite fast).
 PRESETS = [
     ("amadeus_march_2018", {"scale": 0.02, "seed": 2018}),
     ("balanced_small", {"total_requests": 5_000, "seed": 7}),
@@ -65,36 +67,43 @@ def _comparable(result):
 class TestFramePipelineEquivalence:
     def test_alert_sets_byte_identical_across_paths(self, preset):
         _name, _params, dataset, frame = preset
-        oracle = DetectionPipeline(_detectors()).run(dataset, engine="records")
         single = DetectionPipeline(_detectors()).run_frame(frame)
         sharded = DetectionPipeline(_detectors()).run_frame(frame, workers=2)
-        for frame_result in (single, sharded):
-            assert frame_result.matrix.request_ids == oracle.matrix.request_ids
-            assert (frame_result.matrix.values == oracle.matrix.values).all()
-            for by_dict, by_frame in zip(oracle.alert_sets, frame_result.alert_sets()):
-                assert by_dict.detector_name == by_frame.detector_name
-                assert _full_alerts(by_dict) == _full_alerts(by_frame)
+        by_dataset = DetectionPipeline(_detectors()).run(dataset)
+        expected = [_full_alerts(alert_set) for alert_set in single.alert_sets()]
+        for result, alert_sets in (
+            (sharded, sharded.alert_sets()),
+            (by_dataset, by_dataset.alert_sets),
+        ):
+            assert result.matrix.request_ids == single.matrix.request_ids
+            assert (result.matrix.values == single.matrix.values).all()
+            assert [alert_set.detector_name for alert_set in alert_sets] == [
+                "commercial",
+                "inhouse",
+            ]
+            assert [_full_alerts(alert_set) for alert_set in alert_sets] == expected
 
     def test_experiment_tables_identical(self, preset):
         _name, _params, dataset, frame = preset
-        oracle = PaperExperiment().run_on(dataset, engine="records")
-        for workers in (1, 2):
-            by_frame = PaperExperiment().run_on_frame(frame, workers=workers)
-            assert by_frame.render_all() == oracle.render_all()
-            assert dict(by_frame.alert_counts) == dict(oracle.alert_counts)
-            assert by_frame.diversity_metrics.as_dict() == oracle.diversity_metrics.as_dict()
-            assert [e.as_dict() for e in by_frame.tool_evaluations] == [
-                e.as_dict() for e in oracle.tool_evaluations
+        single = PaperExperiment().run_on_frame(frame)
+        by_dataset = PaperExperiment().run_on(dataset)
+        for result in (PaperExperiment().run_on_frame(frame, workers=2), by_dataset):
+            assert result.render_all() == single.render_all()
+            assert dict(result.alert_counts) == dict(single.alert_counts)
+            assert result.diversity_metrics.as_dict() == single.diversity_metrics.as_dict()
+            assert [e.as_dict() for e in result.tool_evaluations] == [
+                e.as_dict() for e in single.tool_evaluations
             ]
-            assert [e.as_dict() for e in by_frame.adjudication_evaluations] == [
-                e.as_dict() for e in oracle.adjudication_evaluations
+            assert [e.as_dict() for e in result.adjudication_evaluations] == [
+                e.as_dict() for e in single.adjudication_evaluations
             ]
-            # Frame-native runs never materialise the record objects.
-            assert by_frame.dataset is None
-            assert by_frame.frame is frame
+        # Frame-native runs never materialise the record objects.
+        assert single.dataset is None
+        assert single.frame is frame
+        assert by_dataset.dataset is dataset
 
     @pytest.mark.parametrize("mode", ["tables", "evaluate"])
-    def test_execute_identical_across_engines_and_workers(self, mode, preset):
+    def test_execute_identical_across_workers(self, mode, preset):
         name, params, dataset, _frame = preset
         traffic = TrafficSpec(
             scenario=name,
@@ -102,35 +111,32 @@ class TestFramePipelineEquivalence:
             seed=params.get("seed"),
             params={k: v for k, v in params.items() if k not in ("scale", "seed")},
         )
-        executions = {
-            "records": ExecutionSpec(engine="records"),
-            "frame": ExecutionSpec(engine="columnar"),
-            "sharded": ExecutionSpec(engine="columnar", workers=2),
-        }
-        results = {
-            key: execute(RunSpec(mode=mode, traffic=traffic, execution=execution), dataset=dataset)
-            for key, execution in executions.items()
-        }
-        oracle = _comparable(results["records"])
-        assert _comparable(results["frame"]) == oracle
-        assert _comparable(results["sharded"]) == oracle
+        single, sharded = (
+            execute(
+                RunSpec(mode=mode, traffic=traffic, execution=ExecutionSpec(workers=workers)),
+                dataset=dataset,
+            )
+            for workers in (1, 2)
+        )
+        assert _comparable(sharded) == _comparable(single)
 
 
-class TestBridgedDetectors:
-    def test_analyze_columns_only_detectors_bridge_identically(self):
-        """Detectors without ``alert_columns`` ride the dict->array bridge."""
+class TestModelDetectors:
+    def test_unshardable_detectors_identical_across_entry_points(self):
+        """Model-based detectors never shard; every entry point agrees."""
         from repro.detectors.naive_bayes import NaiveBayesRobotDetector
         from repro.detectors.ratelimit import RateLimitDetector
 
         dataset = generate_dataset(get_scenario("balanced_small", total_requests=3_000, seed=11))
         frame = RecordFrame.from_dataset(dataset)
         detectors = lambda: [NaiveBayesRobotDetector(), RateLimitDetector()]  # noqa: E731
-        oracle = DetectionPipeline(detectors()).run(dataset, engine="columnar")
+        by_dataset = DetectionPipeline(detectors()).run(dataset)
+        alone = [detector.analyze(dataset) for detector in detectors()]
         for workers in (1, 2):
             by_frame = DetectionPipeline(detectors()).run_frame(frame, workers=workers)
-            for by_dict, bridged in zip(oracle.alert_sets, by_frame.alert_sets()):
-                assert by_dict.detector_name == bridged.detector_name
-                assert _full_alerts(by_dict) == _full_alerts(bridged)
+            for expected, standalone, got in zip(by_dataset.alert_sets, alone, by_frame.alert_sets()):
+                assert expected.detector_name == got.detector_name
+                assert _full_alerts(expected) == _full_alerts(got) == _full_alerts(standalone)
 
 
 class TestTraceSourcedTables:
@@ -144,9 +150,7 @@ class TestTraceSourcedTables:
     def test_trace_tables_never_materialise_records(self, recorded, monkeypatch):
         """Tables from a trace run frame-natively: no Dataset is ever built."""
         dataset, path = recorded
-        oracle = execute(
-            RunSpec(mode="tables", execution=ExecutionSpec(engine="records")), dataset=dataset
-        )
+        expected = execute(RunSpec(mode="tables"), dataset=dataset)
         execute_module = importlib.import_module("repro.runspec.execute")
 
         def fail(*_args, **_kwargs):  # pragma: no cover - called means regression
@@ -159,10 +163,10 @@ class TestTraceSourcedTables:
                 RunSpec(
                     mode="tables",
                     traffic=TrafficSpec(source="trace", path=path),
-                    execution=ExecutionSpec(engine="columnar", workers=workers),
+                    execution=ExecutionSpec(workers=workers),
                 )
             )
-            assert result.tables == oracle.tables
+            assert result.tables == expected.tables
             assert result.source == "balanced_small"
 
 
@@ -170,15 +174,6 @@ class TestWorkerValidation:
     def test_workers_below_one_rejected_in_spec(self):
         with pytest.raises(SpecError, match="at least 1"):
             ExecutionSpec(workers=0)
-
-    def test_workers_require_the_columnar_engine(self):
-        spec = RunSpec(
-            mode="tables",
-            traffic=TrafficSpec(scenario="balanced_small"),
-            execution=ExecutionSpec(engine="records", workers=2),
-        )
-        with pytest.raises(SpecError, match="columnar"):
-            execute(spec)
 
     def test_workers_are_batch_only(self):
         spec = RunSpec(
@@ -189,15 +184,7 @@ class TestWorkerValidation:
         with pytest.raises(SpecError, match="tables/evaluate"):
             execute(spec)
 
-    def test_run_frame_rejects_bad_workers_and_custom_sessionizers(self):
+    def test_run_frame_rejects_bad_workers(self):
         frame = RecordFrame.from_records([])
         with pytest.raises(DetectorError, match="at least 1"):
             DetectionPipeline(_detectors()).run_frame(frame, workers=0)
-
-        class CustomSessionizer(Sessionizer):
-            def sessionize(self, records):  # pragma: no cover - never called
-                return super().sessionize(records)
-
-        pipeline = DetectionPipeline(_detectors(), sessionizer=CustomSessionizer())
-        with pytest.raises(DetectorError, match="base Sessionizer"):
-            pipeline.run_frame(frame)

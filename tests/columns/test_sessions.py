@@ -81,49 +81,6 @@ def test_hypothesis_adversarial_ties_and_timeouts(data, timeout_minutes):
     assert_equivalent(records, timeout=timedelta(minutes=timeout_minutes))
 
 
-class _OneBigSession(Sessionizer):
-    """A custom sessionizer: everything is one session, whoever sent it."""
-
-    def sessionize(self, records):
-        from repro.logs.sessionization import Session
-
-        ordered = sorted(records, key=lambda record: record.timestamp)
-        if not ordered:
-            return []
-        session = Session(
-            session_id="all",
-            client_ip=ordered[0].client_ip,
-            user_agent=ordered[0].user_agent,
-        )
-        session.records = ordered
-        return [session]
-
-
-def test_custom_sessionizer_subclass_keeps_its_behaviour():
-    # The columnar engine only reproduces the base Sessionizer; a
-    # pipeline built around a subclass must keep using its sessionize().
-    from repro.detectors.pipeline import DetectionPipeline
-    from repro.detectors.ratelimit import RateLimitDetector
-    from repro.logs.dataset import Dataset
-
-    records = [
-        make_record(f"r{index}", seconds=index * 0.2, ip=f"10.0.0.{index % 3}")
-        for index in range(30)
-    ]
-    dataset = Dataset(records)
-    detector = RateLimitDetector(threshold_rpm=60, min_requests=10)
-    pipeline = DetectionPipeline([detector], sessionizer=_OneBigSession())
-    default_run = pipeline.run(dataset)
-    explicit = pipeline.run(dataset, engine="records")
-    # One 30-request burst at 5 req/s trips the limiter; per-visitor
-    # sessions of 10 requests would not have enough volume.
-    assert default_run.alert_set("rate-limit").request_ids() == set(dataset.request_ids)
-    assert (
-        default_run.alert_set("rate-limit").request_ids()
-        == explicit.alert_set("rate-limit").request_ids()
-    )
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     offsets=st.lists(st.integers(min_value=0, max_value=100), min_size=2, max_size=20)

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.core.alerts import AlertSet
+from repro.columns.alertframe import DetectorAlerts
 from repro.core.configurations import (
     ConfigurationComparison,
     ParallelConfiguration,
@@ -26,12 +27,9 @@ class _FixedDetector(Detector):
         self.name = name
         self.alerted = alerted
 
-    def analyze(self, dataset: Dataset, *, sessions=None) -> AlertSet:
-        alerts = AlertSet(self.name)
-        for record in dataset:
-            if record.request_id in self.alerted:
-                alerts.add(record.request_id)
-        return alerts
+    def alert_columns(self, frame, sessions, features) -> DetectorAlerts:
+        flags = np.array([request_id in self.alerted for request_id in frame.request_ids], bool)
+        return DetectorAlerts(self.name, flags, flags * 1.0, np.where(flags, 0, -1), [()])
 
 
 def _fixture():

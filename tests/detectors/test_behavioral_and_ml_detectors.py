@@ -10,11 +10,17 @@ from repro.detectors.anomaly_detector import AnomalySessionDetector
 from repro.detectors.behavioral import BehavioralSessionDetector, BehaviouralScoreConfig
 from repro.detectors.crawler_ml import CrawlerDecisionTreeDetector
 from repro.detectors.features import feature_matrix
-from repro.detectors.naive_bayes import NaiveBayesRobotDetector, binarize_features, INDICATOR_NAMES
-from repro.detectors.features import extract_features
+from repro.detectors.naive_bayes import INDICATOR_NAMES, NaiveBayesRobotDetector, binarize_matrix
 from repro.logs.dataset import Dataset
-from repro.logs.sessionization import Sessionizer
-from tests.helpers import BROWSER_UA, SCRIPTED_UA, make_record, make_records, make_session
+from tests.helpers import (
+    BROWSER_UA,
+    SCRIPTED_UA,
+    make_record,
+    make_records,
+    make_session,
+    session_frame,
+    session_verdict,
+)
 
 
 def _human_like_records(prefix: str, ip: str, count: int = 16) -> list:
@@ -60,9 +66,11 @@ class TestBehavioralDetector:
         assert len(alerts) == 0
 
     def test_score_session_reports_signals(self):
-        session = make_session(_stealth_like_records("s", "10.96.0.1"))
-        score, signals = BehavioralSessionDetector().score_session(session)
-        assert score >= 4.0
+        verdict = session_verdict(BehavioralSessionDetector(), _stealth_like_records("s", "10.96.0.1"))
+        assert verdict is not None
+        score, signals = verdict
+        # Evidence at or above the threshold normalises to at least 0.5.
+        assert score >= 0.5
         assert any("assets" in signal for signal in signals)
         assert any("timing" in signal for signal in signals)
 
@@ -72,20 +80,21 @@ class TestBehavioralDetector:
         assert len(BehavioralSessionDetector(config).analyze(dataset)) == 0
 
     def test_scripted_fingerprint_adds_evidence(self):
-        session_scripted = make_session(make_records(12, gap_seconds=30, user_agent=SCRIPTED_UA))
-        session_browser = make_session(make_records(12, gap_seconds=30, user_agent=BROWSER_UA))
         detector = BehavioralSessionDetector()
-        scripted_score, _ = detector.score_session(session_scripted)
-        browser_score, _ = detector.score_session(session_browser)
-        assert scripted_score > browser_score
+        scripted = session_verdict(detector, make_records(12, gap_seconds=30, user_agent=SCRIPTED_UA))
+        browser = session_verdict(detector, make_records(12, gap_seconds=30, user_agent=BROWSER_UA))
+        assert scripted is not None and browser is not None
+        assert scripted[0] > browser[0]
+        assert "non-browser client fingerprint" in scripted[1]
+        assert "non-browser client fingerprint" not in browser[1]
 
 
 class TestNaiveBayesDetector:
     def test_binarize_features_shape(self):
-        features = extract_features(make_session(make_records(5)))
-        vector = binarize_features(features)
-        assert vector.shape == (len(INDICATOR_NAMES),)
-        assert set(np.unique(vector)) <= {0.0, 1.0}
+        _frame, _sessions, features = session_frame(make_records(5), make_records(8, ip="10.0.0.9"))
+        indicators = binarize_matrix(features)
+        assert indicators.shape == (2, len(INDICATOR_NAMES))
+        assert set(np.unique(indicators)) <= {0.0, 1.0}
 
     def test_alerts_on_obvious_bots_and_spares_humans(self):
         records = []
@@ -146,9 +155,8 @@ class TestAnomalyDetector:
             records.extend(_human_like_records(f"h{visitor}_", f"10.16.0.{visitor + 1}"))
         records.extend(make_records(80, gap_seconds=0.3, ip="172.20.0.9", user_agent=SCRIPTED_UA))
         dataset = Dataset(records)
-        sessions = Sessionizer().sessionize(dataset.records)
         detector = AnomalySessionDetector(RobustZScoreModel(), contamination=0.1)
-        alerts = detector.analyze(dataset, sessions=sessions)
+        alerts = detector.analyze(dataset)
         # The single scripted blast session is by far the most anomalous.
         assert all(f"r{i}" in alerts for i in range(80))
 

@@ -172,10 +172,10 @@ class _BoringDetector(Detector):
 
     name = "boring"
 
-    def analyze(self, dataset, *, sessions=None):
-        from repro.core.alerts import AlertSet
+    def alert_columns(self, frame, sessions, features):
+        from repro.columns.alertframe import DetectorAlerts
 
-        return AlertSet(self.name)
+        return DetectorAlerts.empty(self.name, len(frame))
 
 
 class TestCustomDetectorIntegration:

@@ -14,23 +14,23 @@ from repro.detectors.heuristic import (
 )
 from repro.detectors.inhouse import InHouseHeuristicDetector, default_rules
 from repro.logs.dataset import Dataset
-from tests.helpers import BROWSER_UA, SCRIPTED_UA, make_record, make_records, make_session
+from tests.helpers import BROWSER_UA, SCRIPTED_UA, make_record, make_records, rule_reason
 
 GOOGLEBOT_UA = "Mozilla/5.0 (compatible; Googlebot/2.1; +http://www.google.com/bot.html)"
 
 
 class TestRateRule:
     def test_fires_on_fast_sessions(self):
-        session = make_session(make_records(30, gap_seconds=0.5))
-        assert RateRule(threshold_rpm=30).matches(session) is not None
+        records = make_records(30, gap_seconds=0.5)
+        assert rule_reason(RateRule(threshold_rpm=30), records) is not None
 
     def test_quiet_on_slow_sessions(self):
-        session = make_session(make_records(30, gap_seconds=10))
-        assert RateRule(threshold_rpm=30).matches(session) is None
+        records = make_records(30, gap_seconds=10)
+        assert rule_reason(RateRule(threshold_rpm=30), records) is None
 
     def test_quiet_on_small_sessions(self):
-        session = make_session(make_records(5, gap_seconds=0.1))
-        assert RateRule(threshold_rpm=30, min_requests=10).matches(session) is None
+        records = make_records(5, gap_seconds=0.1)
+        assert rule_reason(RateRule(threshold_rpm=30, min_requests=10), records) is None
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
@@ -39,73 +39,73 @@ class TestRateRule:
 
 class TestScriptedAgentRule:
     def test_fires_on_scripted_agent(self):
-        session = make_session(make_records(3, user_agent=SCRIPTED_UA))
-        assert ScriptedAgentRule().matches(session) is not None
+        records = make_records(3, user_agent=SCRIPTED_UA)
+        assert rule_reason(ScriptedAgentRule(), records) is not None
 
     def test_fires_on_empty_agent(self):
-        session = make_session(make_records(3, user_agent=""))
-        assert ScriptedAgentRule().matches(session) is not None
+        records = make_records(3, user_agent="")
+        assert rule_reason(ScriptedAgentRule(), records) is not None
 
     def test_quiet_on_browser(self):
-        session = make_session(make_records(3, user_agent=BROWSER_UA))
-        assert ScriptedAgentRule().matches(session) is None
+        records = make_records(3, user_agent=BROWSER_UA)
+        assert rule_reason(ScriptedAgentRule(), records) is None
 
 
 class TestErrorProbeRule:
     def test_fires_on_error_heavy_session(self):
         records = [make_record(f"r{i}", seconds=i, status=400 if i % 4 == 0 else 200) for i in range(20)]
-        assert ErrorProbeRule().matches(make_session(records)) is not None
+        assert rule_reason(ErrorProbeRule(), records) is not None
 
     def test_fires_on_204_heavy_session(self):
         records = [make_record(f"r{i}", seconds=i, status=204 if i % 5 == 0 else 200, path="/api/availability") for i in range(20)]
-        assert ErrorProbeRule().matches(make_session(records)) is not None
+        assert rule_reason(ErrorProbeRule(), records) is not None
 
     def test_ignores_tracking_beacon_204s(self):
         records = [
             make_record(f"r{i}", seconds=i, status=204 if i % 3 == 0 else 200, path="/track/beacon?pg=/" if i % 3 == 0 else "/search")
             for i in range(20)
         ]
-        assert ErrorProbeRule().matches(make_session(records)) is None
+        assert rule_reason(ErrorProbeRule(), records) is None
 
     def test_fires_on_head_heavy_session(self):
         records = [make_record(f"r{i}", seconds=i, method="HEAD" if i % 5 == 0 else "GET") for i in range(20)]
-        assert ErrorProbeRule().matches(make_session(records)) is not None
+        assert rule_reason(ErrorProbeRule(), records) is not None
 
     def test_quiet_on_clean_session(self):
         records = make_records(20)
-        assert ErrorProbeRule().matches(make_session(records)) is None
+        assert rule_reason(ErrorProbeRule(), records) is None
 
     def test_quiet_below_min_requests(self):
         records = [make_record("a", status=400), make_record("b", status=400, seconds=1)]
-        assert ErrorProbeRule(min_requests=8).matches(make_session(records)) is None
+        assert rule_reason(ErrorProbeRule(min_requests=8), records) is None
 
 
 class TestRobotsNoAssetRule:
     def test_fires_on_robots_without_assets(self):
         records = [make_record("robots", path="/robots.txt")] + make_records(12, gap_seconds=1)
         records = [records[0]] + [make_record(f"p{i}", seconds=i + 1, path=f"/offers/{i}") for i in range(12)]
-        assert RobotsNoAssetRule().matches(make_session(records)) is not None
+        assert rule_reason(RobotsNoAssetRule(), records) is not None
 
     def test_quiet_when_assets_loaded(self):
         records = [make_record("robots", path="/robots.txt")]
         for i in range(12):
             path = "/static/css/app.css" if i % 3 == 0 else f"/offers/{i}"
             records.append(make_record(f"p{i}", seconds=i + 1, path=path))
-        assert RobotsNoAssetRule().matches(make_session(records)) is None
+        assert rule_reason(RobotsNoAssetRule(), records) is None
 
     def test_quiet_without_robots_fetch(self):
         records = [make_record(f"p{i}", seconds=i, path=f"/offers/{i}") for i in range(15)]
-        assert RobotsNoAssetRule().matches(make_session(records)) is None
+        assert rule_reason(RobotsNoAssetRule(), records) is None
 
 
 class TestPathRepetitionRule:
     def test_fires_on_hammered_endpoint(self):
         records = [make_record(f"r{i}", seconds=i, path="/api/price?offer=1") for i in range(25)]
-        assert PathRepetitionRule().matches(make_session(records)) is not None
+        assert rule_reason(PathRepetitionRule(), records) is not None
 
     def test_quiet_on_diverse_paths(self):
         records = [make_record(f"r{i}", seconds=i, path=f"/offers/{i}") for i in range(25)]
-        assert PathRepetitionRule().matches(make_session(records)) is None
+        assert rule_reason(PathRepetitionRule(), records) is None
 
 
 class TestHeuristicRuleDetector:

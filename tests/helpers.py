@@ -5,6 +5,7 @@ from __future__ import annotations
 from datetime import datetime, timedelta, timezone
 from typing import Sequence
 
+from repro.columns import FeatureMatrix, FrameSessions, RecordFrame
 from repro.core.alerts import AlertMatrix, AlertSet
 from repro.logs.dataset import BENIGN, MALICIOUS, Dataset, GroundTruth
 from repro.logs.record import LogRecord, RequestMethod
@@ -61,6 +62,34 @@ def make_session(records: Sequence[LogRecord], session_id: str = "s0") -> Sessio
     for record in records:
         session.add(record)
     return session
+
+
+def session_frame(
+    *record_groups: Sequence[LogRecord],
+) -> tuple[RecordFrame, FrameSessions, FeatureMatrix]:
+    """The frame, session spans and feature rows of one session per record group.
+
+    Each group (assumed one visitor, in time order) becomes one session,
+    in the order given -- the triple a detector's ``alert_columns`` and a
+    rule's ``matches_frame`` judge.
+    """
+    sessions = FrameSessions.from_sessions(
+        [make_session(records, f"s{index}") for index, records in enumerate(record_groups)]
+    )
+    return sessions.frame, sessions, FeatureMatrix.from_frame(sessions.frame, sessions)
+
+
+def rule_reason(rule, records: Sequence[LogRecord]) -> str | None:
+    """A rule's verdict on the one session ``records`` form."""
+    return rule.matches_frame(*session_frame(records))[0]
+
+
+def session_verdict(detector, records: Sequence[LogRecord]) -> tuple[float, tuple[str, ...]] | None:
+    """A detector's ``(score, reasons)`` on the one session ``records`` form, or ``None``."""
+    alerts = detector.alert_columns(*session_frame(records))
+    if not alerts.flags[0]:
+        return None
+    return float(alerts.scores[0]), alerts.reasons_of(0)
 
 
 def make_labelled_dataset(

@@ -90,12 +90,13 @@ def test_lint_update_baseline_then_clean(tmp_path, capsys):
 def test_lint_list_rules(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in [f"REP00{n}" for n in range(1, 10)]:
+    for rule_id in [f"REP00{n}" for n in (1, 2, 4, 5, 6, 7, 8, 9)]:
         assert rule_id in out
+    assert "REP003" not in out
     assert "fix:" in out
 
 
 def test_lint_list_rules_json(capsys):
     assert main(["lint", "--list-rules", "--json"]) == 0
     rules = json.loads(capsys.readouterr().out)
-    assert [rule["rule"] for rule in rules] == [f"REP00{n}" for n in range(1, 10)] + ["REP010"]
+    assert [rule["rule"] for rule in rules] == [f"REP00{n}" for n in (1, 2, 4, 5, 6, 7, 8, 9)]

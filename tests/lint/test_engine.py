@@ -150,7 +150,7 @@ def test_collect_sources_rejects_missing_root(tmp_path):
 
 def test_available_rules_covers_the_documented_suite():
     ids = [rule.rule_id for rule in available_rules()]
-    assert ids == [f"REP00{n}" for n in range(1, 10)] + ["REP010"]
+    assert ids == [f"REP00{n}" for n in (1, 2, 4, 5, 6, 7, 8, 9)]
     for rule in available_rules():
         assert rule.summary and rule.autofix_hint
 

@@ -6,7 +6,7 @@ from datetime import timedelta
 
 import pytest
 
-from repro.logs.sessionization import Session, Sessionizer
+from repro.logs.sessionization import Sessionizer
 from tests.helpers import BROWSER_UA, make_record, make_records, make_session
 
 
@@ -88,64 +88,7 @@ class TestSessionMetrics:
     def test_single_request_session_rate(self):
         session = make_session([make_record()])
         assert session.requests_per_minute() == 1.0
-        assert session.mean_interarrival_seconds() == 0.0
-
-    def test_mean_interarrival(self):
-        session = make_session(make_records(4, gap_seconds=5))
-        assert session.mean_interarrival_seconds() == pytest.approx(5.0)
-
-    def test_interarrival_list_length(self):
-        session = make_session(make_records(4))
-        assert len(session.interarrival_seconds()) == 3
-
-    def test_error_rate(self):
-        records = [make_record("a", status=200), make_record("b", status=400, seconds=1)]
-        assert make_session(records).error_rate() == pytest.approx(0.5)
-
-    def test_status_fraction(self):
-        records = [make_record("a", status=204), make_record("b", status=200, seconds=1)]
-        assert make_session(records).status_fraction(204) == pytest.approx(0.5)
-
-    def test_asset_fraction(self):
-        records = [
-            make_record("a", path="/static/css/app.css"),
-            make_record("b", path="/search", seconds=1),
-        ]
-        assert make_session(records).asset_fraction() == pytest.approx(0.5)
-
-    def test_referrer_fraction(self):
-        records = [
-            make_record("a", referrer="https://shop.example.com/"),
-            make_record("b", seconds=1),
-        ]
-        assert make_session(records).referrer_fraction() == pytest.approx(0.5)
-
-    def test_unique_paths_and_repetition(self):
-        records = [
-            make_record("a", path="/offers/1"),
-            make_record("b", path="/offers/1", seconds=1),
-            make_record("c", path="/offers/2", seconds=2),
-        ]
-        session = make_session(records)
-        assert session.unique_paths() == 2
-        assert session.path_repetition() == pytest.approx(1.5)
-
-    def test_head_fraction(self):
-        records = [make_record("a", method="HEAD"), make_record("b", seconds=1)]
-        assert make_session(records).head_fraction() == pytest.approx(0.5)
-
-    def test_robots_txt_hits(self):
-        records = [make_record("a", path="/robots.txt"), make_record("b", path="/", seconds=1)]
-        assert make_session(records).robots_txt_hits() == 1
 
     def test_request_ids_order(self):
         session = make_session(make_records(3))
         assert session.request_ids() == ["r0", "r1", "r2"]
-
-    def test_empty_session_metrics_are_zero(self):
-        session = Session(session_id="s0", client_ip="10.0.0.1", user_agent=BROWSER_UA)
-        assert session.error_rate() == 0.0
-        assert session.asset_fraction() == 0.0
-        assert session.referrer_fraction() == 0.0
-        assert session.head_fraction() == 0.0
-        assert session.path_repetition() == 0.0

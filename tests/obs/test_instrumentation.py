@@ -1,12 +1,11 @@
 """End-to-end instrumentation: every workload fills one registry.
 
-The contract under test is the ISSUE's acceptance bar: an instrumented
-run carries a telemetry snapshot with per-stage duration histograms and
-at least ten distinct named counters; the record and columnar batch
-engines count *identical* logical events (the shared
-:data:`~repro.obs.names.ENGINE_EQUIVALENT_COUNTERS` vocabulary); and an
-uninstrumented run stays exactly as it was (no telemetry, legacy
-timings only).
+The contract under test: an instrumented run carries a telemetry
+snapshot with per-stage duration histograms and at least ten distinct
+named counters; the batch pipeline counts the logical events it
+processed (records ingested, sessions opened and closed, alerts per
+detector); and an uninstrumented run stays exactly as it was (no
+telemetry, legacy timings only).
 """
 
 from __future__ import annotations
@@ -51,28 +50,29 @@ def _distinct_counters(telemetry: dict) -> list[str]:
     ]
 
 
-class TestEngineCounterEquivalence:
-    def test_record_and_columnar_engines_count_identical_events(self, dataset):
-        observed = {}
-        for engine in ("records", "columnar"):
-            registry = MetricsRegistry()
-            _pipeline(registry).run(dataset, engine=engine)
-            observed[engine] = {
-                name: _counter_series(registry, name)
-                for name in metric_names.ENGINE_EQUIVALENT_COUNTERS
-            }
-            assert registry.counter(metric_names.RECORDS_INGESTED).total() == len(dataset)
-        assert observed["records"] == observed["columnar"]
-        # The equivalence vocabulary is non-trivial: every counter in it
-        # actually fired.
-        for name in metric_names.ENGINE_EQUIVALENT_COUNTERS:
-            assert observed["columnar"][name], f"{name} never incremented"
+class TestPipelineCounters:
+    def test_pipeline_counts_records_sessions_and_alerts(self, dataset):
+        from repro.columns import RecordFrame, sessionize_frame
 
-    def test_engines_disagree_only_on_path_labels(self, dataset):
         registry = MetricsRegistry()
-        _pipeline(registry).run(dataset, engine="columnar")
-        runs = _counter_series(registry, metric_names.DETECTOR_RUNS)
-        assert runs and all(dict(labels)["path"] == "columnar" for labels in runs)
+        result = _pipeline(registry).run(dataset)
+        sessions = len(sessionize_frame(RecordFrame.from_dataset(dataset)))
+        assert registry.counter(metric_names.RECORDS_INGESTED).total() == len(dataset)
+        assert registry.counter(metric_names.SESSIONS_OPENED).total() == sessions
+        assert registry.counter(metric_names.SESSIONS_CLOSED).total() == sessions
+        assert _counter_series(registry, metric_names.DETECTOR_ALERTS) == {
+            (("detector", alert_set.detector_name),): len(alert_set)
+            for alert_set in result.alert_sets
+        }
+        assert all(len(alert_set) for alert_set in result.alert_sets)
+
+    def test_detector_runs_are_labelled_by_detector_only(self, dataset):
+        registry = MetricsRegistry()
+        _pipeline(registry).run(dataset)
+        assert _counter_series(registry, metric_names.DETECTOR_RUNS) == {
+            (("detector", "commercial"),): 1,
+            (("detector", "inhouse"),): 1,
+        }
 
 
 class TestExecuteTelemetry:

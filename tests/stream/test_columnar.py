@@ -9,18 +9,15 @@ import pytest
 
 from repro.columns import FeatureMatrix, FrameSessions
 from repro.detectors import features as record_features
-from repro.detectors import heuristic
-from repro.detectors.heuristic import Rule
-from repro.detectors.inhouse import InHouseHeuristicDetector, default_rules
+from repro.detectors.inhouse import InHouseHeuristicDetector
 from repro.detectors.ratelimit import RateLimitDetector
-from repro.exceptions import ColumnsError, DetectorError
+from repro.exceptions import ColumnsError
 from repro.logs.sessionization import Session, Sessionizer
-from repro.stream import StreamEngine, default_online_detectors
+from repro.stream import StreamEngine
 from repro.stream.columnar import SessionColumns, session_columns
-from repro.stream.detectors import OnlineDetector, OnlineInHouseDetector
+from repro.stream.detectors import OnlineDetector
 from repro.stream.events import OnlineVerdict
 from repro.stream.sessionizer import IncrementalSessionizer
-from repro.stream.sources import dataset_replay
 from repro.traffic.generator import generate_dataset
 from repro.traffic.scenarios import balanced_small
 from tests.helpers import make_record, make_records, make_session
@@ -58,12 +55,18 @@ class TestFrameSessionsFromSessions:
 
 
 class TestSessionColumns:
-    def test_verdicts_match_the_batch_judgement(self, sessions):
+    def test_verdicts_match_the_batch_judgement(self, dataset, sessions):
         columns = SessionColumns(sessions)
-        inhouse, ratelimit = InHouseHeuristicDetector(), RateLimitDetector()
-        for index, session in enumerate(sessions):
-            assert columns.verdict(inhouse, index) == inhouse.judge_session(session)
-            assert columns.verdict(ratelimit, index) == ratelimit.judge_session(session)
+        for detector in (InHouseHeuristicDetector(), RateLimitDetector()):
+            batch = detector.analyze(dataset)
+            for index, session in enumerate(sessions):
+                verdict = columns.verdict(detector, index)
+                alerts = [batch.get(request_id) for request_id in session.request_ids()]
+                if verdict is None:
+                    assert alerts == [None] * len(alerts)
+                else:
+                    assert all(alert is not None for alert in alerts)
+                    assert {(alert.score, alert.reasons) for alert in alerts} == {verdict}
 
     def test_memoised_per_request_count(self):
         session = make_session(make_records(5))
@@ -112,28 +115,3 @@ def test_sessions_closed_together_share_one_frame():
     assert sorted(closed) == ["s0", "s1", "s2"]
     assert len(set(closed.values())) == 1
     engine.finish()
-
-
-def test_stream_never_calls_the_record_level_judgements(dataset, monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("record-level judgement called from the stream")
-
-    monkeypatch.setattr(heuristic.HeuristicRuleDetector, "judge_session", forbidden)
-    monkeypatch.setattr(RateLimitDetector, "judge_session", forbidden)
-    monkeypatch.setattr(record_features, "extract_features", forbidden)
-    for rule in default_rules():
-        monkeypatch.setattr(type(rule), "matches", forbidden)
-    result = StreamEngine(default_online_detectors()).run(dataset_replay(dataset))
-    assert all(len(alert_set) for alert_set in result.alert_sets)
-
-
-def test_inhouse_rejects_a_rule_without_a_frame_kernel():
-    class RecordOnlyRule(Rule):
-        name = "record-only"
-
-        def matches(self, session):
-            return None
-
-    detector = InHouseHeuristicDetector(rules=[*default_rules(), RecordOnlyRule()])
-    with pytest.raises(DetectorError, match="record-only"):
-        OnlineInHouseDetector(detector)

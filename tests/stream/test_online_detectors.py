@@ -13,7 +13,14 @@ from repro.stream.detectors import (
     OnlineRequestRateLimiter,
     default_online_detectors,
 )
-from tests.helpers import BROWSER_UA, SCRIPTED_UA, make_record, make_records, make_session
+from tests.helpers import (
+    BROWSER_UA,
+    SCRIPTED_UA,
+    make_record,
+    make_records,
+    make_session,
+    session_verdict,
+)
 
 
 def _feed(detector, records):
@@ -78,7 +85,7 @@ class TestOnlineRateLimitDetector:
         detector = OnlineRateLimitDetector(threshold_rpm=30, min_requests=5)
         session, _ = _feed(detector, make_records(30, gap_seconds=0.5, user_agent=BROWSER_UA))
         detector.on_session_close(session)
-        batch_verdict = detector.batch.judge_session(session)
+        batch_verdict = session_verdict(detector.batch, session.records)
         assert batch_verdict is not None
         assert detector.final_alert_set().request_ids() == set(session.request_ids())
 
