@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.bench.comparison import ShapeCheck
-from repro.core.confusion import ConfusionMatrix
-from repro.core.evaluation import per_actor_class_detection
+from repro.core.framestats import confusion_from_flags, per_actor_rates_from_frame
 from repro.core.reporting import render_evaluation_rows
 from repro.detectors.behavioral import BehavioralSessionDetector, BehaviouralScoreConfig
 from repro.detectors.heuristic import (
@@ -33,10 +32,9 @@ from repro.detectors.heuristic import (
 )
 
 
-def _alerted_ids(detector, bench_frame) -> set[str]:
-    """The request ids ``detector`` alerts on over the shared frame triple."""
-    frame = bench_frame[0]
-    return detector.alert_columns(*bench_frame).to_alert_set(frame.request_ids).request_ids()
+def _alert_flags(detector, bench_frame):
+    """``detector``'s per-row alert flags over the shared frame triple."""
+    return detector.alert_columns(*bench_frame).flags
 
 
 def _rule_variants():
@@ -54,15 +52,16 @@ def _rule_variants():
     return variants
 
 
-def test_ablation_inhouse_rules(benchmark, bench_dataset, bench_frame):
+def test_ablation_inhouse_rules(benchmark, bench_frame):
     """Leave-one-out ablation of the in-house rule set."""
     variants = _rule_variants()
+    frame = bench_frame[0]
 
     def run_all():
         results = {}
         for name, rules in variants.items():
             detector = HeuristicRuleDetector(rules, name="inhouse-ablation")
-            results[name] = _alerted_ids(detector, bench_frame)
+            results[name] = _alert_flags(detector, bench_frame)
         return results
 
     alerted_by_variant = benchmark.pedantic(run_all, rounds=1, iterations=1)
@@ -70,12 +69,12 @@ def test_ablation_inhouse_rules(benchmark, bench_dataset, bench_frame):
     rows = []
     per_class = {}
     for name, alerted in alerted_by_variant.items():
-        confusion = ConfusionMatrix.from_alerts(bench_dataset, alerted)
-        per_class[name] = per_actor_class_detection(bench_dataset, alerted)
+        confusion = confusion_from_flags(frame.labels, alerted)
+        per_class[name] = per_actor_rates_from_frame(frame, alerted)
         rows.append(
             {
                 "variant": name,
-                "alerts": len(alerted),
+                "alerts": confusion.predicted_positives,
                 "sensitivity": confusion.sensitivity(),
                 "specificity": confusion.specificity(),
                 "aggressive": per_class[name]["aggressive_scraper"],
@@ -100,9 +99,9 @@ def test_ablation_inhouse_rules(benchmark, bench_dataset, bench_frame):
         larger_label="full",
         smaller_label="without error-probe + 0.2",
     )
-    full_sensitivity = ConfusionMatrix.from_alerts(bench_dataset, alerted_by_variant["full"]).sensitivity()
+    full_sensitivity = confusion_from_flags(frame.labels, alerted_by_variant["full"]).sensitivity()
     for name, alerted in alerted_by_variant.items():
-        variant_sensitivity = ConfusionMatrix.from_alerts(bench_dataset, alerted).sensitivity()
+        variant_sensitivity = confusion_from_flags(frame.labels, alerted).sensitivity()
         check.add(
             f"{name}: never beats the full rule set on sensitivity",
             variant_sensitivity <= full_sensitivity + 1e-9,
@@ -140,15 +139,16 @@ def _behavioural_variants():
     }
 
 
-def test_ablation_behavioural_signals(benchmark, bench_dataset, bench_frame):
+def test_ablation_behavioural_signals(benchmark, bench_frame):
     """Signal ablation of the behavioural session model."""
     variants = _behavioural_variants()
+    frame = bench_frame[0]
 
     def run_all():
         results = {}
         for name, config in variants.items():
             detector = BehavioralSessionDetector(config, name="behavioral-ablation")
-            results[name] = _alerted_ids(detector, bench_frame)
+            results[name] = _alert_flags(detector, bench_frame)
         return results
 
     alerted_by_variant = benchmark.pedantic(run_all, rounds=1, iterations=1)
@@ -156,13 +156,13 @@ def test_ablation_behavioural_signals(benchmark, bench_dataset, bench_frame):
     rows = []
     stealth_rates = {}
     for name, alerted in alerted_by_variant.items():
-        confusion = ConfusionMatrix.from_alerts(bench_dataset, alerted)
-        rates = per_actor_class_detection(bench_dataset, alerted)
+        confusion = confusion_from_flags(frame.labels, alerted)
+        rates = per_actor_rates_from_frame(frame, alerted)
         stealth_rates[name] = rates["stealth_scraper"]
         rows.append(
             {
                 "variant": name,
-                "alerts": len(alerted),
+                "alerts": confusion.predicted_positives,
                 "sensitivity": confusion.sensitivity(),
                 "specificity": confusion.specificity(),
                 "stealth": rates["stealth_scraper"],
@@ -193,7 +193,7 @@ def test_ablation_behavioural_signals(benchmark, bench_dataset, bench_frame):
             f"{stealth_rates[name]:.4f} vs full {stealth_rates['full']:.4f}",
         )
     for name, alerted in alerted_by_variant.items():
-        confusion = ConfusionMatrix.from_alerts(bench_dataset, alerted)
+        confusion = confusion_from_flags(frame.labels, alerted)
         check.add(
             f"{name}: specificity stays high",
             confusion.specificity() > 0.9,

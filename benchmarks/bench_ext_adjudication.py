@@ -10,22 +10,19 @@ detectors -- against the ground truth.
 from __future__ import annotations
 
 from repro.bench.comparison import ShapeCheck
-from repro.core.evaluation import evaluate_ensemble, sensitivity_specificity_tradeoff
+from repro.core.framestats import evaluate_ensemble_from_frame
 from repro.core.reporting import render_evaluation_rows
 from repro.detectors.commercial import CommercialBotDefenceDetector
 from repro.detectors.inhouse import InHouseHeuristicDetector
 from repro.detectors.naive_bayes import NaiveBayesRobotDetector
-from repro.detectors.pipeline import run_detectors
+from repro.detectors.pipeline import DetectionPipeline
 from repro.detectors.ratelimit import RateLimitDetector
 from repro.detectors.reputation import IPReputationDetector
 
 
 def test_ext_adjudication_two_tools(benchmark, bench_experiment):
     result = bench_experiment
-    dataset = result.dataset
-    matrix = result.matrix
-
-    evaluations = benchmark(evaluate_ensemble, dataset, matrix)
+    evaluations = benchmark(evaluate_ensemble_from_frame, result.frame, result.matrix)
 
     print()
     print(render_evaluation_rows([e.as_dict() for e in evaluations], title="Adjudication schemes over the two tools"))
@@ -61,7 +58,7 @@ def test_ext_adjudication_two_tools(benchmark, bench_experiment):
     assert check.passed, check.report()
 
 
-def test_ext_adjudication_five_detector_ensemble(benchmark, bench_dataset):
+def test_ext_adjudication_five_detector_ensemble(benchmark, bench_frame):
     """k-out-of-5 trade-off curve over a more diverse detector ensemble."""
     detectors = [
         CommercialBotDefenceDetector(),
@@ -70,9 +67,22 @@ def test_ext_adjudication_five_detector_ensemble(benchmark, bench_dataset):
         IPReputationDetector(),
         NaiveBayesRobotDetector(),
     ]
-    pipeline_result = run_detectors(bench_dataset, detectors)
+    frame = bench_frame[0]
+    matrix = DetectionPipeline(detectors).run_frame(frame).matrix
 
-    points = benchmark(sensitivity_specificity_tradeoff, bench_dataset, pipeline_result.matrix)
+    def tradeoff():
+        return [
+            {
+                "scheme": evaluation.name,
+                "sensitivity": evaluation.sensitivity,
+                "specificity": evaluation.specificity,
+                "precision": evaluation.precision,
+                "f1": evaluation.f1,
+            }
+            for evaluation in evaluate_ensemble_from_frame(frame, matrix)
+        ]
+
+    points = benchmark(tradeoff)
 
     print()
     print(render_evaluation_rows(points, title="k-out-of-5 sensitivity/specificity trade-off"))

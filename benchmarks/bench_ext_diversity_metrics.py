@@ -13,7 +13,8 @@ from __future__ import annotations
 from repro.bench.comparison import ShapeCheck
 from repro.bench.expected import PAPER_TABLE2
 from repro.core.diversity import DiversityBreakdown
-from repro.core.metrics import cohens_kappa, disagreement_measure, pairwise_diversity, yules_q
+from repro.core.framestats import pairwise_diversity_from_frame
+from repro.core.metrics import cohens_kappa, disagreement_measure, yules_q
 from repro.core.reporting import render_evaluation_rows
 
 
@@ -30,10 +31,9 @@ def _paper_breakdown() -> DiversityBreakdown:
 
 def test_ext_diversity_metrics(benchmark, bench_experiment):
     result = bench_experiment
-    dataset = result.dataset
-    matrix = result.matrix
-
-    metrics = benchmark(pairwise_diversity, matrix, "commercial", "inhouse", dataset=dataset)
+    metrics = benchmark(
+        pairwise_diversity_from_frame, result.frame, result.matrix, "commercial", "inhouse"
+    )
 
     paper = _paper_breakdown()
     rows = [

@@ -9,22 +9,22 @@ per-actor-class detection rates that explain *why* the tools differ.
 from __future__ import annotations
 
 from repro.bench.comparison import ShapeCheck
-from repro.core.evaluation import evaluate_matrix, per_actor_class_detection
+from repro.core.framestats import evaluate_matrix_from_frame, per_actor_rates_from_frame
 from repro.core.reporting import render_evaluation_rows
 
 
 def test_ext_labelled_evaluation(benchmark, bench_experiment):
     result = bench_experiment
-    dataset = result.dataset
+    frame = result.frame
     matrix = result.matrix
 
-    evaluations = benchmark(evaluate_matrix, dataset, matrix)
+    evaluations = benchmark(evaluate_matrix_from_frame, frame, matrix)
 
     print()
     print(render_evaluation_rows([e.as_dict() for e in evaluations], title="Per-tool labelled evaluation (extension)"))
 
-    commercial_rates = per_actor_class_detection(dataset, matrix.alerted_by("commercial"))
-    inhouse_rates = per_actor_class_detection(dataset, matrix.alerted_by("inhouse"))
+    commercial_rates = per_actor_rates_from_frame(frame, matrix.column("commercial"))
+    inhouse_rates = per_actor_rates_from_frame(frame, matrix.column("inhouse"))
     rows = [
         {"actor_class": actor, "commercial": commercial_rates[actor], "inhouse": inhouse_rates[actor]}
         for actor in sorted(commercial_rates)

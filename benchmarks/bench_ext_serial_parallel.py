@@ -16,10 +16,11 @@ from repro.detectors.commercial import CommercialBotDefenceDetector
 from repro.detectors.inhouse import InHouseHeuristicDetector
 
 
-def test_ext_serial_vs_parallel_configurations(benchmark, bench_dataset):
+def test_ext_serial_vs_parallel_configurations(benchmark, bench_experiment):
     def compute():
         return compare_configurations(
-            bench_dataset,
+            bench_experiment.frame,
+            bench_experiment.matrix,
             CommercialBotDefenceDetector(),
             InHouseHeuristicDetector(),
         )

@@ -10,19 +10,19 @@ from __future__ import annotations
 
 from repro.bench.comparison import ShapeCheck
 from repro.bench.expected import PAPER_TABLE3, paper_status_fractions
-from repro.core.breakdown import status_breakdown
+from repro.core.framestats import status_breakdown_from_frame
 from repro.core.reporting import render_side_by_side, render_status_breakdown
 from repro.logs.statuses import describe_status
 
 
 def test_table3_status_breakdown_overall(benchmark, bench_experiment):
     result = bench_experiment
-    dataset = result.dataset
+    frame = result.frame
     matrix = result.matrix
 
     def compute():
         return {
-            name: status_breakdown(dataset, matrix, name, labelled=False)
+            name: status_breakdown_from_frame(frame, matrix.column(name), name, labelled=False)
             for name in ("commercial", "inhouse")
         }
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.bench.comparison import ShapeCheck
 from repro.bench.expected import PAPER_TABLE4, paper_status_fractions
-from repro.core.breakdown import exclusive_status_breakdown
+from repro.core.framestats import status_breakdown_from_frame
 from repro.core.reporting import render_side_by_side, render_status_breakdown
 from repro.logs.statuses import describe_status
 
@@ -21,12 +21,19 @@ PROBE_STATUSES = (204, 400, 304)
 
 def test_table4_status_breakdown_exclusive(benchmark, bench_experiment):
     result = bench_experiment
-    dataset = result.dataset
+    frame = result.frame
     matrix = result.matrix
 
     def compute():
+        single_vote = matrix.votes_per_request() == 1
         return {
-            name: exclusive_status_breakdown(dataset, matrix, name, labelled=False)
+            name: status_breakdown_from_frame(
+                frame,
+                matrix.column(name) & single_vote,
+                name,
+                dimension="http_status_exclusive",
+                labelled=False,
+            )
             for name in ("commercial", "inhouse")
         }
 

@@ -14,14 +14,22 @@ Run with::
 
 from __future__ import annotations
 
-from repro.core.adjudication import WeightedVoteScheme, adjudicate
-from repro.core.evaluation import evaluate_alert_set, sensitivity_specificity_tradeoff
-from repro.core.metrics import all_pairwise_diversity
+from itertools import combinations
+
+from repro.columns import RecordFrame
+from repro.core.adjudication import WeightedVoteScheme
+from repro.core.evaluation import DetectorEvaluation
+from repro.core.framestats import (
+    confusion_from_flags,
+    evaluate_ensemble_from_frame,
+    evaluate_matrix_from_frame,
+    pairwise_diversity_from_frame,
+)
 from repro.core.reporting import render_evaluation_rows
 from repro.detectors.commercial import CommercialBotDefenceDetector
 from repro.detectors.inhouse import InHouseHeuristicDetector
 from repro.detectors.naive_bayes import NaiveBayesRobotDetector
-from repro.detectors.pipeline import run_detectors
+from repro.detectors.pipeline import DetectionPipeline
 from repro.detectors.ratelimit import RateLimitDetector
 from repro.detectors.reputation import IPReputationDetector
 from repro.traffic.generator import generate_dataset
@@ -33,26 +41,25 @@ def main() -> int:
     # (the calibrated bot-dominated scenario has very little benign traffic).
     dataset = generate_dataset(balanced_small(total_requests=12_000, seed=41))
     print(f"Scenario: {len(dataset):,} requests, {dataset.malicious_fraction():.1%} malicious.\n")
+    frame = RecordFrame.from_dataset(dataset)
 
     # ------------------------------------------------------------------
     # The paper's two tools.
     # ------------------------------------------------------------------
-    two_tools = run_detectors(dataset, [CommercialBotDefenceDetector(), InHouseHeuristicDetector()])
-    rows = []
-    for name in two_tools.matrix.detector_names:
-        evaluation = evaluate_alert_set(dataset, two_tools.matrix.alerted_by(name), name=name)
-        rows.append(evaluation.as_dict())
-    for k, label in ((1, "1-out-of-2 (either tool)"), (2, "2-out-of-2 (both tools)")):
-        result = adjudicate(two_tools.matrix, k)
-        rows.append(evaluate_alert_set(dataset, result.alerted_ids, name=label).as_dict())
+    two_tools = DetectionPipeline(
+        [CommercialBotDefenceDetector(), InHouseHeuristicDetector()]
+    ).run_frame(frame)
+    rows = [evaluation.as_dict() for evaluation in evaluate_matrix_from_frame(frame, two_tools.matrix)]
+    labels = ("1-out-of-2 (either tool)", "2-out-of-2 (both tools)")
+    for label, scheme in zip(labels, evaluate_ensemble_from_frame(frame, two_tools.matrix)):
+        rows.append(DetectorEvaluation(name=label, confusion=scheme.confusion).as_dict())
     print(render_evaluation_rows(rows, title="Two tools and their adjudications"))
     print()
 
     # ------------------------------------------------------------------
     # A five-member diverse ensemble.
     # ------------------------------------------------------------------
-    ensemble = run_detectors(
-        dataset,
+    ensemble = DetectionPipeline(
         [
             CommercialBotDefenceDetector(),
             InHouseHeuristicDetector(),
@@ -60,8 +67,17 @@ def main() -> int:
             IPReputationDetector(),
             NaiveBayesRobotDetector(),
         ],
-    )
-    points = sensitivity_specificity_tradeoff(dataset, ensemble.matrix)
+    ).run_frame(frame)
+    points = [
+        {
+            "scheme": evaluation.name,
+            "sensitivity": evaluation.sensitivity,
+            "specificity": evaluation.specificity,
+            "precision": evaluation.precision,
+            "f1": evaluation.f1,
+        }
+        for evaluation in evaluate_ensemble_from_frame(frame, ensemble.matrix)
+    ]
     print(render_evaluation_rows(points, title="k-out-of-5 trade-off curve"))
     print()
 
@@ -70,8 +86,8 @@ def main() -> int:
         threshold=0.4,
         name="weighted(0.4)",
     )
-    weighted_result = weighted.apply(ensemble.matrix)
-    weighted_row = evaluate_alert_set(dataset, weighted_result.alerted_ids, name=weighted.name).as_dict()
+    weighted_confusion = confusion_from_flags(frame.labels, weighted.decide(ensemble.matrix))
+    weighted_row = DetectorEvaluation(name=weighted.name, confusion=weighted_confusion).as_dict()
     print(render_evaluation_rows([weighted_row], title="Weighted voting (composite tools weighted double)"))
     print()
 
@@ -79,7 +95,8 @@ def main() -> int:
     # How diverse are the ensemble members?
     # ------------------------------------------------------------------
     pair_rows = []
-    for pair in all_pairwise_diversity(ensemble.matrix, dataset=dataset):
+    for first, second in combinations(ensemble.matrix.detector_names, 2):
+        pair = pairwise_diversity_from_frame(frame, ensemble.matrix, first, second)
         pair_rows.append(
             {
                 "pair": f"{pair.first_detector} / {pair.second_detector}",

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.core.breakdown import breakdown_by, day_breakdown
+from repro.columns import RecordFrame
+from repro.core.framestats import status_breakdown_from_frame
 from repro.core.reporting import render_evaluation_rows, render_status_breakdown
 from repro.detectors.commercial import CommercialBotDefenceDetector
 from repro.detectors.inhouse import InHouseHeuristicDetector
 from repro.detectors.pipeline import run_detectors
-from repro.logs.statuses import describe_status
 from repro.traffic.generator import generate_dataset
 from repro.traffic.scenarios import amadeus_march_2018
 
@@ -30,6 +30,8 @@ def main() -> int:
     dataset = generate_dataset(amadeus_march_2018(scale=0.01, seed=7))
     result = run_detectors(dataset, [CommercialBotDefenceDetector(), InHouseHeuristicDetector()])
     matrix = result.matrix
+    frame = RecordFrame.from_dataset(dataset)
+    single_vote = matrix.votes_per_request() == 1
     truth = dataset.ground_truth
 
     for tool, other in (("commercial", "inhouse"), ("inhouse", "commercial")):
@@ -46,12 +48,8 @@ def main() -> int:
         print()
 
         # 2. The paper's Table 4 dimension: HTTP status.
-        status_table = breakdown_by(
-            dataset,
-            exclusive,
-            lambda record: describe_status(record.status),
-            detector=tool,
-            dimension="http_status",
+        status_table = status_breakdown_from_frame(
+            frame, matrix.column(tool) & single_vote, tool
         )
         print(render_status_breakdown(status_table, title=f"{tool}-only alerts by HTTP status"))
         print()
@@ -70,8 +68,9 @@ def main() -> int:
         print()
 
         # 4. Stability over the eight days.
-        per_day = day_breakdown(dataset, matrix, tool)
-        rows = [{"day": day, "alerts": count} for day, count in sorted(per_day.counts.items())]
+        alerted = matrix.alerted_by(tool)
+        per_day = Counter(record.day for record in dataset if record.request_id in alerted)
+        rows = [{"day": day, "alerts": count} for day, count in sorted(per_day.items())]
         print(render_evaluation_rows(rows, title=f"All {tool} alerts per day"))
         print("\n")
 

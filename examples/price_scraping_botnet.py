@@ -20,13 +20,14 @@ import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
-from repro.core.evaluation import per_actor_class_detection
+from repro.columns import RecordFrame
+from repro.core.framestats import per_actor_rates_from_frame
 from repro.core.reporting import render_evaluation_rows
 from repro.detectors.behavioral import BehavioralSessionDetector
 from repro.detectors.commercial import CommercialBotDefenceDetector
 from repro.detectors.fingerprint import UserAgentFingerprintDetector
 from repro.detectors.inhouse import InHouseHeuristicDetector
-from repro.detectors.pipeline import run_detectors
+from repro.detectors.pipeline import DetectionPipeline
 from repro.detectors.ratelimit import RateLimitDetector
 from repro.detectors.reputation import IPReputationDetector
 from repro.logs.parser import LogParser
@@ -103,7 +104,8 @@ def main() -> int:
         IPReputationDetector(),
         UserAgentFingerprintDetector(),
     ]
-    result = run_detectors(dataset, detectors)
+    frame = RecordFrame.from_dataset(dataset)
+    result = DetectionPipeline(detectors).run_frame(frame)
 
     print("Alerted requests per detector:")
     for name, count in result.matrix.alert_counts().items():
@@ -112,7 +114,7 @@ def main() -> int:
 
     rows = []
     for name in result.matrix.detector_names:
-        rates = per_actor_class_detection(dataset, result.matrix.alerted_by(name))
+        rates = per_actor_rates_from_frame(frame, result.matrix.column(name))
         rows.append({"detector": name, **{k: v for k, v in rates.items()}})
     print(render_evaluation_rows(rows, title="Detection rate per actor class and detector"))
     print()

@@ -14,9 +14,8 @@ Run with::
 from __future__ import annotations
 
 from repro.core.configurations import compare_configurations
+from repro.core.experiment import PaperExperiment
 from repro.core.reporting import render_evaluation_rows
-from repro.detectors.commercial import CommercialBotDefenceDetector
-from repro.detectors.inhouse import InHouseHeuristicDetector
 from repro.traffic.generator import generate_dataset
 from repro.traffic.scenarios import amadeus_march_2018
 
@@ -26,10 +25,15 @@ def main() -> int:
     print(f"Scenario: {len(dataset):,} requests over 8 days, "
           f"{dataset.malicious_fraction():.1%} malicious (calibrated mix).\n")
 
+    # Both tools run once over all the traffic (the parallel deployment);
+    # the serial deployments re-judge only the rows the first tool forwards.
+    experiment = PaperExperiment()
+    result = experiment.run_on(dataset)
     comparison = compare_configurations(
-        dataset,
-        CommercialBotDefenceDetector(),
-        InHouseHeuristicDetector(),
+        result.frame,
+        result.matrix,
+        experiment.first_detector,
+        experiment.second_detector,
     )
 
     rows = []

@@ -7,15 +7,18 @@ two (or more) scraping detectors observing the same HTTP traffic:
   request x detector alert matrix.
 * :mod:`repro.core.diversity` -- the both/neither/only-one breakdown of
   Table 2, generalised to N detectors.
-* :mod:`repro.core.breakdown` -- per-dimension (HTTP status, day, method)
-  breakdowns of alerted requests (Tables 3 and 4).
+* :mod:`repro.core.framestats` -- the frame-native kernels: the HTTP
+  status breakdowns of Tables 3 and 4, the double-fault measure, the
+  labelled confusion matrices and the per-actor detection rates, each
+  computed once over a :class:`~repro.columns.RecordFrame`.
+* :mod:`repro.core.breakdown` -- the breakdown table of Tables 3 and 4.
 * :mod:`repro.core.metrics` -- pairwise diversity measures (Cohen's kappa,
-  Yule's Q, disagreement, double-fault, entropy).
+  Yule's Q, disagreement, entropy) and their aggregate.
 * :mod:`repro.core.adjudication` -- 1-out-of-N / k-out-of-N / weighted
   adjudication schemes over detector ensembles.
 * :mod:`repro.core.confusion` -- confusion matrices and derived rates.
-* :mod:`repro.core.evaluation` -- labelled evaluation of detectors and
-  adjudicated ensembles.
+* :mod:`repro.core.evaluation` -- the labelled evaluation record of a
+  detector or adjudicated ensemble.
 * :mod:`repro.core.configurations` -- parallel vs. serial deployment
   configurations with their detection/cost trade-offs.
 * :mod:`repro.core.reporting` -- plain-text rendering of the paper's
@@ -33,47 +36,32 @@ from repro.core.adjudication import (
     adjudicate,
 )
 from repro.core.alerts import Alert, AlertMatrix, AlertSet
-from repro.core.breakdown import (
-    BreakdownTable,
-    exclusive_status_breakdown,
-    status_breakdown,
-    breakdown_by,
-)
-from repro.core.configurations import (
-    ConfigurationComparison,
-    ParallelConfiguration,
-    SerialConfiguration,
-    compare_configurations,
-)
+from repro.core.breakdown import BreakdownTable
+from repro.core.configurations import ConfigurationComparison, compare_configurations
 from repro.core.confusion import ConfusionMatrix
 from repro.core.diversity import DiversityBreakdown, diversity_breakdown, multi_detector_breakdown
-from repro.core.evaluation import DetectorEvaluation, evaluate_alert_set, evaluate_ensemble
+from repro.core.evaluation import DetectorEvaluation
 from repro.core.experiment import ExperimentResult, PaperExperiment
+from repro.core.framestats import (
+    confusion_from_flags,
+    evaluate_ensemble_from_frame,
+    evaluate_matrix_from_frame,
+    pairwise_diversity_from_frame,
+    per_actor_rates_from_frame,
+    status_breakdown_from_frame,
+    status_tables_from_frame,
+)
 from repro.core.metrics import (
     PairwiseDiversity,
     cohens_kappa,
     correlation_coefficient,
     disagreement_measure,
-    double_fault_measure,
     entropy_measure,
-    pairwise_diversity,
     yules_q,
 )
 from repro.core.reporting import render_table
-from repro.core.selection import greedy_selection, marginal_coverage, redundancy_matrix
-from repro.core.thresholds import OperatingPoint, SweepResult, sweep_detector
-from repro.core.timeline import agreement_timeline, alert_timeline, detect_alert_bursts
 
 __all__ = [
-    "OperatingPoint",
-    "SweepResult",
-    "agreement_timeline",
-    "alert_timeline",
-    "detect_alert_bursts",
-    "greedy_selection",
-    "marginal_coverage",
-    "redundancy_matrix",
-    "sweep_detector",
     "AdjudicationResult",
     "Alert",
     "AlertMatrix",
@@ -88,25 +76,23 @@ __all__ = [
     "MajorityScheme",
     "PairwiseDiversity",
     "PaperExperiment",
-    "ParallelConfiguration",
-    "SerialConfiguration",
     "UnanimousScheme",
     "WeightedVoteScheme",
     "adjudicate",
-    "breakdown_by",
     "cohens_kappa",
     "compare_configurations",
+    "confusion_from_flags",
     "correlation_coefficient",
     "disagreement_measure",
     "diversity_breakdown",
-    "double_fault_measure",
     "entropy_measure",
-    "evaluate_alert_set",
-    "evaluate_ensemble",
-    "exclusive_status_breakdown",
+    "evaluate_ensemble_from_frame",
+    "evaluate_matrix_from_frame",
     "multi_detector_breakdown",
-    "pairwise_diversity",
+    "pairwise_diversity_from_frame",
+    "per_actor_rates_from_frame",
     "render_table",
-    "status_breakdown",
+    "status_breakdown_from_frame",
+    "status_tables_from_frame",
     "yules_q",
 ]

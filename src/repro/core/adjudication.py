@@ -16,19 +16,18 @@ detectors:
 
 Every scheme turns an :class:`~repro.core.alerts.AlertMatrix` into an
 :class:`AdjudicationResult`, which behaves like a synthetic detector's
-alert set and can therefore be evaluated with the same machinery as the
-individual tools.
+alert set (``request_id in result``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 import numpy as np
 import numpy.typing as npt
 
-from repro.core.alerts import AlertMatrix, AlertSet
+from repro.core.alerts import AlertMatrix
 from repro.exceptions import AdjudicationError
 from repro.registry import Registry
 
@@ -55,13 +54,6 @@ class AdjudicationResult:
 
     def __contains__(self, request_id: str) -> bool:
         return request_id in self.alerted_ids
-
-    def to_alert_set(self) -> AlertSet:
-        """The adjudicated verdicts as a plain alert set (detector name = scheme name)."""
-        alert_set = AlertSet(self.scheme_name)
-        for request_id in self.alerted_ids:
-            alert_set.add(request_id, reasons=(f"adjudicated by {self.scheme_name}",))
-        return alert_set
 
 
 class AdjudicationScheme:
@@ -178,20 +170,6 @@ def adjudicate(matrix: AlertMatrix, scheme: AdjudicationScheme | int) -> Adjudic
     if isinstance(scheme, int):
         scheme = KOutOfNScheme(scheme)
     return scheme.apply(matrix)
-
-
-def all_k_out_of_n(matrix: AlertMatrix) -> list[AdjudicationResult]:
-    """Every k-out-of-N adjudication from ``k=1`` to ``k=N``."""
-    return [adjudicate(matrix, k) for k in range(1, matrix.n_detectors + 1)]
-
-
-def scheme_comparison(matrix: AlertMatrix, schemes: Sequence[AdjudicationScheme]) -> dict[str, AdjudicationResult]:
-    """Apply several schemes and return their results keyed by scheme name."""
-    results: dict[str, AdjudicationResult] = {}
-    for scheme in schemes:
-        result = scheme.apply(matrix)
-        results[result.scheme_name] = result
-    return results
 
 
 # ----------------------------------------------------------------------

@@ -2,23 +2,15 @@
 
 Table 3 of the paper breaks the alerted requests of each tool down by
 HTTP status code; Table 4 repeats the breakdown for the requests alerted
-by *only one* of the tools.  The same machinery generalises to any
-dimension of the request (day, method, path prefix, ...), which the
-drill-down analyses in the examples use.
+by *only one* of the tools.  :class:`BreakdownTable` holds one such
+breakdown; :func:`repro.core.framestats.status_breakdown_from_frame`
+computes it from a frame's status column.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
-
-from repro.core.alerts import AlertMatrix
-from repro.logs.dataset import Dataset
-from repro.logs.record import LogRecord
-from repro.logs.statuses import describe_status
-
-DimensionKey = Callable[[LogRecord], object]
+from typing import Mapping
 
 
 @dataclass(frozen=True)
@@ -51,83 +43,3 @@ class BreakdownTable:
     def as_dict(self) -> dict[str, int]:
         """A JSON-friendly representation (keys stringified)."""
         return {str(key): count for key, count in self.sorted_rows()}
-
-
-def breakdown_by(
-    dataset: Dataset,
-    request_ids: Iterable[str],
-    key: DimensionKey,
-    *,
-    detector: str = "",
-    dimension: str = "custom",
-) -> BreakdownTable:
-    """Count the requests in ``request_ids`` along an arbitrary dimension."""
-    counter: Counter[object] = Counter()
-    for request_id in request_ids:
-        record = dataset.get(request_id)
-        counter[key(record)] += 1
-    return BreakdownTable(detector=detector, dimension=dimension, counts=dict(counter))
-
-
-def status_breakdown(dataset: Dataset, matrix: AlertMatrix, detector: str, *, labelled: bool = True) -> BreakdownTable:
-    """Table 3: alerted requests of one detector broken down by HTTP status.
-
-    With ``labelled=True`` (default) the keys are the paper's
-    ``"200 (OK)"``-style labels; otherwise they are the bare integers.
-    """
-    key: DimensionKey
-    if labelled:
-        key = lambda record: describe_status(record.status)  # noqa: E731 - tiny adapter
-    else:
-        key = lambda record: record.status  # noqa: E731
-    return breakdown_by(
-        dataset,
-        matrix.alerted_by(detector),
-        key,
-        detector=detector,
-        dimension="http_status",
-    )
-
-
-def exclusive_status_breakdown(
-    dataset: Dataset,
-    matrix: AlertMatrix,
-    detector: str,
-    *,
-    labelled: bool = True,
-) -> BreakdownTable:
-    """Table 4: status breakdown restricted to requests alerted *only* by ``detector``."""
-    key: DimensionKey
-    if labelled:
-        key = lambda record: describe_status(record.status)  # noqa: E731
-    else:
-        key = lambda record: record.status  # noqa: E731
-    return breakdown_by(
-        dataset,
-        matrix.alerted_by_exactly(detector),
-        key,
-        detector=detector,
-        dimension="http_status_exclusive",
-    )
-
-
-def day_breakdown(dataset: Dataset, matrix: AlertMatrix, detector: str) -> BreakdownTable:
-    """Alerted requests of one detector broken down by calendar day."""
-    return breakdown_by(
-        dataset,
-        matrix.alerted_by(detector),
-        lambda record: record.day,
-        detector=detector,
-        dimension="day",
-    )
-
-
-def method_breakdown(dataset: Dataset, matrix: AlertMatrix, detector: str) -> BreakdownTable:
-    """Alerted requests of one detector broken down by HTTP method."""
-    return breakdown_by(
-        dataset,
-        matrix.alerted_by(detector),
-        lambda record: record.method.value,
-        detector=detector,
-        dimension="method",
-    )

@@ -4,165 +4,75 @@ Section V of the paper proposes analysing "the trade-offs between false
 positives and false negatives when deploying the tools in parallel (both
 tools monitor all the traffic) versus serial configurations (one tool
 monitors and filters the traffic that need to be also analyzed by the
-second tool)".  This module models both:
+second tool)".  :func:`compare_configurations` models both for a pair of
+tools:
 
-* :class:`ParallelConfiguration` -- every detector analyses all traffic
-  and an adjudication scheme combines their verdicts.  Detection is
-  maximised (under 1-out-of-N) or false positives are minimised (under
-  N-out-of-N), at the cost of every tool processing every request.
-* :class:`SerialConfiguration` -- the first detector analyses everything
-  and *filters* the traffic handed to the second detector, which is
-  re-run on that reduced data set.  Two filtering modes exist:
+* **parallel** -- both tools analyse all traffic and a k-out-of-2 vote
+  combines their verdicts: 1-out-of-2 maximises detection, 2-out-of-2
+  minimises false positives, and every tool processes every request.
+* **serial** -- the first tool analyses everything and *filters* the
+  traffic handed to the second tool, which judges only that subset:
 
-  - ``"confirm"``: the second tool only sees traffic the first tool
+  - ``confirm``: the second tool only sees traffic the first tool
     alerted on, and the final alarm requires its confirmation (a serial
-    realisation of 2-out-of-2; drastically fewer requests reach tool 2
-    when the first tool is precise).
-  - ``"escalate"``: the second tool only sees traffic the first tool let
+    realisation of 2-out-of-2; far fewer requests reach tool 2 when the
+    first tool is precise).
+  - ``escalate``: the second tool only sees traffic the first tool let
     through, and the final alarm is the union of both tools' alerts (a
     serial realisation of 1-out-of-2; tool 2's workload shrinks when the
     first tool already alerts on most scraping traffic).
 
-Each configuration reports the final alerted set *and* the workload (how
-many requests each tool had to analyse), so the cost/benefit trade-off
-the paper describes can be quantified.
+Each outcome reports the final alarm as a flag column *and* the workload
+(how many requests each tool had to analyse), so the cost/benefit
+trade-off the paper describes can be quantified.  Everything is computed
+from the columns an experiment already holds: the parallel outcomes are
+boolean algebra over the two tools' alert columns, and a serial outcome
+re-judges only the forwarded rows of the frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.core.adjudication import KOutOfNScheme
-from repro.core.alerts import AlertMatrix, AlertSet
+import numpy as np
+import numpy.typing as npt
+
+from repro.core.alerts import AlertMatrix
 from repro.core.confusion import ConfusionMatrix
-from repro.detectors.base import Detector
+from repro.core.framestats import confusion_from_flags
 from repro.exceptions import ConfigurationError
-from repro.logs.dataset import Dataset
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.columns import RecordFrame
+    from repro.detectors.base import Detector
 
 
 @dataclass
 class ConfigurationOutcome:
-    """The result of running one deployment configuration."""
+    """The result of one deployment configuration over a frame."""
 
     name: str
-    alerted_ids: frozenset[str]
+    #: The configuration's final alarm, one flag per frame row.
+    flags: npt.NDArray[np.bool_]
+    #: Requests each tool had to analyse, keyed by tool name.
     workload: dict[str, int]
-    total_requests: int
     confusion: ConfusionMatrix | None = None
-    details: dict[str, object] = field(default_factory=dict)
 
     @property
     def alert_count(self) -> int:
         """Number of requests the configuration alerts on."""
-        return len(self.alerted_ids)
+        return int(np.count_nonzero(self.flags))
 
     @property
     def total_workload(self) -> int:
         """Total requests analysed across all tools (the cost proxy)."""
         return sum(self.workload.values())
 
-    def workload_fraction(self) -> float:
-        """Workload relative to the parallel deployment of the same tools."""
-        if self.total_requests == 0:
-            return 0.0
-        return self.total_workload / (self.total_requests * max(1, len(self.workload)))
-
-    def __contains__(self, request_id: str) -> bool:
-        return request_id in self.alerted_ids
-
-
-class ParallelConfiguration:
-    """All detectors see all traffic; an adjudication scheme combines them."""
-
-    def __init__(
-        self, detectors: Sequence[Detector], *, k: int = 1, name: str | None = None
-    ) -> None:
-        if not detectors:
-            raise ConfigurationError("a parallel configuration needs at least one detector")
-        if not 1 <= k <= len(detectors):
-            raise ConfigurationError(f"k must be between 1 and {len(detectors)}")
-        self.detectors = list(detectors)
-        self.k = k
-        self.name = name or f"parallel-{k}oo{len(detectors)}"
-
-    def run(self, dataset: Dataset) -> ConfigurationOutcome:
-        """Run every detector on the full data set and adjudicate."""
-        alert_sets = [detector.analyze(dataset) for detector in self.detectors]
-        matrix = AlertMatrix.from_alert_sets(dataset, alert_sets)
-        result = KOutOfNScheme(self.k).apply(matrix)
-        workload = {detector.name: len(dataset) for detector in self.detectors}
-        confusion = None
-        if dataset.is_labelled:
-            confusion = ConfusionMatrix.from_alerts(dataset, result.alerted_ids)
-        return ConfigurationOutcome(
-            name=self.name,
-            alerted_ids=result.alerted_ids,
-            workload=workload,
-            total_requests=len(dataset),
-            confusion=confusion,
-            details={"per_detector_alerts": matrix.alert_counts()},
-        )
-
-
-class SerialConfiguration:
-    """The first detector filters the traffic analysed by the second."""
-
-    VALID_MODES = ("confirm", "escalate")
-
-    def __init__(
-        self, first: Detector, second: Detector, *, mode: str = "confirm", name: str | None = None
-    ) -> None:
-        if mode not in self.VALID_MODES:
-            raise ConfigurationError(f"unknown serial mode {mode!r}; expected one of {self.VALID_MODES}")
-        self.first = first
-        self.second = second
-        self.mode = mode
-        self.name = name or f"serial-{mode}({first.name}->{second.name})"
-
-    def run(self, dataset: Dataset) -> ConfigurationOutcome:
-        """Run the first tool on everything, the second on the filtered subset."""
-        first_alerts = self.first.analyze(dataset)
-        first_ids = first_alerts.request_ids()
-
-        if self.mode == "confirm":
-            forwarded = dataset.filter(lambda record: record.request_id in first_ids, name="forwarded")
-        else:
-            forwarded = dataset.filter(lambda record: record.request_id not in first_ids, name="forwarded")
-
-        if len(forwarded) > 0:
-            second_alerts = self.second.analyze(forwarded)
-        else:
-            second_alerts = AlertSet(self.second.name)
-        second_ids = second_alerts.request_ids()
-
-        if self.mode == "confirm":
-            final = frozenset(first_ids & second_ids)
-        else:
-            final = frozenset(first_ids | second_ids)
-
-        workload = {self.first.name: len(dataset), self.second.name: len(forwarded)}
-        confusion = None
-        if dataset.is_labelled:
-            confusion = ConfusionMatrix.from_alerts(dataset, final)
-        return ConfigurationOutcome(
-            name=self.name,
-            alerted_ids=final,
-            workload=workload,
-            total_requests=len(dataset),
-            confusion=confusion,
-            details={
-                "mode": self.mode,
-                "first_alerts": len(first_ids),
-                "forwarded_requests": len(forwarded),
-                "second_alerts": len(second_ids),
-            },
-        )
-
 
 @dataclass
 class ConfigurationComparison:
-    """Outcomes of several configurations over the same data set."""
+    """Outcomes of several configurations over the same frame."""
 
     outcomes: list[ConfigurationOutcome]
 
@@ -177,39 +87,52 @@ class ConfigurationComparison:
         """The configuration names in run order."""
         return [outcome.name for outcome in self.outcomes]
 
-    def best_by(self, metric: str) -> ConfigurationOutcome:
-        """The outcome maximising a confusion-matrix metric (e.g. ``"f1"``)."""
-        labelled = [
-            (outcome, confusion)
-            for outcome in self.outcomes
-            if (confusion := outcome.confusion) is not None
-        ]
-        if not labelled:
-            raise ConfigurationError("no labelled outcomes to compare")
-        best, _ = max(labelled, key=lambda pair: pair[1].as_dict()[metric])
-        return best
-
 
 def compare_configurations(
-    dataset: Dataset,
-    first: Detector,
-    second: Detector,
-    *,
-    include_reversed: bool = True,
+    frame: "RecordFrame", matrix: AlertMatrix, first: "Detector", second: "Detector"
 ) -> ConfigurationComparison:
-    """Run the standard set of two-tool configurations on one data set.
+    """The standard two-tool configurations over an analysed frame.
 
-    The comparison covers the parallel 1-out-of-2 and 2-out-of-2
-    deployments and the serial confirm/escalate deployments in both tool
-    orders (unless ``include_reversed`` is false).
+    ``matrix`` holds both tools' alert columns over ``frame`` (the
+    experiment's matrix).  The comparison covers the parallel 1-out-of-2
+    and 2-out-of-2 deployments and the serial confirm/escalate
+    deployments in both tool orders.  A serial deployment's second tool
+    judges ``frame.take(forwarded_rows)``; it does not run when nothing
+    is forwarded.
     """
+    total = len(frame)
+    labels = frame.labels
+
+    def outcome(
+        name: str, flags: npt.NDArray[np.bool_], workload: dict[str, int]
+    ) -> ConfigurationOutcome:
+        confusion = None if labels is None else confusion_from_flags(labels, flags)
+        return ConfigurationOutcome(name, flags, workload, confusion)
+
+    first_flags = matrix.column(first.name)
+    second_flags = matrix.column(second.name)
     outcomes = [
-        ParallelConfiguration([first, second], k=1).run(dataset),
-        ParallelConfiguration([first, second], k=2).run(dataset),
-        SerialConfiguration(first, second, mode="confirm").run(dataset),
-        SerialConfiguration(first, second, mode="escalate").run(dataset),
+        outcome(name, flags, {first.name: total, second.name: total})
+        for name, flags in (
+            ("parallel-1oo2", first_flags | second_flags),
+            ("parallel-2oo2", first_flags & second_flags),
+        )
     ]
-    if include_reversed:
-        outcomes.append(SerialConfiguration(second, first, mode="confirm").run(dataset))
-        outcomes.append(SerialConfiguration(second, first, mode="escalate").run(dataset))
+    for filtering, judging, filtered in (
+        (first, second, first_flags),
+        (second, first, second_flags),
+    ):
+        for mode, forwarded in (("confirm", filtered), ("escalate", ~filtered)):
+            rows = np.flatnonzero(forwarded)
+            judged = np.zeros(total, dtype=bool)
+            if len(rows):
+                judged[rows] = judging.judge_frame(frame.take(rows)).flags
+            final = filtered & judged if mode == "confirm" else filtered | judged
+            outcomes.append(
+                outcome(
+                    f"serial-{mode}({filtering.name}->{judging.name})",
+                    final,
+                    {filtering.name: total, judging.name: len(rows)},
+                )
+            )
     return ConfigurationComparison(outcomes)

@@ -5,15 +5,15 @@ adjudicated combination of tools) can be described "in terms of the usual
 measures for binary classifiers (e.g. Sensitivity and Specificity)".
 :class:`ConfusionMatrix` holds the four counts and derives the usual
 rates; it is the common currency of the labelled extension experiments.
+:func:`repro.core.framestats.confusion_from_flags` builds one from a
+label column and a boolean alert column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Iterable
 
 from repro.exceptions import AnalysisError
-from repro.logs.dataset import Dataset
 
 
 @dataclass(frozen=True)
@@ -124,28 +124,3 @@ class ConfusionMatrix:
             "accuracy": self.accuracy(),
             "balanced_accuracy": self.balanced_accuracy(),
         }
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_alerts(cls, dataset: Dataset, alerted: Container[str], request_ids: Iterable[str] | None = None) -> "ConfusionMatrix":
-        """Build the matrix from a labelled data set and a set-like of alerted ids.
-
-        ``alerted`` may be anything supporting ``in`` (an
-        :class:`~repro.core.alerts.AlertSet`, an
-        :class:`~repro.core.adjudication.AdjudicationResult`, a plain set).
-        """
-        truth = dataset.require_labels()
-        tp = fp = tn = fn = 0
-        ids = dataset.request_ids if request_ids is None else list(request_ids)
-        for request_id in ids:
-            malicious = truth.is_malicious(request_id)
-            alerted_here = request_id in alerted
-            if malicious and alerted_here:
-                tp += 1
-            elif malicious and not alerted_here:
-                fn += 1
-            elif not malicious and alerted_here:
-                fp += 1
-            else:
-                tn += 1
-        return cls(true_positives=tp, false_positives=fp, true_negatives=tn, false_negatives=fn)

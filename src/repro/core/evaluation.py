@@ -4,18 +4,16 @@ This is the paper's stated next step: once ground truth exists, each
 tool's alerts can be classified into true/false positives and the traffic
 it left alone into true/false negatives, and the same can be done for
 every adjudicated combination of tools.  The synthetic data set carries
-ground truth, so these evaluations run as extension experiments.
+ground truth, so these evaluations run as extension experiments; the
+kernels in :mod:`repro.core.framestats` compute them from the frame's
+label column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Mapping, Sequence
 
-from repro.core.adjudication import KOutOfNScheme, all_k_out_of_n
-from repro.core.alerts import AlertMatrix
 from repro.core.confusion import ConfusionMatrix
-from repro.logs.dataset import Dataset
 
 
 @dataclass(frozen=True)
@@ -50,79 +48,3 @@ class DetectorEvaluation:
         values = self.confusion.as_dict()
         values["name"] = self.name  # type: ignore[assignment]
         return values
-
-
-def evaluate_alert_set(dataset: Dataset, alerted: Container[str], *, name: str = "detector") -> DetectorEvaluation:
-    """Evaluate any set-like of alerted request ids against the ground truth."""
-    confusion = ConfusionMatrix.from_alerts(dataset, alerted)
-    return DetectorEvaluation(name=name, confusion=confusion)
-
-
-def evaluate_matrix(dataset: Dataset, matrix: AlertMatrix) -> list[DetectorEvaluation]:
-    """Evaluate every individual detector of an alert matrix."""
-    return [
-        evaluate_alert_set(dataset, matrix.alerted_by(name), name=name)
-        for name in matrix.detector_names
-    ]
-
-
-def evaluate_ensemble(
-    dataset: Dataset,
-    matrix: AlertMatrix,
-    *,
-    ks: Sequence[int] | None = None,
-) -> list[DetectorEvaluation]:
-    """Evaluate k-out-of-N adjudications of the matrix (all k by default)."""
-    if ks is None:
-        results = all_k_out_of_n(matrix)
-    else:
-        results = [KOutOfNScheme(k).apply(matrix) for k in ks]
-    return [
-        evaluate_alert_set(dataset, result.alerted_ids, name=result.scheme_name)
-        for result in results
-    ]
-
-
-def sensitivity_specificity_tradeoff(
-    dataset: Dataset,
-    matrix: AlertMatrix,
-) -> list[Mapping[str, float | str]]:
-    """The sensitivity/specificity operating points of every k-out-of-N scheme.
-
-    Increasing ``k`` trades sensitivity for specificity (fewer false
-    positives, more false negatives); this is the quantitative version of
-    the trade-off discussion in the paper's Section V.
-    """
-    points: list[Mapping[str, float | str]] = []
-    for evaluation in evaluate_ensemble(dataset, matrix):
-        points.append(
-            {
-                "scheme": evaluation.name,
-                "sensitivity": evaluation.sensitivity,
-                "specificity": evaluation.specificity,
-                "precision": evaluation.precision,
-                "f1": evaluation.f1,
-            }
-        )
-    return points
-
-
-def per_actor_class_detection(dataset: Dataset, alerted: Container[str]) -> dict[str, float]:
-    """Detection rate per ground-truth actor class.
-
-    Answers the paper's "why is one tool more appropriate to detect
-    certain behaviours" question: the rate at which a detector (or
-    ensemble) alerts on requests of each actor family.
-    """
-    truth = dataset.require_labels()
-    totals: dict[str, int] = {}
-    caught: dict[str, int] = {}
-    for record in dataset:
-        actor_class = truth.actor_class_of(record.request_id) or "unknown"
-        totals[actor_class] = totals.get(actor_class, 0) + 1
-        if record.request_id in alerted:
-            caught[actor_class] = caught.get(actor_class, 0) + 1
-    return {
-        actor_class: caught.get(actor_class, 0) / count
-        for actor_class, count in sorted(totals.items())
-    }

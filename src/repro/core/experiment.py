@@ -46,13 +46,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class ExperimentResult:
     """Everything the paper experiment produces for one data set.
 
-    Every run carries the columnar ``frame`` it analysed.  ``dataset``
-    is the record view when the run started from one
-    (:meth:`PaperExperiment.run_on`) and ``None`` for frame-native runs,
-    so a trace-sourced experiment never materialises record objects.
+    Every run carries the columnar ``frame`` it analysed and nothing
+    record-shaped, so a trace-sourced experiment never materialises
+    record objects.
     """
 
-    dataset: Dataset | None
     #: The columnar data view the tables were computed from.
     frame: "RecordFrame"
     matrix: AlertMatrix
@@ -133,14 +131,14 @@ class PaperExperiment:
         """Run both tools on an existing data set and compute every table.
 
         The data set becomes a :class:`~repro.columns.RecordFrame` once
-        and runs through :meth:`run_on_frame`; the result carries both.
+        and runs through :meth:`run_on_frame`.
         ``registry`` (a :class:`~repro.obs.metrics.MetricsRegistry`)
         collects the pipeline's counters and stage timings when given.
         """
         from repro.columns import RecordFrame
 
         frame = RecordFrame.from_dataset(dataset, registry=registry)
-        return self.run_on_frame(frame, registry=registry, dataset=dataset)
+        return self.run_on_frame(frame, registry=registry)
 
     def run_on_frame(
         self,
@@ -148,7 +146,6 @@ class PaperExperiment:
         *,
         workers: int = 1,
         registry: "MetricsRegistry | None" = None,
-        dataset: Dataset | None = None,
     ) -> ExperimentResult:
         """Run both tools frame-natively and compute every table from columns.
 
@@ -158,9 +155,6 @@ class PaperExperiment:
         a frame streamed from a trace file stays the only copy of the
         data.  With ``workers > 1`` the detectors run sharded across
         processes (see :meth:`~repro.detectors.pipeline.DetectionPipeline.run_frame`).
-        ``dataset`` optionally attaches an already-materialised data set
-        to the result for downstream record-path consumers; it is not
-        used by the analysis itself.
         """
         from repro.obs.metrics import resolve_registry
         from repro.obs.spans import trace_span
@@ -188,7 +182,6 @@ class PaperExperiment:
                 adjudication_evaluations = evaluate_ensemble_from_frame(frame, matrix)
 
         return ExperimentResult(
-            dataset=dataset,
             matrix=matrix,
             total_requests=len(frame),
             alert_counts=matrix.alert_counts(),

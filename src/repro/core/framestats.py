@@ -2,19 +2,17 @@
 
 Every analysis the paper experiment reports -- the per-status breakdowns
 of Tables 3 and 4, the double-fault diversity measure, the labelled
-confusion matrices and the per-actor detection rates -- exists here as a
-vectorized kernel over a :class:`~repro.columns.RecordFrame` and the
-boolean alert columns of an :class:`~repro.core.alerts.AlertMatrix`.
+confusion matrices and the per-actor detection rates -- is a vectorized
+kernel here, over a :class:`~repro.columns.RecordFrame` and the boolean
+alert columns of an :class:`~repro.core.alerts.AlertMatrix`.  This is
+the one implementation of each analysis; the result objects
+(:class:`BreakdownTable`, :class:`PairwiseDiversity`,
+:class:`DetectorEvaluation`) live in :mod:`repro.core.breakdown`,
+:mod:`repro.core.metrics` and :mod:`repro.core.evaluation`.
 
-The kernels produce the *same* result objects (:class:`BreakdownTable`,
-:class:`PairwiseDiversity`, :class:`DetectorEvaluation`) as the
-record-path functions in :mod:`repro.core.breakdown`,
-:mod:`repro.core.metrics` and :mod:`repro.core.evaluation`, equal value
-for value -- the engine-equivalence suite pins them against each other.
-The difference is purely mechanical: a status breakdown is one
-``np.bincount`` over the frame's cached status dictionary instead of a
-Python loop over alerted ids, and a confusion matrix is four boolean
-reductions instead of a per-record branch.
+A status breakdown is one ``np.bincount`` over the frame's cached status
+dictionary, and a confusion matrix is four boolean reductions over the
+label column; the golden batch fixtures pin their values.
 """
 
 from __future__ import annotations
@@ -119,10 +117,15 @@ def double_fault_from_frame(
 def pairwise_diversity_from_frame(
     frame: "RecordFrame", matrix: AlertMatrix, first: str, second: str
 ) -> PairwiseDiversity:
-    """Every pairwise metric, with the double fault from the label column."""
+    """Every pairwise metric, with the double fault from the label column.
+
+    The double fault is ``None`` when the frame is unlabelled or holds no
+    malicious row: Tables 1-4 need no labels, and all-benign labelled
+    traffic (a human-only capture, a sampled trace window) still renders.
+    """
     breakdown = diversity_breakdown(matrix, first, second)
     double_fault = None
-    if frame.is_labelled:
+    if frame.labels is not None and np.any(frame.labels != 0):
         double_fault = double_fault_from_frame(frame, matrix, first, second)
     return PairwiseDiversity(
         first_detector=first,
@@ -194,10 +197,9 @@ def per_actor_rates_from_frame(
 ) -> dict[str, float]:
     """Detection rate per ground-truth actor class, from the actor dictionary.
 
-    Two ``np.bincount`` calls over the actor-code column; empty actor
-    classes collapse into ``"unknown"`` exactly as
-    :func:`~repro.core.evaluation.per_actor_class_detection` does (the
-    per-class dictionaries merge colliding table entries).
+    Two ``np.bincount`` calls over the actor-code column; an empty actor
+    class is reported as ``"unknown"`` (the per-class dictionaries merge
+    colliding table entries).
     """
     if frame.labels is None:
         raise LabelError("data set has no ground truth labels")

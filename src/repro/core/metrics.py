@@ -12,10 +12,11 @@ contingency table.  This module implements the standard set:
 * the double-fault measure (requires ground truth), and
 * the entropy of the joint alerting behaviour.
 
-All pairwise metrics are computed from a
+All pairwise metrics but the double fault are computed from a
 :class:`~repro.core.diversity.DiversityBreakdown`, so they apply equally
-to labelled and unlabelled data (except the double-fault measure, which
-needs labels).
+to labelled and unlabelled data.  The double fault needs the label
+column; :func:`repro.core.framestats.pairwise_diversity_from_frame`
+computes it and assembles the :class:`PairwiseDiversity` aggregate.
 """
 
 from __future__ import annotations
@@ -23,12 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.alerts import AlertMatrix
-from repro.core.diversity import DiversityBreakdown, diversity_breakdown
-from repro.exceptions import AnalysisError
-from repro.logs.dataset import Dataset
+from repro.core.diversity import DiversityBreakdown
 
 
 # ----------------------------------------------------------------------
@@ -103,23 +99,6 @@ def entropy_measure(breakdown: DiversityBreakdown) -> float:
     return entropy
 
 
-def double_fault_measure(matrix: AlertMatrix, dataset: Dataset, first: str, second: str) -> float:
-    """Fraction of *malicious* requests missed by both detectors.
-
-    This is the classic double-fault diversity measure: low values mean
-    the detectors rarely fail together, which is precisely when combining
-    them pays off.  Requires ground-truth labels.
-    """
-    truth = dataset.require_labels()
-    malicious = [rid for rid in matrix.request_ids if truth.is_malicious(rid)]
-    if not malicious:
-        raise AnalysisError("double-fault measure needs at least one malicious request")
-    first_alerted = matrix.alerted_by(first)
-    second_alerted = matrix.alerted_by(second)
-    both_missed = sum(1 for rid in malicious if rid not in first_alerted and rid not in second_alerted)
-    return both_missed / len(malicious)
-
-
 # ----------------------------------------------------------------------
 # Aggregate view
 # ----------------------------------------------------------------------
@@ -149,50 +128,3 @@ class PairwiseDiversity:
         if self.double_fault is not None:
             values["double_fault"] = self.double_fault
         return values
-
-
-def pairwise_diversity(
-    matrix: AlertMatrix,
-    first: str,
-    second: str,
-    *,
-    dataset: Dataset | None = None,
-) -> PairwiseDiversity:
-    """Compute every pairwise metric for two detectors.
-
-    The double-fault measure is included when a labelled ``dataset`` is
-    supplied.
-    """
-    breakdown = diversity_breakdown(matrix, first, second)
-    double_fault = None
-    if dataset is not None and dataset.is_labelled:
-        double_fault = double_fault_measure(matrix, dataset, first, second)
-    return PairwiseDiversity(
-        first_detector=first,
-        second_detector=second,
-        breakdown=breakdown,
-        kappa=cohens_kappa(breakdown),
-        q_statistic=yules_q(breakdown),
-        correlation=correlation_coefficient(breakdown),
-        disagreement=disagreement_measure(breakdown),
-        entropy=entropy_measure(breakdown),
-        double_fault=double_fault,
-    )
-
-
-def all_pairwise_diversity(matrix: AlertMatrix, *, dataset: Dataset | None = None) -> list[PairwiseDiversity]:
-    """Pairwise metrics for every detector pair in the matrix."""
-    names = matrix.detector_names
-    results = []
-    for i, first in enumerate(names):
-        for second in names[i + 1 :]:
-            results.append(pairwise_diversity(matrix, first, second, dataset=dataset))
-    return results
-
-
-def mean_pairwise_disagreement(matrix: AlertMatrix) -> float:
-    """Average disagreement over all detector pairs (an ensemble-level summary)."""
-    pairs = all_pairwise_diversity(matrix)
-    if not pairs:
-        return 0.0
-    return float(np.mean([pair.disagreement for pair in pairs]))

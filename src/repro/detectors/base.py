@@ -11,9 +11,10 @@ Sessionization and feature extraction are the dominant shared costs, so
 :class:`~repro.detectors.pipeline.DetectionPipeline` computes the triple
 once and hands it to every detector.
 
-:meth:`Detector.analyze` is the record-set convenience wrapper: it
-builds the triple from a :class:`~repro.logs.dataset.Dataset` and
-returns the verdicts as an :class:`~repro.core.alerts.AlertSet`.
+:meth:`Detector.judge_frame` builds the triple for a bare frame and
+judges it; :meth:`Detector.analyze` is the record-set convenience
+wrapper around it, returning the verdicts as an
+:class:`~repro.core.alerts.AlertSet`.
 """
 
 from __future__ import annotations
@@ -57,15 +58,24 @@ class Detector(abc.ABC):
         detector: per-row flags, scores and reason codes over ``frame``.
         """
 
-    def analyze(self, dataset: Dataset) -> AlertSet:
-        """Judge a data set: build the frame triple, then :meth:`alert_columns`."""
-        from repro.columns import FeatureMatrix, RecordFrame, sessionize_frame
+    def judge_frame(self, frame: "RecordFrame") -> "DetectorAlerts":
+        """Judge a bare frame: sessionize it, extract features, then :meth:`alert_columns`.
 
-        frame = RecordFrame.from_dataset(dataset)
+        Nothing is counted in a metrics registry; the pipeline accounts
+        for its own runs.
+        """
+        from repro.columns import FeatureMatrix, sessionize_frame
+
         sessions = sessionize_frame(frame)
         features = FeatureMatrix.from_frame(frame, sessions)
-        alerts = self.alert_columns(frame, sessions, features)
-        return alerts.to_alert_set(frame.request_ids)
+        return self.alert_columns(frame, sessions, features)
+
+    def analyze(self, dataset: Dataset) -> AlertSet:
+        """Judge a data set: :meth:`judge_frame` over its frame, as an :class:`AlertSet`."""
+        from repro.columns import RecordFrame
+
+        frame = RecordFrame.from_dataset(dataset)
+        return self.judge_frame(frame).to_alert_set(frame.request_ids)
 
     def describe(self) -> str:
         """A one-line description (defaults to the class docstring's first line)."""

@@ -313,15 +313,16 @@ def _paper_experiment(
     spec: RunSpec,
     dataset: Dataset | None = None,
     registry: MetricsRegistry | None = None,
-) -> ExperimentResult:
+) -> tuple[PaperExperiment, ExperimentResult]:
     """Run the pairwise paper experiment a batch spec describes.
 
     The traffic becomes a :class:`~repro.columns.RecordFrame` -- for
     trace-backed specs straight from
     :meth:`~repro.trace.store.TraceReader.read_frame`, so no
-    :class:`Dataset` is ever materialised and the result's ``dataset``
-    is ``None`` -- and detection *and* table analysis run as columnar
-    kernels, sharded across ``execution.workers`` processes when asked.
+    :class:`Dataset` is ever materialised -- and detection *and* table
+    analysis run as columnar kernels, sharded across
+    ``execution.workers`` processes when asked.  Returns the experiment
+    (with the detectors built from the spec) and its result.
     """
     from repro.columns import RecordFrame
 
@@ -349,12 +350,9 @@ def _paper_experiment(
         experiment = PaperExperiment()
     with trace_span("experiment", registry=registry):
         result = experiment.run_on_frame(
-            frame,
-            workers=spec.execution.workers,
-            registry=registry,
-            dataset=dataset,
+            frame, workers=spec.execution.workers, registry=registry
         )
-    return result
+    return experiment, result
 
 
 def _source_of(spec: RunSpec, result: ExperimentResult) -> str:
@@ -390,7 +388,7 @@ def _run_tables(
     dataset: Dataset | None = None,
     registry: MetricsRegistry | None = None,
 ) -> RunResult:
-    result = _paper_experiment(spec, dataset, registry)
+    _experiment, result = _paper_experiment(spec, dataset, registry)
     run_result = _batch_result(spec, result)
     run_result.tables = {
         "table1": result.render_table1(),
@@ -406,7 +404,7 @@ def _run_evaluate(
     dataset: Dataset | None = None,
     registry: MetricsRegistry | None = None,
 ) -> RunResult:
-    result = _paper_experiment(spec, dataset, registry)
+    experiment, result = _paper_experiment(spec, dataset, registry)
     run_result = _batch_result(spec, result)
 
     tool_rows = [evaluation.as_dict() for evaluation in result.tool_evaluations]
@@ -434,18 +432,12 @@ def _run_evaluate(
         )
 
     if spec.execution.compare_configurations:
-        # The configuration comparison filters records into the serial
-        # deployments' sub-data sets; a frame-native run materialises
-        # the data set for it once.
-        dataset = result.dataset if result.dataset is not None else result.frame.to_dataset()
-        if spec.detectors:
-            first_detector, second_detector = (
-                create_detector(d.name, **d.params) for d in spec.detectors
-            )
-        else:
-            defaults = PaperExperiment()
-            first_detector, second_detector = defaults.first_detector, defaults.second_detector
-        comparison = compare_configurations(dataset, first_detector, second_detector)
+        comparison = compare_configurations(
+            result.frame,
+            result.matrix,
+            experiment.first_detector,
+            experiment.second_detector,
+        )
         config_rows = []
         for outcome in comparison.outcomes:
             row: dict[str, Any] = {

@@ -8,8 +8,9 @@ through :meth:`DetectionPipeline.run_frame` /
 across ``workers=2`` processes.  For every preset scenario all of them
 must carry byte-identical alerts (ids, scores *and* reasons), identical
 matrices and identical Tables 1-4 / labelled evaluations.  The values
-themselves are pinned by the golden fixtures in ``tests/golden``.  A
-trace-backed ``tables`` run additionally proves the frame path never
+themselves are pinned by the golden fixtures in ``tests/golden``.
+Trace-backed ``tables`` and ``evaluate`` runs (the latter with the
+configuration comparison) additionally prove the frame path never
 materialises a :class:`Dataset` at all.
 """
 
@@ -97,10 +98,7 @@ class TestFramePipelineEquivalence:
             assert [e.as_dict() for e in result.adjudication_evaluations] == [
                 e.as_dict() for e in single.adjudication_evaluations
             ]
-        # Frame-native runs never materialise the record objects.
-        assert single.dataset is None
         assert single.frame is frame
-        assert by_dataset.dataset is dataset
 
     @pytest.mark.parametrize("mode", ["tables", "evaluate"])
     def test_execute_identical_across_workers(self, mode, preset):
@@ -113,12 +111,20 @@ class TestFramePipelineEquivalence:
         )
         single, sharded = (
             execute(
-                RunSpec(mode=mode, traffic=traffic, execution=ExecutionSpec(workers=workers)),
+                RunSpec(
+                    mode=mode,
+                    traffic=traffic,
+                    execution=ExecutionSpec(
+                        workers=workers, compare_configurations=mode == "evaluate"
+                    ),
+                ),
                 dataset=dataset,
             )
             for workers in (1, 2)
         )
         assert _comparable(sharded) == _comparable(single)
+        if mode == "evaluate":
+            assert len(single.rows["configurations"]) == 6
 
 
 class TestModelDetectors:
@@ -147,17 +153,21 @@ class TestTraceSourcedTables:
         write_trace(dataset, path)
         return dataset, path
 
+    @staticmethod
+    def _forbid_materialising(monkeypatch):
+        execute_module = importlib.import_module("repro.runspec.execute")
+
+        def fail(*_args, **_kwargs):  # pragma: no cover - called means regression
+            raise AssertionError("a trace-backed run materialised the whole trace")
+
+        monkeypatch.setattr(execute_module, "read_trace", fail)
+        monkeypatch.setattr(RecordFrame, "to_dataset", fail)
+
     def test_trace_tables_never_materialise_records(self, recorded, monkeypatch):
         """Tables from a trace run frame-natively: no Dataset is ever built."""
         dataset, path = recorded
         expected = execute(RunSpec(mode="tables"), dataset=dataset)
-        execute_module = importlib.import_module("repro.runspec.execute")
-
-        def fail(*_args, **_kwargs):  # pragma: no cover - called means regression
-            raise AssertionError("trace-backed tables materialised the whole trace")
-
-        monkeypatch.setattr(execute_module, "read_trace", fail)
-        monkeypatch.setattr(RecordFrame, "to_dataset", fail)
+        self._forbid_materialising(monkeypatch)
         for workers in (1, 2):
             result = execute(
                 RunSpec(
@@ -168,6 +178,23 @@ class TestTraceSourcedTables:
             )
             assert result.tables == expected.tables
             assert result.source == "balanced_small"
+
+    def test_trace_evaluate_never_materialises_records(self, recorded, monkeypatch):
+        """The labelled evaluation and the configuration comparison run on the frame."""
+        dataset, path = recorded
+        execution = ExecutionSpec(compare_configurations=True)
+        expected = execute(RunSpec(mode="evaluate", execution=execution), dataset=dataset)
+        self._forbid_materialising(monkeypatch)
+        result = execute(
+            RunSpec(
+                mode="evaluate",
+                traffic=TrafficSpec(source="trace", path=path),
+                execution=execution,
+            )
+        )
+        assert result.tables == expected.tables
+        assert result.rows == expected.rows
+        assert len(result.rows["configurations"]) == 6
 
 
 class TestWorkerValidation:

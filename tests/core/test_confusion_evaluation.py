@@ -2,19 +2,26 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.core.adjudication import adjudicate
+from repro.columns import RecordFrame
+from repro.core.adjudication import AdjudicationError, adjudicate
 from repro.core.confusion import ConfusionMatrix
-from repro.core.evaluation import (
-    evaluate_alert_set,
-    evaluate_ensemble,
-    evaluate_matrix,
-    per_actor_class_detection,
-    sensitivity_specificity_tradeoff,
+from repro.core.evaluation import DetectorEvaluation
+from repro.core.framestats import (
+    confusion_from_flags,
+    evaluate_ensemble_from_frame,
+    evaluate_matrix_from_frame,
+    per_actor_rates_from_frame,
 )
-from repro.exceptions import AnalysisError
-from tests.helpers import make_alert_matrix, make_labelled_dataset
+from repro.exceptions import AnalysisError, LabelError
+from repro.logs.dataset import Dataset
+from tests.helpers import make_alert_matrix, make_labelled_dataset, make_records
+
+
+def _flags(frame: RecordFrame, alerted: set[str]) -> np.ndarray:
+    return np.array([request_id in alerted for request_id in frame.request_ids], dtype=bool)
 
 
 class TestConfusionMatrix:
@@ -48,8 +55,8 @@ class TestConfusionMatrix:
         assert empty.matthews_correlation() == 0.0
 
     def test_from_alerts(self):
-        dataset = make_labelled_dataset(["m0", "m1", "m2"], ["b0", "b1"])
-        cm = ConfusionMatrix.from_alerts(dataset, {"m0", "m1", "b0"})
+        frame = RecordFrame.from_dataset(make_labelled_dataset(["m0", "m1", "m2"], ["b0", "b1"]))
+        cm = confusion_from_flags(frame.labels, _flags(frame, {"m0", "m1", "b0"}))
         assert cm.true_positives == 2
         assert cm.false_negatives == 1
         assert cm.false_positives == 1
@@ -57,9 +64,13 @@ class TestConfusionMatrix:
         assert cm.total == 5
 
     def test_from_alerts_with_explicit_ids(self):
-        dataset = make_labelled_dataset(["m0", "m1"], ["b0"])
-        cm = ConfusionMatrix.from_alerts(dataset, {"m0"}, request_ids=["m0", "b0"])
+        """Restricting the label and flag columns to some rows counts only those."""
+        frame = RecordFrame.from_dataset(make_labelled_dataset(["m0", "m1"], ["b0"]))
+        rows = [frame.row_index()[request_id] for request_id in ("m0", "b0")]
+        cm = confusion_from_flags(frame.labels[rows], _flags(frame, {"m0"})[rows])
         assert cm.total == 2
+        assert cm.true_positives == 1
+        assert cm.true_negatives == 1
 
     def test_as_dict_keys(self):
         cm = ConfusionMatrix(1, 2, 3, 4)
@@ -76,58 +87,74 @@ class TestEvaluation:
                 "noisy": ["m0", "m1", "m2", "m3", "b0", "b1"],
             },
         )
-        return dataset, matrix
+        return RecordFrame.from_dataset(dataset), matrix
 
     def test_evaluate_alert_set(self):
-        dataset, matrix = self._setup()
-        evaluation = evaluate_alert_set(dataset, matrix.alerted_by("sharp"), name="sharp")
+        frame, matrix = self._setup()
+        evaluation = DetectorEvaluation(
+            name="sharp", confusion=confusion_from_flags(frame.labels, matrix.column("sharp"))
+        )
         assert evaluation.sensitivity == pytest.approx(0.75)
         assert evaluation.specificity == pytest.approx(1.0)
         assert evaluation.name == "sharp"
         assert evaluation.as_dict()["name"] == "sharp"
 
     def test_evaluate_matrix_covers_all_detectors(self):
-        dataset, matrix = self._setup()
-        evaluations = {e.name: e for e in evaluate_matrix(dataset, matrix)}
+        frame, matrix = self._setup()
+        evaluations = {e.name: e for e in evaluate_matrix_from_frame(frame, matrix)}
         assert set(evaluations) == {"sharp", "noisy"}
         assert evaluations["noisy"].sensitivity == pytest.approx(1.0)
         assert evaluations["noisy"].specificity == pytest.approx(0.5)
 
     def test_evaluate_ensemble_k_schemes(self):
-        dataset, matrix = self._setup()
-        evaluations = evaluate_ensemble(dataset, matrix)
-        assert len(evaluations) == 2  # k = 1, 2
+        frame, matrix = self._setup()
+        evaluations = evaluate_ensemble_from_frame(frame, matrix)
+        assert [e.name for e in evaluations] == ["1-out-of-2", "2-out-of-2"]
         union, intersection = evaluations
         assert union.sensitivity >= intersection.sensitivity
         assert intersection.specificity >= union.specificity
 
     def test_evaluate_ensemble_specific_ks(self):
-        dataset, matrix = self._setup()
-        evaluations = evaluate_ensemble(dataset, matrix, ks=[2])
+        frame, matrix = self._setup()
+        evaluations = evaluate_ensemble_from_frame(frame, matrix, ks=[2])
         assert len(evaluations) == 1
+        for bad in ([0], [3]):
+            with pytest.raises(AdjudicationError):
+                evaluate_ensemble_from_frame(frame, matrix, ks=bad)
 
     def test_tradeoff_points_structure(self):
-        dataset, matrix = self._setup()
-        points = sensitivity_specificity_tradeoff(dataset, matrix)
+        frame, matrix = self._setup()
+        points = [e.as_dict() for e in evaluate_ensemble_from_frame(frame, matrix)]
         assert len(points) == 2
-        assert all({"scheme", "sensitivity", "specificity", "precision", "f1"} <= set(p) for p in points)
+        assert all({"name", "sensitivity", "specificity", "precision", "f1"} <= set(p) for p in points)
+
+    def test_evaluations_require_labels(self):
+        dataset = Dataset(make_records(3))
+        frame = RecordFrame.from_dataset(dataset)
+        matrix = make_alert_matrix(dataset, {"a": ["r0"]})
+        for kernel in (evaluate_matrix_from_frame, evaluate_ensemble_from_frame):
+            with pytest.raises(LabelError):
+                kernel(frame, matrix)
+        with pytest.raises(LabelError):
+            per_actor_rates_from_frame(frame, matrix.column("a"))
 
     def test_adjudication_tradeoff_direction(self):
         """1-out-of-2 never has lower sensitivity, 2-out-of-2 never lower specificity."""
-        dataset, matrix = self._setup()
-        single = [evaluate_alert_set(dataset, matrix.alerted_by(n), name=n) for n in matrix.detector_names]
-        union = evaluate_alert_set(dataset, adjudicate(matrix, 1).alerted_ids, name="1oo2")
-        both = evaluate_alert_set(dataset, adjudicate(matrix, 2).alerted_ids, name="2oo2")
-        assert union.sensitivity >= max(e.sensitivity for e in single)
-        assert both.specificity >= max(e.specificity for e in single)
+        frame, matrix = self._setup()
+        single = evaluate_matrix_from_frame(frame, matrix)
+        union = confusion_from_flags(frame.labels, _flags(frame, adjudicate(matrix, 1).alerted_ids))
+        both = confusion_from_flags(frame.labels, _flags(frame, adjudicate(matrix, 2).alerted_ids))
+        assert union.sensitivity() >= max(e.sensitivity for e in single)
+        assert both.specificity() >= max(e.specificity for e in single)
 
     def test_per_actor_class_detection(self):
-        dataset = make_labelled_dataset(["m0", "m1"], ["b0"])
-        rates = per_actor_class_detection(dataset, {"m0"})
+        frame = RecordFrame.from_dataset(make_labelled_dataset(["m0", "m1"], ["b0"]))
+        rates = per_actor_rates_from_frame(frame, _flags(frame, {"m0"}))
         assert rates["aggressive_scraper"] == pytest.approx(0.5)
         assert rates["human"] == 0.0
 
     def test_per_actor_class_on_generated_traffic(self, small_dataset, pipeline_result):
-        rates = per_actor_class_detection(small_dataset, pipeline_result.matrix.alerted_by("commercial"))
+        frame = RecordFrame.from_dataset(small_dataset)
+        rates = per_actor_rates_from_frame(frame, pipeline_result.matrix.column("commercial"))
         assert rates["aggressive_scraper"] > 0.9
         assert rates["human"] < 0.1

@@ -4,14 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.breakdown import (
-    breakdown_by,
-    day_breakdown,
-    exclusive_status_breakdown,
-    method_breakdown,
-    status_breakdown,
-)
+from repro.columns import RecordFrame
 from repro.core.diversity import diversity_breakdown, multi_detector_breakdown
+from repro.core.framestats import status_breakdown_from_frame, status_tables_from_frame
 from repro.exceptions import AnalysisError
 from repro.logs.dataset import Dataset
 from tests.helpers import make_alert_matrix, make_labelled_dataset, make_records
@@ -92,65 +87,59 @@ class TestMultiDetectorBreakdown:
 
 
 class TestStatusBreakdowns:
-    def _status_dataset(self):
+    def _status_frame(self):
         dataset = make_labelled_dataset(
             ["m0", "m1", "m2"],
             ["b0"],
             status_for={"m0": 200, "m1": 302, "m2": 400, "b0": 200},
         )
         matrix = make_alert_matrix(dataset, {"first": ["m0", "m1", "m2"], "second": ["m0"]})
-        return dataset, matrix
+        return RecordFrame.from_dataset(dataset), matrix
+
+    def _first_table(self, **kwargs):
+        frame, matrix = self._status_frame()
+        return status_breakdown_from_frame(frame, matrix.column("first"), "first", **kwargs)
 
     def test_status_breakdown_counts(self):
-        dataset, matrix = self._status_dataset()
-        table = status_breakdown(dataset, matrix, "first")
+        table = self._first_table()
         assert table.counts["200 (OK)"] == 1
         assert table.counts["302 (Found)"] == 1
         assert table.counts["400 (Bad request)"] == 1
         assert table.total() == 3
+        assert (table.detector, table.dimension) == ("first", "http_status")
 
     def test_status_breakdown_unlabelled_keys(self):
-        dataset, matrix = self._status_dataset()
-        table = status_breakdown(dataset, matrix, "first", labelled=False)
+        table = self._first_table(labelled=False)
         assert table.counts[200] == 1
 
     def test_exclusive_breakdown_only_counts_single_tool_alerts(self):
-        dataset, matrix = self._status_dataset()
-        table = exclusive_status_breakdown(dataset, matrix, "first")
+        frame, matrix = self._status_frame()
+        _, exclusive = status_tables_from_frame(frame, matrix, ("first", "second"))
+        table = exclusive["first"]
         # m0 is alerted by both, so only m1 and m2 remain.
         assert table.total() == 2
         assert "200 (OK)" not in table.counts
+        assert table.dimension == "http_status_exclusive"
+        assert exclusive["second"].total() == 0
 
     def test_sorted_rows_descending(self):
-        dataset, matrix = self._status_dataset()
-        rows = status_breakdown(dataset, matrix, "first").sorted_rows()
+        rows = self._first_table().sorted_rows()
         counts = [count for _, count in rows]
         assert counts == sorted(counts, reverse=True)
 
     def test_fraction_of(self):
-        dataset, matrix = self._status_dataset()
-        table = status_breakdown(dataset, matrix, "first")
+        table = self._first_table()
         assert table.fraction_of("200 (OK)") == pytest.approx(1 / 3)
         assert table.fraction_of("nope") == 0.0
 
     def test_top_n(self):
-        dataset, matrix = self._status_dataset()
-        assert len(status_breakdown(dataset, matrix, "first").top(2)) == 2
-
-    def test_breakdown_by_custom_dimension(self):
-        dataset, matrix = self._status_dataset()
-        table = breakdown_by(dataset, matrix.alerted_by("first"), lambda r: r.method.value, dimension="method")
-        assert table.counts == {"GET": 3}
-
-    def test_day_and_method_breakdowns(self):
-        dataset, matrix = self._status_dataset()
-        assert day_breakdown(dataset, matrix, "first").counts == {"2018-03-11": 3}
-        assert method_breakdown(dataset, matrix, "first").counts == {"GET": 3}
+        assert len(self._first_table().top(2)) == 2
 
     def test_empty_breakdown(self):
         dataset = Dataset(make_records(2))
         matrix = make_alert_matrix(dataset, {"a": []})
-        table = status_breakdown(dataset, matrix, "a")
+        frame = RecordFrame.from_dataset(dataset)
+        table = status_breakdown_from_frame(frame, matrix.column("a"), "a")
         assert table.total() == 0
         assert table.sorted_rows() == []
         assert table.as_dict() == {}

@@ -2,22 +2,23 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
+from repro.columns import RecordFrame
 from repro.core.diversity import DiversityBreakdown
+from repro.core.framestats import double_fault_from_frame, pairwise_diversity_from_frame
 from repro.core.metrics import (
-    all_pairwise_diversity,
     cohens_kappa,
     correlation_coefficient,
     disagreement_measure,
-    double_fault_measure,
     entropy_measure,
-    mean_pairwise_disagreement,
-    pairwise_diversity,
     yules_q,
 )
-from repro.exceptions import AnalysisError
-from tests.helpers import make_alert_matrix, make_labelled_dataset
+from repro.exceptions import AnalysisError, LabelError
+from repro.logs.dataset import Dataset
+from tests.helpers import make_alert_matrix, make_labelled_dataset, make_records
 
 
 def _breakdown(both: int, neither: int, first_only: int, second_only: int) -> DiversityBreakdown:
@@ -79,50 +80,71 @@ class TestOtherPairwiseMetrics:
         assert entropy_measure(_breakdown(0, 0, 0, 0)) == 0.0
 
 
+def _frame_and_matrix(dataset, alerted_by_detector):
+    return RecordFrame.from_dataset(dataset), make_alert_matrix(dataset, alerted_by_detector)
+
+
 class TestDoubleFault:
     def test_counts_malicious_missed_by_both(self):
         dataset = make_labelled_dataset(["m0", "m1", "m2", "m3"], ["b0", "b1"])
-        matrix = make_alert_matrix(dataset, {"a": ["m0", "m1"], "b": ["m1", "m2"]})
+        frame, matrix = _frame_and_matrix(dataset, {"a": ["m0", "m1"], "b": ["m1", "m2"]})
         # m3 is missed by both -> 1 of 4 malicious.
-        assert double_fault_measure(matrix, dataset, "a", "b") == pytest.approx(0.25)
+        assert double_fault_from_frame(frame, matrix, "a", "b") == pytest.approx(0.25)
 
     def test_requires_malicious_requests(self):
         dataset = make_labelled_dataset([], ["b0", "b1"])
-        matrix = make_alert_matrix(dataset, {"a": [], "b": []})
+        frame, matrix = _frame_and_matrix(dataset, {"a": [], "b": []})
         with pytest.raises(AnalysisError):
-            double_fault_measure(matrix, dataset, "a", "b")
+            double_fault_from_frame(frame, matrix, "a", "b")
+
+    def test_requires_labels(self):
+        frame, matrix = _frame_and_matrix(Dataset(make_records(2)), {"a": ["r0"], "b": []})
+        with pytest.raises(LabelError):
+            double_fault_from_frame(frame, matrix, "a", "b")
 
 
 class TestPairwiseDiversityAggregate:
     def test_contains_all_metrics(self):
         dataset = make_labelled_dataset(["m0", "m1"], ["b0", "b1"])
-        matrix = make_alert_matrix(dataset, {"a": ["m0", "m1"], "b": ["m0"]})
-        result = pairwise_diversity(matrix, "a", "b", dataset=dataset)
+        frame, matrix = _frame_and_matrix(dataset, {"a": ["m0", "m1"], "b": ["m0"]})
+        result = pairwise_diversity_from_frame(frame, matrix, "a", "b")
         values = result.as_dict()
         assert {"kappa", "q_statistic", "correlation", "disagreement", "entropy", "double_fault"} <= set(values)
         assert result.breakdown.both == 1
 
     def test_double_fault_absent_without_labels(self):
-        from repro.logs.dataset import Dataset
-        from tests.helpers import make_records
-
         dataset = Dataset(make_records(4))
-        matrix = make_alert_matrix(dataset, {"a": ["r0"], "b": ["r1"]})
-        result = pairwise_diversity(matrix, "a", "b")
+        frame, matrix = _frame_and_matrix(dataset, {"a": ["r0"], "b": ["r1"]})
+        result = pairwise_diversity_from_frame(frame, matrix, "a", "b")
         assert result.double_fault is None
         assert "double_fault" not in result.as_dict()
 
+    def test_double_fault_absent_without_malicious_requests(self):
+        """All-benign labelled traffic renders like unlabelled traffic."""
+        dataset = make_labelled_dataset([], ["b0", "b1", "b2"])
+        frame, matrix = _frame_and_matrix(dataset, {"a": ["b0"], "b": []})
+        result = pairwise_diversity_from_frame(frame, matrix, "a", "b")
+        assert result.double_fault is None
+        assert result.disagreement == pytest.approx(1 / 3)
+
     def test_all_pairwise_covers_every_pair(self):
         dataset = make_labelled_dataset(["m0"], ["b0"])
-        matrix = make_alert_matrix(dataset, {"a": ["m0"], "b": [], "c": ["m0", "b0"]})
-        pairs = all_pairwise_diversity(matrix)
+        frame, matrix = _frame_and_matrix(dataset, {"a": ["m0"], "b": [], "c": ["b0"]})
+        pairs = [
+            pairwise_diversity_from_frame(frame, matrix, first, second)
+            for first, second in combinations(matrix.detector_names, 2)
+        ]
         names = {(p.first_detector, p.second_detector) for p in pairs}
         assert names == {("a", "b"), ("a", "c"), ("b", "c")}
+        assert all(p.breakdown.total == 2 for p in pairs)
+        # Only b and c both miss the malicious request.
+        assert [p.double_fault for p in pairs] == [0.0, 0.0, 1.0]
 
     def test_mean_pairwise_disagreement(self):
+        """Detectors that alert on exactly the same requests never disagree."""
         dataset = make_labelled_dataset(["m0", "m1"], ["b0", "b1"])
-        matrix = make_alert_matrix(dataset, {"a": ["m0", "m1"], "b": ["m0", "m1"]})
-        assert mean_pairwise_disagreement(matrix) == pytest.approx(0.0)
+        frame, matrix = _frame_and_matrix(dataset, {"a": ["m0", "m1"], "b": ["m0", "m1"]})
+        assert pairwise_diversity_from_frame(frame, matrix, "a", "b").disagreement == pytest.approx(0.0)
 
     def test_paper_numbers_yield_high_agreement_low_kappa_structure(self):
         """Sanity check the metrics on the actual published counts."""

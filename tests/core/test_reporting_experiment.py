@@ -68,7 +68,7 @@ class TestRendering:
 class TestPaperExperiment:
     def test_result_contains_all_tables(self, experiment_result):
         result = experiment_result
-        assert result.total_requests == len(result.dataset)
+        assert result.total_requests == len(result.frame)
         assert set(result.alert_counts) == {"commercial", "inhouse"}
         assert set(result.status_tables) == {"commercial", "inhouse"}
         assert set(result.exclusive_status_tables) == {"commercial", "inhouse"}

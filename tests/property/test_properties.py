@@ -190,36 +190,17 @@ def test_confusion_matrix_rate_bounds(tp, fp, tn, fn):
 @given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=200))
 @settings(max_examples=100, deadline=None)
 def test_confusion_matrix_matches_manual_count(flags):
-    """Building the matrix through from_alerts agrees with direct counting."""
-    from repro.logs.dataset import BENIGN, MALICIOUS, GroundTruth
+    """confusion_from_flags over label/alert columns agrees with direct counting."""
+    from repro.core.framestats import confusion_from_flags
 
-    base = datetime(2018, 3, 11, tzinfo=timezone.utc)
-    records = []
-    truth = GroundTruth()
-    alerted = set()
-    for index, (malicious, alert) in enumerate(flags):
-        request_id = f"r{index}"
-        records.append(
-            LogRecord(
-                request_id=request_id,
-                timestamp=base + timedelta(seconds=index),
-                client_ip="10.0.0.1",
-                method=RequestMethod.GET,
-                path="/",
-                protocol="HTTP/1.1",
-                status=200,
-                response_size=1,
-            )
-        )
-        truth.set(request_id, MALICIOUS if malicious else BENIGN)
-        if alert:
-            alerted.add(request_id)
-    dataset = Dataset(records, ground_truth=truth)
-    cm = ConfusionMatrix.from_alerts(dataset, alerted)
+    labels = np.array([int(malicious) for malicious, _ in flags], dtype=np.int64)
+    alerted = np.array([alert for _, alert in flags], dtype=bool)
+    cm = confusion_from_flags(labels, alerted)
     assert cm.total == len(flags)
     assert cm.true_positives == sum(1 for malicious, alert in flags if malicious and alert)
     assert cm.false_positives == sum(1 for malicious, alert in flags if not malicious and alert)
-    assert cm.predicted_positives == len(alerted)
+    assert cm.false_negatives == sum(1 for malicious, alert in flags if malicious and not alert)
+    assert cm.predicted_positives == int(alerted.sum())
 
 
 # ----------------------------------------------------------------------

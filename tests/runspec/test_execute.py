@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import SpecError
+from repro.obs.metrics import MetricsRegistry
 from repro.runspec import (
     AdjudicationSpec,
     DetectorSpec,
@@ -91,6 +92,52 @@ class TestEvaluateMode:
         result = execute(spec, dataset=small_spec_dataset)
         configurations = {row["configuration"] for row in result.rows["configurations"]}
         assert any(name.startswith("serial-confirm") for name in configurations)
+
+    def test_configurations_add_no_registry_counts(self, small_spec_dataset):
+        """Serial re-judgements are not pipeline runs: every counter is unchanged."""
+
+        def counters(compare: bool) -> dict:
+            spec = RunSpec(
+                mode="evaluate",
+                traffic=SMALL_TRAFFIC,
+                execution=ExecutionSpec(compare_configurations=compare),
+            )
+            result = execute(spec, dataset=small_spec_dataset, registry=MetricsRegistry())
+            return {
+                name: metric["series"]
+                for name, metric in result.telemetry["metrics"].items()
+                if metric["kind"] == "counter"
+            }
+
+        assert counters(True) == counters(False)
+
+
+class TestAllBenignTraffic:
+    """Labelled traffic without a single malicious request (a human-only capture)."""
+
+    @pytest.fixture(scope="class")
+    def benign(self):
+        from repro.traffic.generator import generate_dataset
+        from repro.traffic.scenarios import balanced_small
+
+        dataset = generate_dataset(balanced_small(total_requests=3000, seed=7))
+        truth = dataset.ground_truth
+        benign = dataset.filter(lambda record: not truth.is_malicious(record.request_id))
+        assert benign.is_labelled and len(benign) == 1234
+        return benign
+
+    def test_tables_render_without_double_fault(self, benign):
+        result = execute(RunSpec(mode="tables"), dataset=benign)
+        assert set(result.tables) == {"table1", "table2", "table3", "table4"}
+        assert all(result.tables.values())
+        assert "double_fault" not in result.metrics
+        assert result.total_requests == 1234
+
+    def test_evaluate_with_configurations(self, benign):
+        spec = RunSpec(mode="evaluate", execution=ExecutionSpec(compare_configurations=True))
+        result = execute(spec, dataset=benign)
+        assert len(result.rows["configurations"]) == 6
+        assert all(row["sensitivity"] == 1.0 for row in result.rows["configurations"])
 
 
 class TestStreamMode:

@@ -9,13 +9,18 @@ adjudication schemes against the ground truth.
 from __future__ import annotations
 
 
+from repro.columns import RecordFrame
 from repro.core.adjudication import adjudicate
 from repro.core.diversity import diversity_breakdown
-from repro.core.evaluation import evaluate_alert_set, per_actor_class_detection
 from repro.core.experiment import PaperExperiment
+from repro.core.framestats import (
+    confusion_from_flags,
+    evaluate_ensemble_from_frame,
+    per_actor_rates_from_frame,
+)
 from repro.detectors.commercial import CommercialBotDefenceDetector
 from repro.detectors.inhouse import InHouseHeuristicDetector
-from repro.detectors.pipeline import run_detectors
+from repro.detectors.pipeline import DetectionPipeline, run_detectors
 from repro.logs.dataset import Dataset
 from repro.logs.parser import LogParser
 from repro.logs.writer import LogWriter
@@ -68,18 +73,18 @@ class TestPaperPipeline:
         commercial_probe_fraction = sum(commercial_only.fraction_of(s) for s in probe_statuses)
         assert inhouse_probe_fraction > commercial_probe_fraction
 
-    def test_adjudication_improves_on_single_tools(self, calibrated_dataset, experiment_result):
-        matrix = experiment_result.matrix
-        union = evaluate_alert_set(calibrated_dataset, adjudicate(matrix, 1).alerted_ids, name="1oo2")
-        strict = evaluate_alert_set(calibrated_dataset, adjudicate(matrix, 2).alerted_ids, name="2oo2")
+    def test_adjudication_improves_on_single_tools(self, experiment_result):
+        union, strict = evaluate_ensemble_from_frame(
+            experiment_result.frame, experiment_result.matrix
+        )
         singles = experiment_result.tool_evaluations
         assert union.sensitivity >= max(e.sensitivity for e in singles)
         assert strict.specificity >= max(e.specificity for e in singles)
 
-    def test_detection_rate_asymmetry_per_actor_class(self, calibrated_dataset, experiment_result):
-        matrix = experiment_result.matrix
-        commercial = per_actor_class_detection(calibrated_dataset, matrix.alerted_by("commercial"))
-        inhouse = per_actor_class_detection(calibrated_dataset, matrix.alerted_by("inhouse"))
+    def test_detection_rate_asymmetry_per_actor_class(self, experiment_result):
+        frame, matrix = experiment_result.frame, experiment_result.matrix
+        commercial = per_actor_rates_from_frame(frame, matrix.column("commercial"))
+        inhouse = per_actor_rates_from_frame(frame, matrix.column("inhouse"))
         assert commercial["stealth_scraper"] > inhouse["stealth_scraper"]
         assert inhouse["probing_scraper"] > commercial["probing_scraper"]
         assert commercial["aggressive_scraper"] > 0.9
@@ -90,13 +95,15 @@ class TestAlternativeScenarios:
     def test_stealth_heavy_scenario_widens_the_gap(self):
         """When stealthy scraping dominates, the rule-based tool misses much
         more traffic and the benefit of diversity grows."""
-        dataset = generate_dataset(stealth_heavy(total_requests=5000, seed=23))
-        result = run_detectors(dataset, [CommercialBotDefenceDetector(), InHouseHeuristicDetector()])
-        breakdown = diversity_breakdown(result.matrix, "commercial", "inhouse")
-        union = evaluate_alert_set(dataset, adjudicate(result.matrix, 1).alerted_ids, name="1oo2")
-        inhouse_only_eval = evaluate_alert_set(dataset, result.matrix.alerted_by("inhouse"), name="inhouse")
+        frame = RecordFrame.from_dataset(generate_dataset(stealth_heavy(total_requests=5000, seed=23)))
+        matrix = DetectionPipeline(
+            [CommercialBotDefenceDetector(), InHouseHeuristicDetector()]
+        ).run_frame(frame).matrix
+        breakdown = diversity_breakdown(matrix, "commercial", "inhouse")
+        (union,) = evaluate_ensemble_from_frame(frame, matrix, ks=[1])
+        inhouse_only = confusion_from_flags(frame.labels, matrix.column("inhouse"))
         assert breakdown.first_only > breakdown.second_only
-        assert union.sensitivity > inhouse_only_eval.sensitivity + 0.2
+        assert union.sensitivity > inhouse_only.sensitivity() + 0.2
 
     def test_three_detector_ensemble(self, small_dataset):
         from repro.detectors.naive_bayes import NaiveBayesRobotDetector
