@@ -4,9 +4,9 @@ Measures what the batch benchmarks cannot: the *online* cost of a
 verdict.  Three quantities matter for a production deployment:
 
 * **throughput** -- records/second through the full four-detector engine,
-  at 1, 2 and 4 visitor shards (process backend, so multi-core hosts see
-  near-linear scaling; on a single-core host the sharded runs mostly
-  measure partitioning overhead);
+  at 1, 2 and 4 visitor-sharded workers (forked processes, so a
+  multi-core host runs shards in parallel; on a single-core host the
+  sharded runs mostly measure partitioning and fork overhead);
 * **decision latency** -- the p50/p99 wall-clock time from a record
   entering the engine to its ensemble verdict;
 * **shard scaling** -- multi-shard vs single-shard throughput.
@@ -21,7 +21,7 @@ import pytest
 
 from repro.stream import ShardedStreamRunner, StreamEngine, default_online_detectors
 
-SHARD_COUNTS = (1, 2, 4)
+WORKER_COUNTS = (1, 2, 4)
 
 
 def _engine_factory() -> StreamEngine:
@@ -34,17 +34,16 @@ def replay_records(bench_dataset):
     return sorted(bench_dataset.records, key=lambda record: record.timestamp)
 
 
-@pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_perf_streaming_throughput(benchmark, replay_records, shards):
-    backend = "process" if shards > 1 else "serial"
-    runner = ShardedStreamRunner(_engine_factory, shards=shards, backend=backend)
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_perf_streaming_throughput(benchmark, replay_records, workers):
+    runner = ShardedStreamRunner(_engine_factory, workers=workers)
 
     result = benchmark.pedantic(runner.run, args=(replay_records,), rounds=2, iterations=1)
 
     assert result.stats.records == len(replay_records)
     rate = len(replay_records) / benchmark.stats.stats.min
     print(
-        f"\n{shards} shard(s): {len(replay_records):,} records, "
+        f"\n{workers} worker(s): {len(replay_records):,} records, "
         f"{rate:,.0f} records/sec (best round)"
     )
 
@@ -71,13 +70,12 @@ def test_perf_multishard_throughput_vs_single_shard(replay_records):
     """Sharded throughput comparison (the scaling claim of the runner).
 
     The speedup assertion only applies on multi-core hosts: with a single
-    core, process shards serialise on the CPU and only add partitioning
+    core, forked shards serialise on the CPU and only add partitioning
     overhead, so the comparison is reported but not enforced.
     """
 
-    def best_rate(shards: int) -> float:
-        backend = "process" if shards > 1 else "serial"
-        runner = ShardedStreamRunner(_engine_factory, shards=shards, backend=backend)
+    def best_rate(workers: int) -> float:
+        runner = ShardedStreamRunner(_engine_factory, workers=workers)
         best = float("inf")
         for _ in range(2):
             started = time.perf_counter()
@@ -87,11 +85,11 @@ def test_perf_multishard_throughput_vs_single_shard(replay_records):
 
     cores = os.cpu_count() or 1
     single = best_rate(1)
-    multi_shards = min(4, max(2, cores))
-    multi = best_rate(multi_shards)
+    multi_workers = min(4, max(2, cores))
+    multi = best_rate(multi_workers)
     print(
-        f"\n1 shard: {single:,.0f} records/sec; "
-        f"{multi_shards} shards: {multi:,.0f} records/sec "
+        f"\n1 worker: {single:,.0f} records/sec; "
+        f"{multi_workers} workers: {multi:,.0f} records/sec "
         f"(x{multi / single:.2f} on {cores} core(s))"
     )
     if cores > 1:

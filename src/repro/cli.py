@@ -202,6 +202,14 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     scenario_parent.add_argument("--seed", type=int, default=2018, help="simulation seed")
+    # ``workers_parent`` is the one sharding knob of tables/evaluate/stream.
+    workers_parent = argparse.ArgumentParser(add_help=False)
+    workers_parent.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="shard the run by visitor across N worker processes",
+    )
 
     generate = subparsers.add_parser(
         "generate",
@@ -213,43 +221,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     tables = subparsers.add_parser(
         "tables",
-        parents=[scenario_parent, json_parent, obs_parent],
+        parents=[scenario_parent, json_parent, obs_parent, workers_parent],
         help="reproduce the paper's tables",
     )
     tables.add_argument("--log-file", default=None, help="analyse an existing access log instead of generating one")
-    tables.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="shard the record frame by visitor across N worker processes",
-    )
 
     evaluate = subparsers.add_parser(
         "evaluate",
-        parents=[scenario_parent, json_parent, obs_parent],
+        parents=[scenario_parent, json_parent, obs_parent, workers_parent],
         help="labelled extension analyses",
     )
     evaluate.add_argument("--configurations", action="store_true", help="also compare parallel vs serial deployments")
-    evaluate.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="shard the record frame by visitor across N worker processes",
-    )
 
     stream = subparsers.add_parser(
         "stream",
-        parents=[scenario_parent, json_parent, obs_parent],
+        parents=[scenario_parent, json_parent, obs_parent, workers_parent],
         help="replay traffic through the streaming engine",
     )
     stream.add_argument("--log-file", default=None, help="replay an existing access log instead of generating one")
-    stream.add_argument("--shards", type=int, default=1, help="number of visitor-sharded engine workers")
-    stream.add_argument(
-        "--backend",
-        choices=["thread", "process", "serial"],
-        default="thread",
-        help="sharded execution backend (with --shards > 1)",
-    )
     stream.add_argument("--k", type=int, default=1, help="detector votes required to alert (k-out-of-4)")
     stream.add_argument("--window", type=float, default=300.0, help="adjudication window in seconds")
     stream.add_argument("--skew", type=float, default=0.0, help="reorder-buffer bound for out-of-order records (seconds)")
@@ -257,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--progress-every",
         type=int,
         default=0,
-        help="print live alert totals every N requests (single-shard runs only; 0 disables)",
+        help="print live alert totals every N requests (single-worker runs only; 0 disables)",
     )
     stream.add_argument(
         "--track-latency",
@@ -762,8 +751,7 @@ def _command_stream(args: argparse.Namespace) -> int:
         traffic=_traffic_spec(args, log_file=args.log_file),
         adjudication=AdjudicationSpec(k=args.k, window_seconds=args.window),
         execution=ExecutionSpec(
-            shards=args.shards,
-            backend=args.backend,
+            workers=args.workers,
             max_skew_seconds=args.skew,
             track_latency=args.track_latency,
             progress_every=args.progress_every,
@@ -771,12 +759,10 @@ def _command_stream(args: argparse.Namespace) -> int:
     )
     progress = None
     if not args.json:
-        if args.shards > 1 and args.progress_every:
-            print("note: --progress-every applies to single-shard runs only")
         source = args.log_file or args.scenario
         print(
             f"streaming {source} through the engine "
-            f"({args.shards} shard{'s' if args.shards != 1 else ''}, k={args.k}-out-of-4)"
+            f"({args.workers} worker{'s' if args.workers != 1 else ''}, k={args.k}-out-of-4)"
         )
         progress = _progress_printer(args.progress_every)
     with _obs_session(args) as registry:

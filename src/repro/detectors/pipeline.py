@@ -33,12 +33,17 @@ from repro.detectors.base import Detector
 from repro.exceptions import DetectorError
 from repro.logs.dataset import Dataset
 from repro.obs import names as metric_names
-from repro.obs.metrics import MetricsRegistry, resolve_registry
-from repro.obs.spans import trace_span
+from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, resolve_registry
+from repro.obs.spans import Span, trace_span
+from repro.sharding import run_shards, shard_of
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.columns import RecordFrame
     from repro.columns.alertframe import AlertFrame, DetectorAlerts
+
+#: One judged frame: every detector's alerts, the session count and the
+#: stage timings.
+_Judgement = tuple[list["DetectorAlerts"], int, dict[str, float]]
 
 
 @dataclass
@@ -153,10 +158,10 @@ class DetectionPipeline:
         :meth:`~repro.trace.store.TraceReader.read_frame` -- no
         :class:`Dataset` is ever materialised.  With ``workers > 1`` (and
         every detector declaring ``frame_shardable``) the frame is
-        hash-sharded by client IP across forked worker processes,
-        mirroring the stream runner's visitor sharding, and the
-        per-shard alert arrays are scattered back into frame-global
-        arrays at join.
+        hash-sharded by client IP (:func:`~repro.sharding.shard_of`, the
+        stream runner's visitor hash), each shard is judged by
+        :func:`~repro.sharding.run_shards`, and the per-shard alert
+        arrays are scattered back into frame-global arrays at join.
         """
         from repro.columns.alertframe import AlertFrame
 
@@ -168,8 +173,10 @@ class DetectionPipeline:
                 frame, workers
             )
         else:
-            detector_alerts, session_count, timings = self._run_frame_single(frame)
+            detector_alerts, session_count, timings = self._judge(frame, self.registry)
         self._account_shared(len(frame), session_count)
+        for detector, alerts in zip(self.detectors, detector_alerts):
+            self._account_detector(detector.name, alerts.alert_count(), timings[detector.name])
         alert_frame = AlertFrame(frame, detector_alerts)
         matrix = AlertMatrix.from_alert_frame(alert_frame)
         union = (
@@ -185,46 +192,36 @@ class DetectionPipeline:
             frame=frame, alert_frame=alert_frame, matrix=matrix, timings=timings
         )
 
-    def _run_frame_single(
-        self, frame: "RecordFrame"
-    ) -> tuple[list["DetectorAlerts"], int, dict[str, float]]:
+    def _judge(self, frame: "RecordFrame", registry: MetricsRegistry) -> _Judgement:
+        """Sessionize, extract features, and run every detector's ``alert_columns``.
+
+        The one judging step of a frame, whole or one shard of it.
+        """
         from repro.columns import FeatureMatrix, sessionize_frame
 
         timings: dict[str, float] = {}
-        with trace_span("sessionize", self.registry) as span:
+        with trace_span("sessionize", registry) as span:
             started = time.perf_counter()
-            sessions = sessionize_frame(frame, registry=self.registry)
+            sessions = sessionize_frame(frame, registry=registry)
             timings["sessionization"] = time.perf_counter() - started
             span.set_attribute(records=len(frame), sessions=len(sessions))
-        with trace_span("features", self.registry):
+        with trace_span("features", registry):
             started = time.perf_counter()
-            features = FeatureMatrix.from_frame(frame, sessions, registry=self.registry)
+            features = FeatureMatrix.from_frame(frame, sessions, registry=registry)
             timings["features"] = time.perf_counter() - started
 
         detector_alerts: list["DetectorAlerts"] = []
-        with trace_span("detectors", self.registry):
+        with trace_span("detectors", registry):
             for detector in self.detectors:
-                with trace_span("detector", self.registry, detector=detector.name):
+                with trace_span("detector", registry, detector=detector.name):
                     started = time.perf_counter()
-                    alerts = detector.alert_columns(frame, sessions, features)
-                    elapsed = time.perf_counter() - started
-                detector_alerts.append(alerts)
-                timings[detector.name] = elapsed
-                self._account_detector(detector.name, alerts.alert_count(), elapsed)
+                    detector_alerts.append(detector.alert_columns(frame, sessions, features))
+                    timings[detector.name] = time.perf_counter() - started
         return detector_alerts, len(sessions), timings
 
-    def _run_frame_sharded(
-        self, frame: "RecordFrame", workers: int
-    ) -> tuple[list["DetectorAlerts"], int, dict[str, float]]:
+    def _run_frame_sharded(self, frame: "RecordFrame", workers: int) -> _Judgement:
         from repro.columns.alertframe import DetectorAlerts, ReasonEncoder
 
-        # Reuse the stream runner's visitor hash so batch shards and
-        # stream shards agree on placement (the import is deferred to
-        # keep the detector layer import-independent of the stream one).
-        from repro.stream.runner import shard_of
-
-        global _FRAME_SHARD_STATE
-        timings: dict[str, float] = {}
         ips = frame.tables["client_ip"]
         per_ip_shard = np.fromiter(
             (shard_of(ip, workers) for ip in ips), np.int64, len(ips)
@@ -237,90 +234,45 @@ class DetectionPipeline:
                 "Rows assigned to each batch frame shard.",
             ).inc(len(rows), shard=str(index))
 
+        traced = self.registry.enabled
+
+        def judge_shard(index: int) -> tuple[_Judgement, dict | None]:
+            # Runs in the shard's worker process (or in-process without
+            # fork): record into a private registry and ship its snapshot
+            # home with the alerts.
+            registry = MetricsRegistry() if traced else NULL_REGISTRY
+            with trace_span("worker", registry, shard=index):
+                judged = self._judge(frame.take(shard_rows[index]), registry)
+            return judged, registry.to_dict() if traced else None
+
         with trace_span("shards", self.registry, workers=workers) as span:
             started = time.perf_counter()
-            _FRAME_SHARD_STATE = (frame, shard_rows, self.detectors)
-            try:
-                try:
-                    import multiprocessing
-
-                    context = multiprocessing.get_context("fork")
-                    with context.Pool(processes=workers) as pool:
-                        shard_results = pool.map(_run_frame_shard, range(workers))
-                except (ValueError, ImportError, OSError):
-                    # No fork on this platform: degrade to in-process
-                    # shard execution (same arrays, same merge).
-                    shard_results = [_run_frame_shard(index) for index in range(workers)]
-            finally:
-                _FRAME_SHARD_STATE = None
-            timings["shards"] = time.perf_counter() - started
+            shard_results = run_shards(judge_shard, workers)
+            timings = {"shards": time.perf_counter() - started}
             span.set_attribute(records=len(frame))
-
-        session_count = sum(count for count, _ in shard_results)
-        # The children could not reach this registry: account the
-        # columnar substrate events (sessions, feature rows) here so a
-        # sharded run reports the same counts as a single-process one.
-        self.registry.counter(
-            metric_names.FRAME_SESSIONS,
-            "Session spans produced by vectorized sessionization.",
-        ).inc(session_count)
-        self.registry.counter(
-            metric_names.FEATURE_ROWS, "Feature-matrix rows (sessions) computed."
-        ).inc(session_count)
+            shard_alerts: list[list[DetectorAlerts]] = []
+            session_count = 0
+            for (alerts, sessions, shard_timings), snapshot in shard_results:
+                shard_alerts.append(alerts)
+                session_count += sessions
+                for stage, seconds in shard_timings.items():
+                    timings[stage] = timings.get(stage, 0.0) + seconds
+                if snapshot is not None:
+                    self.registry.merge(snapshot)
+                    span.children.extend(Span.from_dict(root) for root in snapshot["spans"])
 
         with trace_span("merge", self.registry) as span:
             started = time.perf_counter()
             merged: list[DetectorAlerts] = []
             for position, detector in enumerate(self.detectors):
-                alerts = DetectorAlerts.empty(detector.name, len(frame))
+                merged_alerts = DetectorAlerts.empty(detector.name, len(frame))
                 encoder = ReasonEncoder()
-                elapsed = 0.0
-                for shard_index, (_, per_detector) in enumerate(shard_results):
-                    flags, scores, codes, table, shard_elapsed = per_detector[position]
-                    alerts.scatter(
-                        shard_rows[shard_index],
-                        DetectorAlerts(detector.name, flags, scores, codes, table),
-                        encoder,
-                    )
-                    elapsed += shard_elapsed
-                merged.append(alerts)
-                timings[detector.name] = elapsed
-                self._account_detector(detector.name, alerts.alert_count(), elapsed)
+                for rows, per_detector in zip(shard_rows, shard_alerts):
+                    merged_alerts.scatter(rows, per_detector[position], encoder)
+                merged.append(merged_alerts)
             timings["merge"] = time.perf_counter() - started
             span.set_attribute(detectors=len(merged))
         return merged, session_count, timings
-
-
-#: ``(frame, shard row arrays, detectors)`` shared with forked shard
-#: workers through copy-on-write memory -- set immediately before the
-#: fork, cleared at join (the stream runner's pattern).
-_FRAME_SHARD_STATE: tuple | None = None
-
-
-def _run_frame_shard(index: int):
-    """Run every detector over one shard (executes in a worker process)."""
-    assert _FRAME_SHARD_STATE is not None
-    frame, shard_rows, detectors = _FRAME_SHARD_STATE
-    from repro.columns import FeatureMatrix, sessionize_frame
-    from repro.columns.alertframe import DetectorAlerts
-
-    rows = shard_rows[index]
-    if not len(rows):
-        empty = [
-            (alerts.flags, alerts.scores, alerts.reason_codes, alerts.reason_table, 0.0)
-            for alerts in (DetectorAlerts.empty(d.name, 0) for d in detectors)
-        ]
-        return 0, empty
-    sub = frame.take(rows)
-    sessions = sessionize_frame(sub)
-    features = FeatureMatrix.from_frame(sub, sessions)
-    out = []
-    for detector in detectors:
-        started = time.perf_counter()
-        alerts = detector.alert_columns(sub, sessions, features)
-        elapsed = time.perf_counter() - started
-        out.append((alerts.flags, alerts.scores, alerts.reason_codes, alerts.reason_table, elapsed))
-    return len(sessions), out
 
 
 def run_detectors(

@@ -55,6 +55,16 @@ class DetectorNotFittedError(DetectorError):
     """Raised when a detector that requires fitting is used before ``fit``."""
 
 
+class ShardError(ReproError):
+    """Raised when one shard of a visitor-sharded run fails.
+
+    Covers a shard task that raised (in a forked worker or in-process)
+    and a worker process that exited without returning its result
+    (killed by a signal, out of memory).  The message names the shard
+    and the original error or the worker's exit code.
+    """
+
+
 class AdjudicationError(ReproError):
     """Raised for invalid adjudication-scheme configurations."""
 

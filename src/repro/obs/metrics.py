@@ -23,7 +23,10 @@ Design points:
   (p50/p95/p99) cheap: walk the cumulative counts and interpolate inside
   the target bucket, clamped to the observed min/max.
 * **Thread safety.**  One lock per registry guards every mutation; the
-  streaming thread backend feeds shards from worker threads.
+  profiler's sampler thread counts into the registry while the run
+  does, and the metrics server reads it from its own thread.  Forked
+  shard workers never touch the parent's registry: each records into
+  its own and the parent merges the snapshots (:meth:`MetricsRegistry.merge`).
 """
 
 from __future__ import annotations

@@ -60,8 +60,6 @@ SESSIONS_OPEN = "repro_sessions_open"
 VERDICT_SECONDS = "repro_verdict_seconds"
 DETECTOR_VERDICT_SECONDS = "repro_detector_verdict_seconds"
 SHARD_RECORDS = "repro_stream_shard_records_total"
-QUEUE_DEPTH = "repro_stream_queue_depth"
-BACKPRESSURE_WAITS = "repro_stream_backpressure_waits_total"
 
 # ----------------------------------------------------------------------
 # Trace store / generation cache
@@ -109,8 +107,6 @@ METRIC_REFERENCE: tuple[tuple[str, str, str, str], ...] = (
     (VERDICT_SECONDS, "histogram", "-", "per-request ensemble decision latency"),
     (DETECTOR_VERDICT_SECONDS, "histogram", "detector", "per-request detector decision latency"),
     (SHARD_RECORDS, "counter", "shard", "records processed per stream shard"),
-    (QUEUE_DEPTH, "gauge", "shard", "inbound queue depth per stream shard (batches)"),
-    (BACKPRESSURE_WAITS, "counter", "shard", "feeder blocks on a full shard queue"),
     (RUNS, "counter", "mode", "workloads executed"),
     (DATASETS_BUILT, "counter", "source", "data sets materialised by source kind"),
     (LABELLED_RECORDS, "counter", "label", "ground-truth-labelled records by label"),
@@ -150,6 +146,7 @@ SPAN_REFERENCE: tuple[tuple[str, str], ...] = (
     ("detectors", "the batch detector ensemble"),
     ("detector", "one batch detector's analysis"),
     ("shards", "multi-process frame shard fan-out and join"),
+    ("worker", "one frame shard judged in its worker (under shards)"),
     ("merge", "merging per-shard alert arrays into the global frame"),
     ("analysis", "frame-native table/diversity/evaluation kernels"),
     ("source", "stream-source resolution (dataset or trace replay)"),

@@ -61,7 +61,7 @@ from repro.traffic.generator import generate_dataset
 from repro.traffic.scenarios import get_scenario
 
 #: Optional progress hook: called with the live engine at every
-#: ``progress_every`` milestone of a single-shard streaming run.
+#: ``progress_every`` milestone of a single-worker streaming run.
 ProgressHook = Callable[[StreamEngine], None]
 
 
@@ -127,8 +127,8 @@ def _validate_for_mode(spec: RunSpec) -> None:
     :meth:`RunSpec.from_dict` already rejects unknown keys; this is the
     execution-time counterpart for *known* fields that simply do not
     apply to the workload -- a defend run has no scenario to replay, a
-    batch run has no shards -- so a misplaced setting fails loudly
-    instead of executing a different run than the config describes.
+    batch run has no reorder buffer -- so a misplaced setting fails
+    loudly instead of executing a different run than the config describes.
     """
 
     def reject(condition: bool, message: str) -> None:
@@ -161,14 +161,13 @@ def _validate_for_mode(spec: RunSpec) -> None:
         )
     if spec.mode in ("tables", "evaluate"):
         reject(spec.adjudication is not None, "computes every k-out-of-2 scheme; remove the adjudication block")
-        reject(execution.shards != 1, "runs the batch pipeline; shards are stream-only")
         reject(execution.max_skew_seconds != 0.0, "replays in order; max_skew_seconds is stream-only")
         reject(execution.track_latency, "has no per-request latency; track_latency is stream-only")
         reject(execution.progress_every != 0, "emits no live progress; progress_every is stream-only")
-    else:
+    elif spec.mode == "stream":
         reject(
-            execution.workers != 1,
-            "does not shard record frames; workers is tables/evaluate-only",
+            execution.workers > 1 and execution.progress_every != 0,
+            "reports live progress from a single engine; progress_every needs workers=1",
         )
     if spec.mode != "evaluate":
         reject(
@@ -176,7 +175,10 @@ def _validate_for_mode(spec: RunSpec) -> None:
             "has no configuration comparison; compare_configurations is evaluate-only",
         )
     if spec.mode == "defend":
-        reject(execution.shards != 1, "runs a single closed loop; shards are stream-only")
+        reject(
+            execution.workers != 1,
+            "runs a single closed loop; workers is tables/evaluate/stream-only",
+        )
         reject(execution.max_skew_seconds != 0.0, "replays in order; max_skew_seconds is stream-only")
         reject(execution.track_latency, "has no per-request latency; track_latency is stream-only")
         reject(execution.progress_every != 0, "emits no live progress; progress_every is stream-only")
@@ -217,7 +219,7 @@ def execute(
     spec:
         The declarative run description.
     progress:
-        Optional live-progress hook for single-shard ``stream`` runs.
+        Optional live-progress hook for single-worker ``stream`` runs.
     dataset:
         Optional pre-built data set matching ``spec.traffic``.  Sweeps
         and benchmarks that run many specs over the same traffic pass it
@@ -519,16 +521,13 @@ def _run_stream(
         )
 
     started = time.perf_counter()
-    with trace_span("stream", registry=registry, shards=execution.shards):
-        if execution.shards > 1:
-            # Worker engines stay uninstrumented (they may live in other
+    with trace_span("stream", registry=registry, workers=execution.workers):
+        if execution.workers > 1:
+            # Worker engines stay uninstrumented (they live in other
             # processes); the runner folds their merged counts into the
             # registry at the join.
             runner = ShardedStreamRunner(
-                engine_factory,
-                shards=execution.shards,
-                backend=execution.backend,
-                registry=registry,
+                engine_factory, workers=execution.workers, registry=registry
             )
             result = runner.run(records)
         else:

@@ -2,8 +2,8 @@
 
 A :class:`RunSpec` fully describes one workload run -- which traffic to
 analyse, which detectors to field, how their votes are adjudicated, how
-to execute (shards, backend), and, for the closed loop, which
-enforcement policy to apply.  Specs are plain data:
+to execute (worker processes, reorder skew), and, for the closed loop,
+which enforcement policy to apply.  Specs are plain data:
 :meth:`RunSpec.to_dict` / :meth:`RunSpec.from_dict` round-trip through
 JSON, so a spec can live in a config file, be queued in a sweep script,
 be diffed against another spec, and be replayed later --
@@ -19,8 +19,8 @@ The tree
   ``stream``).
 * :class:`AdjudicationSpec` -- how detector votes combine (parallel
   k-out-of-n or the serial modes, with the decision window).
-* :class:`ExecutionSpec` -- sharding, backend, reorder-buffer skew,
-  latency tracking and progress cadence.
+* :class:`ExecutionSpec` -- visitor-sharded workers, reorder-buffer
+  skew, latency tracking and progress cadence.
 * :class:`PolicySpec` -- the enforcement policy by registry name
   (``defend`` runs only).
 
@@ -46,9 +46,6 @@ RUN_MODES = ("tables", "evaluate", "stream", "defend")
 
 #: Closed-loop campaign variants (``defend`` mode).
 CAMPAIGNS = ("scripted", "adaptive")
-
-#: Sharded-execution backends (``stream`` mode with ``shards > 1``).
-BACKENDS = ("serial", "thread", "process")
 
 #: Vote-combination modes of the windowed adjudicator.
 ADJUDICATION_MODES = ("parallel", "serial-confirm", "serial-escalate")
@@ -240,10 +237,6 @@ class AdjudicationSpec(_SpecBase):
 class ExecutionSpec(_SpecBase):
     """How a run executes (independent of what it computes)."""
 
-    #: Number of visitor-sharded engine workers (``stream`` mode).
-    shards: int = 1
-    #: Sharded execution backend (with ``shards > 1``).
-    backend: str = "thread"
     #: Reorder-buffer bound for out-of-order records, in seconds.
     max_skew_seconds: float = 0.0
     #: Record per-request decision latencies (``stream`` mode).
@@ -252,18 +245,16 @@ class ExecutionSpec(_SpecBase):
     progress_every: int = 0
     #: Also compare parallel vs serial deployments (``evaluate`` mode).
     compare_configurations: bool = False
-    #: Multi-process frame sharding of the batch pipeline
-    #: (``tables`` / ``evaluate`` modes): the record frame is
-    #: hash-sharded by client IP across this many worker processes.
-    #: 1 (default) runs single-process; the results are identical.
+    #: Visitor-sharded worker processes (``tables`` / ``evaluate`` /
+    #: ``stream`` modes): the traffic is hash-sharded by client IP and
+    #: each shard runs in its own forked worker
+    #: (:func:`repro.sharding.run_shards`).  1 (default) runs
+    #: single-process; the results are the same.
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise SpecError("shards must be at least 1")
         if self.workers < 1:
             raise SpecError("workers must be at least 1")
-        _check_choice("backend", self.backend, BACKENDS)
         if self.max_skew_seconds < 0:
             raise SpecError("max_skew_seconds must be non-negative")
         if self.progress_every < 0:

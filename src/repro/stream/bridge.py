@@ -126,8 +126,7 @@ def verify_equivalence(
     dataset: Dataset,
     pairs: Sequence[tuple[Callable[[], OnlineDetector], Callable[[], Detector]]] | None = None,
     *,
-    shards: int = 1,
-    backend: str = "serial",
+    workers: int = 1,
 ) -> EquivalenceReport:
     """Run batch and stream over ``dataset`` and compare alert sets.
 
@@ -138,8 +137,8 @@ def verify_equivalence(
     pairs:
         (online factory, batch factory) pairs; defaults to
         :func:`ported_detector_pairs`.
-    shards, backend:
-        When ``shards > 1`` the stream side runs through a
+    workers:
+        When ``workers > 1`` the stream side runs through a
         :class:`~repro.stream.runner.ShardedStreamRunner`, proving the
         sharded deployment equivalent too.
     """
@@ -150,8 +149,8 @@ def verify_equivalence(
     def engine_factory() -> StreamEngine:
         return StreamEngine([online_factory() for online_factory, _ in pairs])
 
-    if shards > 1:
-        runner = ShardedStreamRunner(engine_factory, shards=shards, backend=backend)
+    if workers > 1:
+        runner = ShardedStreamRunner(engine_factory, workers=workers)
         stream_result = runner.run(dataset_replay(dataset))
     else:
         stream_result = engine_factory().run(dataset_replay(dataset))

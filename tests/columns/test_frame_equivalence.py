@@ -5,7 +5,8 @@ over a frame -- and several ways in: a :class:`Dataset` through
 :meth:`DetectionPipeline.run` / :meth:`PaperExperiment.run_on`, a frame
 through :meth:`DetectionPipeline.run_frame` /
 :meth:`PaperExperiment.run_on_frame`, single-process or hash-sharded
-across ``workers=2`` processes.  For every preset scenario all of them
+across ``workers=2`` forked workers (or, without ``fork``, shards run
+one after another in-process).  For every preset scenario all of them
 must carry byte-identical alerts (ids, scores *and* reasons), identical
 matrices and identical Tables 1-4 / labelled evaluations.  The values
 themselves are pinned by the golden fixtures in ``tests/golden``.
@@ -66,7 +67,7 @@ def _comparable(result):
 
 
 class TestFramePipelineEquivalence:
-    def test_alert_sets_byte_identical_across_paths(self, preset):
+    def test_alert_sets_byte_identical_across_paths(self, preset, shard_path):
         _name, _params, dataset, frame = preset
         single = DetectionPipeline(_detectors()).run_frame(frame)
         sharded = DetectionPipeline(_detectors()).run_frame(frame, workers=2)
@@ -101,7 +102,7 @@ class TestFramePipelineEquivalence:
         assert single.frame is frame
 
     @pytest.mark.parametrize("mode", ["tables", "evaluate"])
-    def test_execute_identical_across_workers(self, mode, preset):
+    def test_execute_identical_across_workers(self, mode, preset, shard_path):
         name, params, dataset, _frame = preset
         traffic = TrafficSpec(
             scenario=name,
@@ -203,12 +204,9 @@ class TestWorkerValidation:
             ExecutionSpec(workers=0)
 
     def test_workers_are_batch_only(self):
-        spec = RunSpec(
-            mode="stream",
-            traffic=TrafficSpec(scenario="balanced_small"),
-            execution=ExecutionSpec(workers=2),
-        )
-        with pytest.raises(SpecError, match="tables/evaluate"):
+        """Workers shard the batch and stream modes; the closed loop rejects them."""
+        spec = RunSpec(mode="defend", execution=ExecutionSpec(workers=2))
+        with pytest.raises(SpecError, match="single closed loop"):
             execute(spec)
 
     def test_run_frame_rejects_bad_workers(self):

@@ -18,6 +18,7 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from repro import sharding  # noqa: E402
 from repro.core.experiment import PaperExperiment  # noqa: E402
 from repro.detectors.commercial import CommercialBotDefenceDetector  # noqa: E402
 from repro.detectors.inhouse import InHouseHeuristicDetector  # noqa: E402
@@ -56,3 +57,21 @@ def pipeline_result(small_dataset):
 def experiment_result(calibrated_dataset):
     """The full paper experiment on the small calibrated data set."""
     return PaperExperiment().run_on(calibrated_dataset)
+
+
+@pytest.fixture(params=["process", "serial"])
+def shard_path(request, monkeypatch):
+    """Each execution path of :func:`repro.sharding.run_shards`.
+
+    ``"process"`` forks one worker per shard; ``"serial"`` is the no-fork
+    fallback, forced through the executor's fork check, with ``os.fork``
+    made to fail so the test also proves no child process was forked.
+    """
+    if request.param == "serial":
+
+        def no_fork():  # pragma: no cover - called means regression
+            raise AssertionError("the in-process fallback forked a worker")
+
+        monkeypatch.setattr(sharding, "fork_available", lambda: False)
+        monkeypatch.setattr(os, "fork", no_fork)
+    return request.param

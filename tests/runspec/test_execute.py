@@ -164,7 +164,7 @@ class TestStreamMode:
         sharded = RunSpec(
             mode="stream",
             adjudication=AdjudicationSpec(k=2),
-            execution=ExecutionSpec(shards=2, backend="serial"),
+            execution=ExecutionSpec(workers=2),
         )
         first = execute(single, dataset=small_spec_dataset)
         second = execute(sharded, dataset=small_spec_dataset)
@@ -251,7 +251,7 @@ class TestModeValidation:
                 "adjudication",
             ),
             (
-                RunSpec(mode="evaluate", execution=ExecutionSpec(shards=2)),
+                RunSpec(mode="defend", execution=ExecutionSpec(workers=2)),
                 "stream-only",
             ),
             (
@@ -261,6 +261,10 @@ class TestModeValidation:
             (
                 RunSpec(mode="defend", execution=ExecutionSpec(progress_every=100)),
                 "stream-only",
+            ),
+            (
+                RunSpec(mode="stream", execution=ExecutionSpec(workers=2, progress_every=100)),
+                "progress_every needs workers=1",
             ),
         ],
     )

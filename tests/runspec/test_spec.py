@@ -34,7 +34,7 @@ def full_spec() -> RunSpec:
             DetectorSpec(name="anomaly", params={"contamination": 0.2}),
         ),
         adjudication=AdjudicationSpec(mode="serial-confirm", k=2, window_seconds=120.0),
-        execution=ExecutionSpec(shards=4, backend="process", max_skew_seconds=5.0),
+        execution=ExecutionSpec(workers=4, max_skew_seconds=5.0),
         policy=PolicySpec(name="strict"),
         label="everything",
     )
@@ -96,10 +96,6 @@ class TestRejection:
         with pytest.raises(SpecError, match="campaign"):
             TrafficSpec(campaign="sneaky")
 
-    def test_bad_backend_rejected(self):
-        with pytest.raises(SpecError, match="backend"):
-            ExecutionSpec(backend="gpu")
-
     def test_bad_adjudication_mode_rejected(self):
         with pytest.raises(SpecError, match="adjudication mode"):
             AdjudicationSpec(mode="parallell")
@@ -123,7 +119,7 @@ class TestRejection:
             AdjudicationSpec(**kwargs)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"shards": 0}, {"max_skew_seconds": -1.0}, {"progress_every": -5}]
+        "kwargs", [{"workers": 0}, {"max_skew_seconds": -1.0}, {"progress_every": -5}]
     )
     def test_execution_bounds(self, kwargs):
         with pytest.raises(SpecError):

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import DetectorError
+from repro import sharding
+from repro.exceptions import DetectorError, ShardError
 from repro.stream import (
     ShardedStreamRunner,
     StreamEngine,
@@ -95,13 +96,12 @@ class TestShardedStreamRunner:
         assert shard_of("10.0.0.1", 4) == shard_of("10.0.0.1", 4)
         assert all(0 <= shard_of(f"10.0.{i}.1", 4) < 4 for i in range(64))
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_backends_match_single_engine(self, backend, small_dataset):
+    def test_backends_match_single_engine(self, shard_path, small_dataset):
         def factory():
             return StreamEngine(default_online_detectors())
 
         single = factory().run(dataset_replay(small_dataset))
-        runner = ShardedStreamRunner(factory, shards=2, backend=backend, queue_size=512)
+        runner = ShardedStreamRunner(factory, workers=2)
         sharded = runner.run(dataset_replay(small_dataset))
         assert sharded.stats.records == single.stats.records
         for single_set, sharded_set in zip(single.alert_sets, sharded.alert_sets):
@@ -116,7 +116,7 @@ class TestShardedStreamRunner:
                 adjudicator=WindowedAdjudicator([d.name for d in detectors], k=1),
             )
 
-        runner = ShardedStreamRunner(factory, shards=2, backend="serial")
+        runner = ShardedStreamRunner(factory, workers=2)
         result = runner.run(dataset_replay(small_dataset))
         assert result.adjudication is not None
         union = set()
@@ -127,73 +127,47 @@ class TestShardedStreamRunner:
         fingerprint = result.alert_set("ua-fingerprint").request_ids()
         assert fingerprint <= result.adjudication.alerted_ids
 
-    def test_backpressure_small_queue_still_correct(self, small_dataset):
-        def factory():
-            return StreamEngine(default_online_detectors())
-
-        runner = ShardedStreamRunner(factory, shards=2, backend="thread", queue_size=8, batch_size=4)
-        result = runner.run(dataset_replay(small_dataset))
-        assert result.stats.records == len(small_dataset)
-
     def test_worker_errors_propagate(self):
         class ExplodingDetector(OnlineRequestRateLimiter):
             def observe(self, record, session=None):
                 raise RuntimeError("boom")
 
-        runner = ShardedStreamRunner(
-            lambda: StreamEngine([ExplodingDetector()]), shards=2, backend="thread"
-        )
-        with pytest.raises(RuntimeError, match="boom"):
+        runner = ShardedStreamRunner(lambda: StreamEngine([ExplodingDetector()]), workers=2)
+        with pytest.raises(ShardError, match="boom"):
             runner.run(make_records(10))
 
     def test_error_during_shard_finish_does_not_deadlock(self):
-        # finish_shard() raising after the sentinel was consumed must not
-        # leave the worker blocked on an empty queue.
+        # finish_shard() raising after the last record must still fail
+        # the run, not leave the parent waiting for the export.
         class ExplodingFinishDetector(OnlineRequestRateLimiter):
             def export_state(self):
                 raise RuntimeError("finish boom")
 
         runner = ShardedStreamRunner(
-            lambda: StreamEngine([ExplodingFinishDetector()]), shards=2, backend="thread"
+            lambda: StreamEngine([ExplodingFinishDetector()]), workers=2
         )
-        with pytest.raises(RuntimeError, match="finish boom"):
+        with pytest.raises(ShardError, match="finish boom"):
             runner.run(make_records(10))
 
     def test_engine_factory_error_propagates(self):
         def broken_factory():
             raise OSError("no resources")
 
-        runner = ShardedStreamRunner(broken_factory, shards=2, backend="thread")
-        with pytest.raises(OSError, match="no resources"):
+        runner = ShardedStreamRunner(broken_factory, workers=2)
+        with pytest.raises(ShardError, match="no resources"):
             runner.run(make_records(10))
 
-    def test_worker_error_with_full_queue_does_not_deadlock(self):
-        # A dead worker must keep draining its bounded queue, otherwise the
-        # feeder blocks forever on put() and run() never raises.
-        class ExplodingDetector(OnlineRequestRateLimiter):
-            def observe(self, record, session=None):
-                raise RuntimeError("boom")
-
-        runner = ShardedStreamRunner(
-            lambda: StreamEngine([ExplodingDetector()]),
-            shards=1,
-            backend="thread",
-            queue_size=4,
-            batch_size=2,
-        )
-        with pytest.raises(RuntimeError, match="boom"):
-            runner.run(make_records(400))
-
-    def test_serial_backend_throughput_accounts_for_sequential_shards(self, small_dataset):
+    def test_serial_backend_throughput_accounts_for_sequential_shards(
+        self, small_dataset, monkeypatch
+    ):
         def factory():
             return StreamEngine(default_online_detectors())
 
+        monkeypatch.setattr(sharding, "fork_available", lambda: False)
         single = factory().run(dataset_replay(small_dataset))
-        sharded = ShardedStreamRunner(factory, shards=4, backend="serial").run(
-            dataset_replay(small_dataset)
-        )
-        # Serial shards run back to back: total busy time must be in the same
-        # ballpark as one engine over the whole stream, not a quarter of it.
+        sharded = ShardedStreamRunner(factory, workers=4).run(dataset_replay(small_dataset))
+        # In-process shards run back to back: total busy time must be in the
+        # same ballpark as one engine over the whole stream, not a quarter of it.
         assert sharded.stats.busy_seconds == pytest.approx(
             single.stats.busy_seconds, rel=0.75
         )
@@ -203,6 +177,4 @@ class TestShardedStreamRunner:
             return StreamEngine([OnlineRequestRateLimiter()])
 
         with pytest.raises(DetectorError):
-            ShardedStreamRunner(factory, shards=0)
-        with pytest.raises(DetectorError):
-            ShardedStreamRunner(factory, backend="gpu")
+            ShardedStreamRunner(factory, workers=0)

@@ -43,12 +43,11 @@ class TestBatchStreamEquivalence:
         assert report.equivalent, report.summary()
         assert all(entry.batch_alerts > 0 for entry in report.entries), report.summary()
 
-    # Each backend builds one engine per shard; the thread backend runs
+    # Each path builds one engine per shard; the in-process fallback runs
     # them in one process, so this also shows that the per-session
     # columnar memo shares no state across engines.
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_sharded_replay_is_also_equivalent(self, balanced_dataset, backend):
-        report = verify_equivalence(balanced_dataset, shards=3, backend=backend)
+    def test_sharded_replay_is_also_equivalent(self, balanced_dataset, shard_path):
+        report = verify_equivalence(balanced_dataset, workers=3)
         assert report.equivalent, report.summary()
 
     def test_equivalence_compares_scores_and_reasons(self, balanced_dataset):

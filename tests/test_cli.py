@@ -120,7 +120,7 @@ class TestStreamCommand:
         log_path = tmp_path / "access.log"
         main(["generate", "--scenario", "balanced_small", "--seed", "3", "--output", str(log_path)])
         capsys.readouterr()
-        code = main(["stream", "--log-file", str(log_path), "--shards", "2", "--backend", "serial"])
+        code = main(["stream", "--log-file", str(log_path), "--workers", "2"])
         assert code == 0
         out = capsys.readouterr().out
         assert "Streaming Table 1" in out
@@ -129,14 +129,30 @@ class TestStreamCommand:
     def test_stream_parser_defaults(self):
         args = build_parser().parse_args(["stream"])
         assert args.command == "stream"
-        assert args.shards == 1
+        assert args.workers == 1
         assert args.k == 1
 
     def test_stream_rejects_non_positive_shards(self):
         from repro.exceptions import SpecError
 
         with pytest.raises(SpecError):
-            main(["stream", "--scenario", "balanced_small", "--shards", "0"])
+            main(["stream", "--scenario", "balanced_small", "--workers", "0"])
+
+    def test_stream_rejects_progress_with_several_workers(self):
+        from repro.exceptions import SpecError
+
+        with pytest.raises(SpecError, match="progress_every needs workers=1"):
+            main(
+                [
+                    "stream",
+                    "--scenario",
+                    "balanced_small",
+                    "--workers",
+                    "2",
+                    "--progress-every",
+                    "100",
+                ]
+            )
 
 
 class TestDefendCommand:
