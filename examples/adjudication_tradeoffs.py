@@ -17,13 +17,13 @@ from __future__ import annotations
 from itertools import combinations
 
 from repro.columns import RecordFrame
-from repro.core.adjudication import WeightedVoteScheme
 from repro.core.evaluation import DetectorEvaluation
 from repro.core.framestats import (
     confusion_from_flags,
     evaluate_ensemble_from_frame,
     evaluate_matrix_from_frame,
     pairwise_diversity_from_frame,
+    weighted_vote,
 )
 from repro.core.reporting import render_evaluation_rows
 from repro.detectors.commercial import CommercialBotDefenceDetector
@@ -81,13 +81,13 @@ def main() -> int:
     print(render_evaluation_rows(points, title="k-out-of-5 trade-off curve"))
     print()
 
-    weighted = WeightedVoteScheme(
+    weighted = weighted_vote(
+        ensemble.matrix,
         {"commercial": 2.0, "inhouse": 2.0, "rate-limit": 1.0, "ip-reputation": 0.5, "naive-bayes": 1.0},
         threshold=0.4,
-        name="weighted(0.4)",
     )
-    weighted_confusion = confusion_from_flags(frame.labels, weighted.decide(ensemble.matrix))
-    weighted_row = DetectorEvaluation(name=weighted.name, confusion=weighted_confusion).as_dict()
+    weighted_confusion = confusion_from_flags(frame.labels, weighted)
+    weighted_row = DetectorEvaluation(name="weighted(0.4)", confusion=weighted_confusion).as_dict()
     print(render_evaluation_rows([weighted_row], title="Weighted voting (composite tools weighted double)"))
     print()
 

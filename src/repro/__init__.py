@@ -24,9 +24,10 @@ uniform :class:`RunResult`::
 Switching workload is a one-field change -- ``mode="stream"`` replays
 the same traffic through the real-time engine, ``mode="defend"`` runs a
 scraping campaign against the enforcement gateway.  Detectors,
-scenarios, policies and adjudication schemes are referenced by
-registry name, so third-party components plug in without touching this
-package (see :mod:`repro.registry`).
+scenarios and policies are referenced by registry name, so third-party
+components plug in without touching this package (see
+:mod:`repro.registry`); adjudication is a k-out-of-n vote or a serial
+mode, set by :class:`AdjudicationSpec`.
 
 The underlying subsystems remain directly usable:
 
@@ -45,8 +46,9 @@ The underlying subsystems remain directly usable:
 * :mod:`repro.anomaly` / :mod:`repro.ml` -- from-scratch anomaly-detection
   and classification algorithms used by the statistical detectors.
 * :mod:`repro.core` -- the diversity analysis itself: alert matrices,
-  the paper's Tables 1-4, diversity metrics, adjudication schemes,
-  parallel/serial deployment configurations and labelled evaluation.
+  the paper's Tables 1-4, diversity metrics, the k-out-of-n and
+  weighted-vote kernels, parallel/serial deployment configurations and
+  labelled evaluation.
 * :mod:`repro.stream` -- the real-time counterpart of the batch
   pipeline: an event-driven engine with incremental sessionization,
   online ports of the detectors, windowed 1oo2/2oo2 adjudication of live
@@ -81,7 +83,6 @@ The underlying subsystems remain directly usable:
 """
 
 from repro.columns import FeatureMatrix, FrameSessions, RecordFrame, sessionize_frame
-from repro.core.adjudication import register_adjudication_scheme
 from repro.core.experiment import ExperimentResult, PaperExperiment
 from repro.detectors.commercial import CommercialBotDefenceDetector
 from repro.detectors.inhouse import InHouseHeuristicDetector
@@ -184,7 +185,6 @@ __all__ = [
     "pass_through_policy",
     "profile_run",
     "read_trace",
-    "register_adjudication_scheme",
     "register_detector",
     "register_online_detector",
     "register_policy",

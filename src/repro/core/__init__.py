@@ -9,13 +9,12 @@ two (or more) scraping detectors observing the same HTTP traffic:
   Table 2, generalised to N detectors.
 * :mod:`repro.core.framestats` -- the frame-native kernels: the HTTP
   status breakdowns of Tables 3 and 4, the double-fault measure, the
-  labelled confusion matrices and the per-actor detection rates, each
-  computed once over a :class:`~repro.columns.RecordFrame`.
+  labelled confusion matrices, the k-out-of-n and weighted-vote
+  adjudications and the per-actor detection rates, each computed once
+  over a :class:`~repro.columns.RecordFrame`.
 * :mod:`repro.core.breakdown` -- the breakdown table of Tables 3 and 4.
 * :mod:`repro.core.metrics` -- pairwise diversity measures (Cohen's kappa,
   Yule's Q, disagreement, entropy) and their aggregate.
-* :mod:`repro.core.adjudication` -- 1-out-of-N / k-out-of-N / weighted
-  adjudication schemes over detector ensembles.
 * :mod:`repro.core.confusion` -- confusion matrices and derived rates.
 * :mod:`repro.core.evaluation` -- the labelled evaluation record of a
   detector or adjudicated ensemble.
@@ -27,14 +26,6 @@ two (or more) scraping detectors observing the same HTTP traffic:
   regenerates every table of the paper in one call.
 """
 
-from repro.core.adjudication import (
-    AdjudicationResult,
-    KOutOfNScheme,
-    MajorityScheme,
-    UnanimousScheme,
-    WeightedVoteScheme,
-    adjudicate,
-)
 from repro.core.alerts import Alert, AlertMatrix, AlertSet
 from repro.core.breakdown import BreakdownTable
 from repro.core.configurations import ConfigurationComparison, compare_configurations
@@ -46,10 +37,12 @@ from repro.core.framestats import (
     confusion_from_flags,
     evaluate_ensemble_from_frame,
     evaluate_matrix_from_frame,
+    k_out_of_n,
     pairwise_diversity_from_frame,
     per_actor_rates_from_frame,
     status_breakdown_from_frame,
     status_tables_from_frame,
+    weighted_vote,
 )
 from repro.core.metrics import (
     PairwiseDiversity,
@@ -62,7 +55,6 @@ from repro.core.metrics import (
 from repro.core.reporting import render_table
 
 __all__ = [
-    "AdjudicationResult",
     "Alert",
     "AlertMatrix",
     "AlertSet",
@@ -72,13 +64,8 @@ __all__ = [
     "DetectorEvaluation",
     "DiversityBreakdown",
     "ExperimentResult",
-    "KOutOfNScheme",
-    "MajorityScheme",
     "PairwiseDiversity",
     "PaperExperiment",
-    "UnanimousScheme",
-    "WeightedVoteScheme",
-    "adjudicate",
     "cohens_kappa",
     "compare_configurations",
     "confusion_from_flags",
@@ -88,11 +75,13 @@ __all__ = [
     "entropy_measure",
     "evaluate_ensemble_from_frame",
     "evaluate_matrix_from_frame",
+    "k_out_of_n",
     "multi_detector_breakdown",
     "pairwise_diversity_from_frame",
     "per_actor_rates_from_frame",
     "render_table",
     "status_breakdown_from_frame",
     "status_tables_from_frame",
+    "weighted_vote",
     "yules_q",
 ]

@@ -8,8 +8,9 @@ second tool)".  :func:`compare_configurations` models both for a pair of
 tools:
 
 * **parallel** -- both tools analyse all traffic and a k-out-of-2 vote
-  combines their verdicts: 1-out-of-2 maximises detection, 2-out-of-2
-  minimises false positives, and every tool processes every request.
+  (:func:`~repro.core.framestats.k_out_of_n`) combines their verdicts:
+  1-out-of-2 maximises detection, 2-out-of-2 minimises false positives,
+  and every tool processes every request.
 * **serial** -- the first tool analyses everything and *filters* the
   traffic handed to the second tool, which judges only that subset:
 
@@ -26,7 +27,7 @@ Each outcome reports the final alarm as a flag column *and* the workload
 (how many requests each tool had to analyse), so the cost/benefit
 trade-off the paper describes can be quantified.  Everything is computed
 from the columns an experiment already holds: the parallel outcomes are
-boolean algebra over the two tools' alert columns, and a serial outcome
+vote thresholds over the two tools' alert columns, and a serial outcome
 re-judges only the forwarded rows of the frame.
 """
 
@@ -40,7 +41,7 @@ import numpy.typing as npt
 
 from repro.core.alerts import AlertMatrix
 from repro.core.confusion import ConfusionMatrix
-from repro.core.framestats import confusion_from_flags
+from repro.core.framestats import confusion_from_flags, k_out_of_n
 from repro.exceptions import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -111,12 +112,14 @@ def compare_configurations(
 
     first_flags = matrix.column(first.name)
     second_flags = matrix.column(second.name)
+    votes = first_flags.astype(np.int64) + second_flags
     outcomes = [
-        outcome(name, flags, {first.name: total, second.name: total})
-        for name, flags in (
-            ("parallel-1oo2", first_flags | second_flags),
-            ("parallel-2oo2", first_flags & second_flags),
+        outcome(
+            f"parallel-{k}oo2",
+            k_out_of_n(votes, k, 2)[1],
+            {first.name: total, second.name: total},
         )
+        for k in (1, 2)
     ]
     for filtering, judging, filtered in (
         (first, second, first_flags),

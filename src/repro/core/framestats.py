@@ -2,10 +2,11 @@
 
 Every analysis the paper experiment reports -- the per-status breakdowns
 of Tables 3 and 4, the double-fault diversity measure, the labelled
-confusion matrices and the per-actor detection rates -- is a vectorized
-kernel here, over a :class:`~repro.columns.RecordFrame` and the boolean
-alert columns of an :class:`~repro.core.alerts.AlertMatrix`.  This is
-the one implementation of each analysis; the result objects
+confusion matrices, the k-out-of-n adjudications and the per-actor
+detection rates -- is a vectorized kernel here, over a
+:class:`~repro.columns.RecordFrame` and the boolean alert columns of an
+:class:`~repro.core.alerts.AlertMatrix`.  This is the one
+implementation of each analysis; the result objects
 (:class:`BreakdownTable`, :class:`PairwiseDiversity`,
 :class:`DetectorEvaluation`) live in :mod:`repro.core.breakdown`,
 :mod:`repro.core.metrics` and :mod:`repro.core.evaluation`.
@@ -17,12 +18,11 @@ label column; the golden batch fixtures pin their values.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
-from repro.core.adjudication import AdjudicationError
 from repro.core.alerts import AlertMatrix
 from repro.core.breakdown import BreakdownTable
 from repro.core.confusion import ConfusionMatrix
@@ -36,7 +36,7 @@ from repro.core.metrics import (
     entropy_measure,
     yules_q,
 )
-from repro.exceptions import AnalysisError, LabelError
+from repro.exceptions import AdjudicationError, AnalysisError, LabelError
 from repro.logs.statuses import describe_status
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -166,6 +166,55 @@ def evaluate_matrix_from_frame(
     ]
 
 
+def k_out_of_n_name(k: int, n: int) -> str:
+    """The name of the k-out-of-n rule, ``"{k}-out-of-{n}"``.
+
+    Raises :class:`~repro.exceptions.AdjudicationError` unless ``k`` is
+    between 1 and ``n``: the one vote-threshold check, shared by the batch
+    kernel and the stream's :class:`~repro.stream.adjudicator.WindowedAdjudicator`.
+    """
+    if not 1 <= k <= n:
+        raise AdjudicationError(f"k must be between 1 and {n}, got {k}")
+    return f"{k}-out-of-{n}"
+
+
+def k_out_of_n(
+    votes: npt.NDArray[np.int64], k: int, n: int
+) -> tuple[str, npt.NDArray[np.bool_]]:
+    """The k-out-of-n adjudication of per-row vote counts: name and flag column.
+
+    A row alerts when at least ``k`` of the ``n`` detectors alerted on it:
+    ``k=1`` is the paper's 1-out-of-2, ``k=n`` its 2-out-of-2, and
+    ``k = n // 2 + 1`` a strict majority.
+    """
+    return k_out_of_n_name(k, n), votes >= k
+
+
+def weighted_vote(
+    matrix: AlertMatrix, weights: Mapping[str, float], *, threshold: float = 0.5
+) -> npt.NDArray[np.bool_]:
+    """Rows whose weighted detector vote reaches a share of the total weight.
+
+    Weights are given per detector name; missing names weigh 1.0.  The
+    threshold is a fraction of the total weight, so ``threshold=0.5`` is
+    a weighted majority.
+    """
+    if not 0.0 < threshold <= 1.0:
+        raise AdjudicationError("threshold must be in (0, 1]")
+    if any(weight < 0 for weight in weights.values()):
+        raise AdjudicationError("detector weights must be non-negative")
+    weight_vector = np.array(
+        [weights.get(name, 1.0) for name in matrix.detector_names], dtype=float
+    )
+    total_weight = weight_vector.sum()
+    if total_weight <= 0:
+        raise AdjudicationError("the total detector weight must be positive")
+    flags: npt.NDArray[np.bool_] = (
+        matrix.values.astype(float) @ weight_vector >= threshold * total_weight
+    )
+    return flags
+
+
 def evaluate_ensemble_from_frame(
     frame: "RecordFrame", matrix: AlertMatrix, *, ks: Sequence[int] | None = None
 ) -> list[DetectorEvaluation]:
@@ -174,20 +223,12 @@ def evaluate_ensemble_from_frame(
         raise LabelError("data set has no ground truth labels")
     labels = frame.labels
     n = matrix.n_detectors
-    if ks is None:
-        ks = range(1, n + 1)
     votes = matrix.votes_per_request()
     evaluations = []
-    for k in ks:
-        if k < 1:
-            raise AdjudicationError("k must be at least 1")
-        if k > n:
-            raise AdjudicationError(f"k={k} exceeds the number of detectors ({n})")
+    for k in range(1, n + 1) if ks is None else ks:
+        name, flags = k_out_of_n(votes, k, n)
         evaluations.append(
-            DetectorEvaluation(
-                name=f"{k}-out-of-{n}",
-                confusion=confusion_from_flags(labels, votes >= k),
-            )
+            DetectorEvaluation(name=name, confusion=confusion_from_flags(labels, flags))
         )
     return evaluations
 

@@ -56,7 +56,6 @@ FRAME_ALERT_ROWS = "repro_frame_alert_rows_total"
 ENSEMBLE_ALERTS = "repro_ensemble_alerts_total"
 DETECTOR_VERDICTS = "repro_detector_verdicts_total"
 SESSIONS_EVICTED = "repro_sessions_evicted_total"
-SESSIONS_OPEN = "repro_sessions_open"
 VERDICT_SECONDS = "repro_verdict_seconds"
 DETECTOR_VERDICT_SECONDS = "repro_detector_verdict_seconds"
 SHARD_RECORDS = "repro_stream_shard_records_total"
@@ -97,7 +96,6 @@ METRIC_REFERENCE: tuple[tuple[str, str, str, str], ...] = (
     (SESSIONS_OPENED, "counter", "-", "visitor sessions opened"),
     (SESSIONS_CLOSED, "counter", "-", "visitor sessions closed"),
     (SESSIONS_EVICTED, "counter", "-", "idle sessions closed by the stream evictor"),
-    (SESSIONS_OPEN, "gauge", "-", "sessions still open (streaming, sampled at finish)"),
     (DETECTOR_ALERTS, "counter", "detector", "requests alerted per detector"),
     (DETECTOR_RUNS, "counter", "detector", "batch detector executions"),
     (DETECTOR_SECONDS, "histogram", "detector", "batch per-detector analysis duration"),

@@ -1,9 +1,9 @@
 """Generic name -> factory registries.
 
 Every pluggable component family in the library -- batch detectors,
-online detectors, traffic scenarios, enforcement policies, adjudication
-schemes -- is constructed from a :class:`RunSpec <repro.runspec.spec.RunSpec>`
-by *name*.  This module provides the one registry implementation they all
+online detectors, traffic scenarios, enforcement policies -- is
+constructed from a :class:`RunSpec <repro.runspec.spec.RunSpec>` by
+*name*.  This module provides the one registry implementation they all
 share: case-sensitive name -> factory mapping, explicit overwrite
 semantics, and lookup errors that carry a did-you-mean suggestion plus
 the full list of valid names (always as a :mod:`repro.exceptions` type,

@@ -21,9 +21,9 @@ Quickstart::
     spec.save("spec.json")                 # ... later, or on another machine:
     same = execute(load_runspec("spec.json"))
 
-Specs reference detectors, scenarios, policies and adjudication schemes
-by registry name, so third-party components plug in by registering a
-factory (see :mod:`repro.registry`).
+Specs reference detectors, scenarios and policies by registry name, so
+third-party components plug in by registering a factory (see
+:mod:`repro.registry`).
 """
 
 from repro.runspec.execute import build_dataset, execute

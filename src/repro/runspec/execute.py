@@ -500,8 +500,6 @@ def _run_stream(
     registry: MetricsRegistry | None = None,
 ) -> RunResult:
     registry = resolve_registry(registry)
-    with trace_span("source", registry=registry):
-        records, total_requests, source = _stream_source(spec, dataset, registry)
     adjudication = spec.adjudication or AdjudicationSpec()
     execution = spec.execution
 
@@ -520,18 +518,24 @@ def _run_stream(
             registry=engine_registry,
         )
 
+    # Built before any traffic, so a bad adjudication (k out of range, a
+    # serial mode with one detector) fails at once, the same way at every
+    # worker count.  Sharded runs use it only for that check: their worker
+    # engines stay uninstrumented (they live in other processes), and the
+    # runner folds their merged counts into the registry at the join.
+    sharded = execution.workers > 1
+    engine = engine_factory(None if sharded else registry)
+    with trace_span("source", registry=registry):
+        records, total_requests, source = _stream_source(spec, dataset, registry)
+
     started = time.perf_counter()
     with trace_span("stream", registry=registry, workers=execution.workers):
-        if execution.workers > 1:
-            # Worker engines stay uninstrumented (they live in other
-            # processes); the runner folds their merged counts into the
-            # registry at the join.
+        if sharded:
             runner = ShardedStreamRunner(
                 engine_factory, workers=execution.workers, registry=registry
             )
             result = runner.run(records)
         else:
-            engine = engine_factory(registry)
             engine.reset()
             # Milestone-based progress: with a reorder buffer one process()
             # call can release zero or several records, so a plain modulo

@@ -40,15 +40,13 @@ from typing import TYPE_CHECKING, Any, Mapping, Self
 
 from repro.exceptions import SpecError
 from repro.registry import unknown_name_message
+from repro.stream.adjudicator import ADJUDICATION_MODES
 
 #: The workloads :func:`~repro.runspec.execute.execute` can dispatch to.
 RUN_MODES = ("tables", "evaluate", "stream", "defend")
 
 #: Closed-loop campaign variants (``defend`` mode).
 CAMPAIGNS = ("scripted", "adaptive")
-
-#: Vote-combination modes of the windowed adjudicator.
-ADJUDICATION_MODES = ("parallel", "serial-confirm", "serial-escalate")
 
 #: Where a run's traffic comes from: generated from a scenario, parsed
 #: from an access log, or replayed from a recorded trace file.
@@ -249,7 +247,11 @@ class ExecutionSpec(_SpecBase):
     #: ``stream`` modes): the traffic is hash-sharded by client IP and
     #: each shard runs in its own forked worker
     #: (:func:`repro.sharding.run_shards`).  1 (default) runs
-    #: single-process; the results are the same.
+    #: single-process.  Batch results, and a ``stream`` run's final
+    #: per-detector alert sets, are the same at every worker count.  A
+    #: ``stream`` run's adjudicated alerts are too, except with the
+    #: anomaly port, whose live model is refitted per shard; its eviction
+    #: count is not, as each shard keeps its own watermark.
     workers: int = 1
 
     def __post_init__(self) -> None:

@@ -19,7 +19,8 @@ verdicts online:
   together;
 * :mod:`repro.stream.runner` -- visitor-sharded replay through the shard
   executor :mod:`repro.sharding` (on a 2-core machine, 2 forked workers
-  replayed 28,792 records in 3.25 s against 3.83 s for one engine);
+  replayed 28,792 records in 2.42-2.55 s against 2.50-2.66 s for one
+  engine, both without a metrics registry);
 * :mod:`repro.stream.bridge` -- proof that replaying a data set through
   the engine reproduces the batch pipeline's alert sets exactly.
 
@@ -38,7 +39,7 @@ Quickstart::
 """
 
 from repro.sharding import shard_of
-from repro.stream.adjudicator import AdjudicatedVerdict, WindowedAdjudicator
+from repro.stream.adjudicator import AdjudicatedVerdict, AdjudicationResult, WindowedAdjudicator
 from repro.stream.bridge import (
     DetectorEquivalence,
     EquivalenceReport,
@@ -63,6 +64,7 @@ from repro.stream.sources import dataset_replay, generator_feed, tail_log_file, 
 
 __all__ = [
     "AdjudicatedVerdict",
+    "AdjudicationResult",
     "DetectorEquivalence",
     "EngineStats",
     "EquivalenceReport",

@@ -2,10 +2,11 @@
 
 The paper's Section-V schemes (1-out-of-2, 2-out-of-2, and the serial
 confirm/escalate deployments modelled in
-:mod:`repro.core.configurations`) are defined over a finished alert
-matrix.  :class:`WindowedAdjudicator` applies the same schemes *online*:
-every request's detector votes are combined into one ensemble decision
-the moment the request is observed, and a sliding time window of recent
+:mod:`repro.core.configurations`) are evaluated over a finished alert
+matrix by the batch kernels in :mod:`repro.core.framestats`.
+:class:`WindowedAdjudicator` applies the same schemes *online*: every
+request's detector votes are combined into one ensemble decision the
+moment the request is observed, and a sliding time window of recent
 decisions is maintained for live alert-rate dashboards.
 
 The serial modes also track the second tool's *workload* -- how many
@@ -14,25 +15,48 @@ serial configurations try to save.  (Online detectors still observe
 every request to keep their session state correct; the workload counts
 measure how many requests needed the second tool's decision.)
 
-The accumulated decisions convert back into a
-:class:`~repro.core.adjudication.AdjudicationResult` via
-:meth:`WindowedAdjudicator.to_result`, so adjudicated streaming runs can
-be evaluated with the same machinery as the batch schemes.
+The accumulated decisions are reported as an :class:`AdjudicationResult`
+via :meth:`WindowedAdjudicator.to_result` (one engine) or
+:meth:`WindowedAdjudicator.merge_states` (the join of a sharded run).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Mapping, Sequence
+from typing import Deque, Iterable, Mapping, Sequence
 
-from repro.core.adjudication import AdjudicationResult
+from repro.core.framestats import k_out_of_n_name
 from repro.exceptions import AdjudicationError
 from repro.logs.record import LogRecord
 from repro.stream.events import OnlineVerdict
 
-#: Valid adjudication modes.
-MODES = ("parallel", "serial-confirm", "serial-escalate")
+#: Vote-combination modes of the windowed adjudicator.
+ADJUDICATION_MODES = ("parallel", "serial-confirm", "serial-escalate")
+
+
+@dataclass(frozen=True)
+class AdjudicationResult:
+    """The ensemble decisions of a stream run under one adjudication scheme."""
+
+    scheme_name: str
+    detector_names: tuple[str, ...]
+    alerted_ids: frozenset[str]
+    total_requests: int
+
+    @property
+    def alert_count(self) -> int:
+        """Number of requests the adjudicated ensemble alerts on."""
+        return len(self.alerted_ids)
+
+    def alert_rate(self) -> float:
+        """Fraction of requests the adjudicated ensemble alerts on."""
+        if self.total_requests == 0:
+            return 0.0
+        return self.alert_count / self.total_requests
+
+    def __contains__(self, request_id: str) -> bool:
+        return request_id in self.alerted_ids
 
 
 @dataclass(frozen=True)
@@ -78,12 +102,13 @@ class WindowedAdjudicator:
             raise AdjudicationError("an adjudicator needs at least one detector name")
         if len(set(detector_names)) != len(detector_names):
             raise AdjudicationError(f"detector names must be unique, got {list(detector_names)}")
-        if mode not in MODES:
-            raise AdjudicationError(f"unknown adjudication mode {mode!r}; expected one of {MODES}")
+        if mode not in ADJUDICATION_MODES:
+            raise AdjudicationError(
+                f"unknown adjudication mode {mode!r}; expected one of {ADJUDICATION_MODES}"
+            )
         if mode.startswith("serial") and len(detector_names) < 2:
             raise AdjudicationError("serial adjudication needs at least two detectors")
-        if not 1 <= k <= len(detector_names):
-            raise AdjudicationError(f"k must be between 1 and {len(detector_names)}")
+        scheme = k_out_of_n_name(k, len(detector_names))
         if window_seconds <= 0:
             raise AdjudicationError("window_seconds must be positive")
         self.detector_names = tuple(detector_names)
@@ -91,7 +116,7 @@ class WindowedAdjudicator:
         self.mode = mode
         self.window_seconds = window_seconds
         if mode == "parallel":
-            self.name = f"{k}-out-of-{len(detector_names)}"
+            self.name = scheme
         else:
             rest = "+".join(self.detector_names[1:])
             self.name = f"{mode}({self.detector_names[0]}->{rest})"
@@ -172,13 +197,26 @@ class WindowedAdjudicator:
 
     # ------------------------------------------------------------------
     def to_result(self, total_requests: int | None = None) -> AdjudicationResult:
-        """The accumulated decisions as a batch-style adjudication result."""
+        """The accumulated decisions as an adjudication result."""
         return AdjudicationResult(
             scheme_name=self.name,
             detector_names=self.detector_names,
             alerted_ids=frozenset(self._alerted_ids),
             total_requests=self._processed if total_requests is None else total_requests,
         )
+
+    def merge_states(
+        self, alerted_ids: Sequence[Iterable[str]], total_requests: int
+    ) -> AdjudicationResult:
+        """The result of a sharded run, from each shard's alerted request ids.
+
+        Every shard adjudicates its own visitors, so the run's decisions
+        are the union of the shards'.  Called on a fresh adjudicator (the
+        sharded join's merge reference).
+        """
+        for ids in alerted_ids:
+            self._alerted_ids.update(ids)
+        return self.to_result(total_requests)
 
     def reset(self) -> None:
         """Drop all state (start of a new stream)."""

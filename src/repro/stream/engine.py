@@ -37,14 +37,13 @@ from dataclasses import dataclass, field
 from datetime import timedelta
 from typing import Iterable, Sequence
 
-from repro.core.adjudication import AdjudicationResult
 from repro.core.alerts import AlertMatrix, AlertSet
 from repro.exceptions import DetectorError
 from repro.logs.record import LogRecord
 from repro.logs.sessionization import DEFAULT_TIMEOUT, Session
 from repro.obs import names as metric_names
 from repro.obs.metrics import MetricsRegistry, resolve_registry
-from repro.stream.adjudicator import WindowedAdjudicator
+from repro.stream.adjudicator import AdjudicationResult, WindowedAdjudicator
 from repro.stream.columnar import SessionColumns
 from repro.stream.detectors import OnlineDetector
 from repro.stream.events import EngineStats, OnlineVerdict, RequestVerdict
@@ -79,8 +78,8 @@ class StreamResult:
         """The final alerts as a request x detector matrix over ``dataset``.
 
         This is the hand-off point to the paper's analysis: the matrix
-        feeds Tables 1-4, the diversity metrics and every batch
-        adjudication scheme.
+        feeds Tables 1-4, the diversity metrics and the batch k-out-of-n
+        kernel.
         """
         return AlertMatrix.from_alert_sets(dataset, self.alert_sets, strict=strict)
 
@@ -254,7 +253,6 @@ class StreamEngine:
             ),
             "latencies": self._latencies,
             "sessions_evicted": self.sessionizer.sessions_evicted,
-            "open_sessions": self.sessionizer.open_sessions,
         }
 
     # ------------------------------------------------------------------
@@ -265,7 +263,6 @@ class StreamEngine:
         stats: EngineStats | None = None,
         registry: MetricsRegistry | None = None,
         sessions_evicted: int | None = None,
-        open_sessions: int | None = None,
     ) -> None:
         """Bulk-add the engine's counters into a registry.
 
@@ -291,11 +288,6 @@ class StreamEngine:
         registry.counter(
             metric_names.SESSIONS_EVICTED, "Idle sessions closed by the stream evictor."
         ).inc(sessions_evicted)
-        if open_sessions is None:
-            open_sessions = self.sessionizer.open_sessions
-        registry.gauge(
-            metric_names.SESSIONS_OPEN, "Sessions still open (sampled at finish)."
-        ).set(open_sessions)
         registry.counter(
             metric_names.ENSEMBLE_ALERTS, "Requests alerted by the adjudicated ensemble."
         ).inc(stats.ensemble_alerts)

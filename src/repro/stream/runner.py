@@ -2,27 +2,35 @@
 
 Every stateful signal the engine computes is keyed by visitor (sessions,
 rate windows, fingerprints), so the stream partitions cleanly by client
-IP: records of one visitor always land on the same shard, each shard
-runs an independent :class:`~repro.stream.engine.StreamEngine`, and the
-per-shard results merge losslessly at the end (the anomaly port pools
+IP: records of one visitor always land on the same shard, and each shard
+runs an independent :class:`~repro.stream.engine.StreamEngine`.  The
+final per-detector alert sets merge losslessly: the anomaly port pools
 its session features across shards before fitting, so even its global
-contamination threshold matches an unsharded run).
+contamination threshold matches an unsharded run.  Two outputs do
+depend on the shard count.  The anomaly port refits its *live* model on
+its own shard's closed sessions, so its online votes, and with them the
+adjudicated ensemble decisions, differ from one engine's; without that
+port the adjudicated alerts match.  Each shard's sessionizer also evicts
+against its own watermark, so the eviction count differs.
 
 The records are partitioned in the caller's process and the shards run
 through :func:`repro.sharding.run_shards`: one forked worker per shard
 where ``fork`` is available, inherited partitions, and only the compact
 per-shard exports travel back; elsewhere (or with one worker) the shards
 run one after another in-process.  Measured on a shared 2-core machine
-(``repro stream --scale 0.02``: 28,792 records, the four default online
-detectors, traffic generation included, median of 9 alternating runs),
-``--workers 2`` took 3.25 s of wall time against 3.83 s for one engine.
+(the default scenario at scale 0.02: 28,792 records, the four default
+online detectors, ``k=1``; the stream stage alone, medians of two sets
+of 9 and 7 alternating rounds), ``workers=2`` took 2.42-2.55 s against
+2.50-2.66 s for one engine, neither with a metrics registry: no clear
+gain at this size.  With a registry, as the CLI always passes, one
+engine took 3.03-3.26 s.  Forked workers record no per-request
+histograms, so an instrumented comparison flatters sharding.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from repro.core.adjudication import AdjudicationResult
 from repro.exceptions import DetectorError
 from repro.logs.record import LogRecord
 from repro.obs import names as metric_names
@@ -95,7 +103,6 @@ class ShardedStreamRunner:
         stats = EngineStats(online_alerts={d.name: 0 for d in reference.detectors})
         latencies: list[float] = []
         sessions_evicted = 0
-        open_sessions = 0
         shard_records = self.registry.counter(
             metric_names.SHARD_RECORDS, "Records processed per stream shard."
         )
@@ -103,7 +110,6 @@ class ShardedStreamRunner:
             shard_stats: EngineStats = export["stats"]
             shard_records.inc(shard_stats.records, shard=str(shard))
             sessions_evicted += export.get("sessions_evicted", 0)
-            open_sessions += export.get("open_sessions", 0)
             stats.records += shard_stats.records
             stats.sessions_opened += shard_stats.sessions_opened
             stats.sessions_closed += shard_stats.sessions_closed
@@ -119,17 +125,9 @@ class ShardedStreamRunner:
             latencies.extend(export["latencies"])
 
         adjudication = None
-        if reference.adjudicator is not None and all(
-            export["adjudicated_ids"] is not None for export in exports
-        ):
-            alerted: set[str] = set()
-            for export in exports:
-                alerted.update(export["adjudicated_ids"])
-            adjudication = AdjudicationResult(
-                scheme_name=reference.adjudicator.name,
-                detector_names=reference.adjudicator.detector_names,
-                alerted_ids=frozenset(alerted),
-                total_requests=stats.records,
+        if reference.adjudicator is not None:
+            adjudication = reference.adjudicator.merge_states(
+                [export["adjudicated_ids"] for export in exports], stats.records
             )
         result = StreamResult(
             alert_sets=alert_sets,
@@ -143,6 +141,5 @@ class ShardedStreamRunner:
                 stats=stats,
                 registry=self.registry,
                 sessions_evicted=sessions_evicted,
-                open_sessions=open_sessions,
             )
         return result

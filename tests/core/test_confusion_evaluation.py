@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from repro.columns import RecordFrame
-from repro.core.adjudication import AdjudicationError, adjudicate
 from repro.core.confusion import ConfusionMatrix
 from repro.core.evaluation import DetectorEvaluation
 from repro.core.framestats import (
     confusion_from_flags,
     evaluate_ensemble_from_frame,
     evaluate_matrix_from_frame,
+    k_out_of_n,
     per_actor_rates_from_frame,
 )
-from repro.exceptions import AnalysisError, LabelError
+from repro.exceptions import AdjudicationError, AnalysisError, LabelError
 from repro.logs.dataset import Dataset
 from tests.helpers import make_alert_matrix, make_labelled_dataset, make_records
 
@@ -142,8 +142,9 @@ class TestEvaluation:
         """1-out-of-2 never has lower sensitivity, 2-out-of-2 never lower specificity."""
         frame, matrix = self._setup()
         single = evaluate_matrix_from_frame(frame, matrix)
-        union = confusion_from_flags(frame.labels, _flags(frame, adjudicate(matrix, 1).alerted_ids))
-        both = confusion_from_flags(frame.labels, _flags(frame, adjudicate(matrix, 2).alerted_ids))
+        votes = matrix.votes_per_request()
+        union = confusion_from_flags(frame.labels, k_out_of_n(votes, 1, 2)[1])
+        both = confusion_from_flags(frame.labels, k_out_of_n(votes, 2, 2)[1])
         assert union.sensitivity() >= max(e.sensitivity for e in single)
         assert both.specificity() >= max(e.specificity for e in single)
 

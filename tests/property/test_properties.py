@@ -14,10 +14,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.adjudication import KOutOfNScheme
 from repro.core.alerts import AlertMatrix, AlertSet
 from repro.core.confusion import ConfusionMatrix
 from repro.core.diversity import DiversityBreakdown, diversity_breakdown, multi_detector_breakdown
+from repro.core.framestats import k_out_of_n
 from repro.core.metrics import cohens_kappa, disagreement_measure, entropy_measure, yules_q
 from repro.logs.dataset import Dataset
 from repro.logs.parser import parse_line
@@ -143,14 +143,15 @@ def test_votes_histogram_partitions_the_traffic(data):
 @settings(max_examples=60, deadline=None)
 def test_k_out_of_n_is_monotone_in_k(data):
     _, matrix = data
+    votes = matrix.votes_per_request()
     previous = None
     for k in range(1, matrix.n_detectors + 1):
-        result = KOutOfNScheme(k).apply(matrix)
+        _name, flags = k_out_of_n(votes, k, matrix.n_detectors)
         if previous is not None:
-            assert result.alerted_ids <= previous
-        previous = result.alerted_ids
-    union = KOutOfNScheme(1).apply(matrix).alerted_ids
-    assert union == set().union(*(matrix.alerted_by(name) for name in matrix.detector_names)) or not union
+            assert not np.any(flags & ~previous)
+        previous = flags
+    _name, union = k_out_of_n(votes, 1, matrix.n_detectors)
+    assert np.array_equal(union, matrix.values.any(axis=1))
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
+
 import pytest
 
-from repro.exceptions import SpecError
+from repro.exceptions import AdjudicationError, SpecError
 from repro.obs.metrics import MetricsRegistry
 from repro.runspec import (
     AdjudicationSpec,
@@ -169,6 +172,52 @@ class TestStreamMode:
         first = execute(single, dataset=small_spec_dataset)
         second = execute(sharded, dataset=small_spec_dataset)
         assert first.alert_counts == second.alert_counts
+
+    def test_adjudicated_alerts_do_not_depend_on_workers_without_the_anomaly_port(
+        self, small_spec_dataset
+    ):
+        # The anomaly port refits its live model on each shard's closed
+        # sessions, so only the other ports' online votes are shard-invariant.
+        detectors = tuple(
+            DetectorSpec(name=name) for name in ("rate-limit", "ua-fingerprint", "inhouse")
+        )
+        alerts = [
+            execute(
+                RunSpec(
+                    mode="stream",
+                    detectors=detectors,
+                    execution=ExecutionSpec(workers=workers),
+                ),
+                dataset=small_spec_dataset,
+            ).metrics["adjudicated_alerts"]
+            for workers in (1, 2)
+        ]
+        assert alerts[0] == alerts[1] > 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "spec, match",
+        [
+            (RunSpec(mode="stream", adjudication=AdjudicationSpec(k=5)), "between 1 and 4"),
+            (
+                RunSpec(
+                    mode="stream",
+                    detectors=(DetectorSpec(name="rate-limit"),),
+                    adjudication=AdjudicationSpec(mode="serial-confirm"),
+                ),
+                "at least two detectors",
+            ),
+        ],
+    )
+    def test_bad_adjudication_fails_before_any_traffic(self, monkeypatch, workers, spec, match):
+        def no_traffic(*args, **kwargs):
+            raise AssertionError("the traffic was built before the adjudication was checked")
+
+        execute_module = importlib.import_module("repro.runspec.execute")
+        monkeypatch.setattr(execute_module, "_stream_source", no_traffic)
+        spec = dataclasses.replace(spec, execution=ExecutionSpec(workers=workers))
+        with pytest.raises(AdjudicationError, match=match):
+            execute(spec)
 
     def test_progress_hook_fires(self, small_spec_dataset):
         milestones = []

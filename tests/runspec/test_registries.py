@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import (
-    AdjudicationError,
     DetectorError,
     ReproError,
     ScenarioError,
@@ -97,15 +96,3 @@ class TestBuiltinRegistries:
 
         with pytest.raises(PolicyError, match="did you mean 'standard'"):
             get_policy("standad")
-
-    def test_adjudication_scheme_registry(self):
-        from repro.core.adjudication import (
-            available_adjudication_schemes,
-            create_adjudication_scheme,
-        )
-
-        assert "majority" in available_adjudication_schemes()
-        scheme = create_adjudication_scheme("k-out-of-n", k=2)
-        assert scheme.k == 2
-        with pytest.raises(AdjudicationError, match="did you mean 'majority'"):
-            create_adjudication_scheme("majorty")

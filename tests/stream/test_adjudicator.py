@@ -81,6 +81,7 @@ class TestWindowAndResult:
         adjudicator.observe(record, _votes(record, a=True, b=False))
         result = adjudicator.to_result(total_requests=10)
         assert result.alerted_ids == frozenset({"r0"})
+        assert "r0" in result and "r1" not in result
         assert result.total_requests == 10
         assert result.alert_rate() == pytest.approx(0.1)
 

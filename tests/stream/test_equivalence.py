@@ -72,14 +72,15 @@ class TestBatchStreamEquivalence:
         assert "score/reason mismatches" in report.summary()
 
     def test_stream_matrix_plugs_into_batch_analysis(self, balanced_dataset):
-        from repro.core.adjudication import adjudicate
+        from repro.core.framestats import k_out_of_n
 
         result = StreamEngine(default_online_detectors()).run(dataset_replay(balanced_dataset))
         matrix = result.to_matrix(balanced_dataset)
         assert matrix.n_requests == len(balanced_dataset)
         assert matrix.detector_names == list(DETECTOR_NAMES)
-        one_oo_four = adjudicate(matrix, 1)
-        assert one_oo_four.alert_count >= max(matrix.alert_counts().values())
+        name, one_oo_four = k_out_of_n(matrix.votes_per_request(), 1, matrix.n_detectors)
+        assert name == "1-out-of-4"
+        assert one_oo_four.sum() >= max(matrix.alert_counts().values())
 
 
 class TestStreamingEdgeCases:

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 
 from repro.columns import RecordFrame
-from repro.core.adjudication import adjudicate
 from repro.core.diversity import diversity_breakdown
 from repro.core.experiment import PaperExperiment
 from repro.core.framestats import (
     confusion_from_flags,
     evaluate_ensemble_from_frame,
+    k_out_of_n,
     per_actor_rates_from_frame,
 )
 from repro.detectors.commercial import CommercialBotDefenceDetector
@@ -113,10 +113,11 @@ class TestAlternativeScenarios:
             [CommercialBotDefenceDetector(), InHouseHeuristicDetector(), NaiveBayesRobotDetector()],
         )
         assert result.matrix.n_detectors == 3
-        union = adjudicate(result.matrix, 1)
-        majority = adjudicate(result.matrix, 2)
-        unanimous = adjudicate(result.matrix, 3)
-        assert union.alert_count >= majority.alert_count >= unanimous.alert_count
+        votes = result.matrix.votes_per_request()
+        union, majority, unanimous = (
+            int(k_out_of_n(votes, k, 3)[1].sum()) for k in (1, 2, 3)
+        )
+        assert union >= majority >= unanimous
 
     def test_experiment_is_reproducible(self):
         scenario = balanced_small(total_requests=1200, seed=77)
