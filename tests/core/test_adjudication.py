@@ -82,6 +82,22 @@ class TestKOutOfN:
         assert not flags[matrix.request_ids.index("r4")]
 
 
+class TestConvenienceSchemes:
+    """Unanimity is k = n and a strict majority is k = n // 2 + 1."""
+
+    def test_unanimous_equals_n_out_of_n(self):
+        matrix = _matrix()
+        unanimous = matrix.values.all(axis=1)
+        assert np.array_equal(_flags(matrix, matrix.n_detectors), unanimous)
+
+    def test_majority_is_two_of_three(self):
+        matrix = _matrix()
+        n = matrix.n_detectors
+        assert n // 2 + 1 == 2
+        more_than_half = 2 * matrix.values.sum(axis=1) > n
+        assert np.array_equal(_flags(matrix, n // 2 + 1), more_than_half)
+
+
 class TestWeightedVote:
     def test_heavily_weighted_detector_dominates(self):
         matrix = _matrix()
