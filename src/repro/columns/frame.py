@@ -113,7 +113,7 @@ class RecordFrame:
         self.metadata = metadata or DatasetMetadata()
         self._time_ordered = time_ordered
         self._derived: dict[str, np.ndarray] = {}
-        self._url_paths: list[str] | None = None
+        self._url_path_encoding_cache: tuple[np.ndarray, list[str]] | None = None
         self._row_index: dict[str, int] | None = None
 
         lengths = {
@@ -308,46 +308,52 @@ class RecordFrame:
 
     def url_paths(self) -> list[str]:
         """The query-stripped URL path behind each entry of the path table."""
-        if self._url_paths is None:
-            self._url_paths = [split_url_path(value) for value in self.tables["path"]]
-        return self._url_paths
+        return [split_url_path(value) for value in self.tables["path"]]
+
+    def _url_path_encoding(self) -> tuple[np.ndarray, list[str]]:
+        """The URL-path code of each path-table entry, and the URL-path table."""
+        if self._url_path_encoding_cache is None:
+            self._url_path_encoding_cache = encode_column(self.url_paths())
+        return self._url_path_encoding_cache
+
+    def url_path_table(self) -> list[str]:
+        """The distinct query-stripped URL paths; :meth:`url_path_codes` index it."""
+        return self._url_path_encoding()[1]
 
     def url_path_codes(self) -> np.ndarray:
-        """Per-record integer codes where equal codes mean equal URL paths."""
+        """Per-record codes into :meth:`url_path_table`."""
         cached = self._derived.get("url_path_codes")
         if cached is None:
-            table_codes, url_path_table = encode_column(self.url_paths())
-            self._derived["n_url_paths"] = np.int64(len(url_path_table))
-            cached = table_codes[self.codes["path"]]
+            cached = self._url_path_encoding()[0][self.codes["path"]]
             self._derived["url_path_codes"] = cached
         return cached
 
     @property
     def n_url_paths(self) -> int:
         """Number of distinct query-stripped URL paths in the frame."""
-        self.url_path_codes()
-        return int(self._derived["n_url_paths"])
+        return len(self.url_path_table())
+
+    def _url_path_flags(self, key: str, predicate) -> np.ndarray:
+        """Per-record flags for ``predicate`` of the URL path.
+
+        The predicate runs once per distinct URL path -- far fewer than
+        the distinct raw paths, which differ in their query strings -- and
+        the table of results is cached under ``key``.
+        """
+        flags = self._derived.get(key)
+        if flags is None:
+            table = self.url_path_table()
+            flags = np.fromiter(map(predicate, table), dtype=bool, count=len(table))
+            self._derived[key] = flags
+        return flags[self.url_path_codes()]
 
     def path_is_asset(self) -> np.ndarray:
         """Per-record flags: does the path look like a static asset?"""
-        flags = self._derived.get("asset")
-        if flags is None:
-            flags = np.array(
-                [path.lower().endswith(ASSET_SUFFIXES) for path in self.url_paths()],
-                dtype=bool,
-            )
-            self._derived["asset"] = flags
-        return flags[self.codes["path"]]
+        return self._url_path_flags("asset", lambda path: path.lower().endswith(ASSET_SUFFIXES))
 
     def path_is_robots(self) -> np.ndarray:
         """Per-record flags: is the URL path exactly ``/robots.txt``?"""
-        flags = self._derived.get("robots")
-        if flags is None:
-            flags = np.array(
-                [path == "/robots.txt" for path in self.url_paths()], dtype=bool
-            )
-            self._derived["robots"] = flags
-        return flags[self.codes["path"]]
+        return self._url_path_flags("robots", lambda path: path == "/robots.txt")
 
     def has_referrer(self) -> np.ndarray:
         """Per-record flags: a non-empty, non-``-`` Referer header."""
@@ -401,7 +407,7 @@ class RecordFrame:
         sub.extras = None if self.extras is None else [self.extras[i] for i in rows.tolist()]
         sub.metadata = self.metadata
         sub._time_ordered = self._time_ordered if ascending else None
-        sub._url_paths = self._url_paths
+        sub._url_path_encoding_cache = self._url_path_encoding_cache
         # Table-level derived flags transfer (they index the shared
         # tables); row-level caches (night, url path codes) do not.
         sub._derived = {

@@ -19,7 +19,7 @@ alerts, with the triggering layer(s) recorded as alert reasons.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -71,21 +71,11 @@ class CommercialBotDefenceDetector(Detector):
     ) -> "DetectorAlerts":
         """The union of the layers' alerts, minus verified crawlers.
 
-        Scores merge by elementwise maximum over the alerting layers;
-        reasons are prefixed with their layer's name (a layer alert
-        without reasons contributes the bare layer name) and concatenated
-        in layer order with order-preserving dedup.  The merge runs per
-        *distinct layer reason-code combination* -- a handful of combos
-        stand in for every alerted row, so the prefixing and dedup run
-        once per combo instead of once per alert.  The fingerprint pair
-        verdicts are judged once and shared by the two layers that need
-        them.
+        The layers are merged by :func:`merge_layers`.  The fingerprint
+        pair verdicts are judged once and shared by the two layers that
+        need them.
         """
-        from repro.columns.alertframe import (
-            DetectorAlerts,
-            ReasonEncoder,
-            whitelist_row_mask,
-        )
+        from repro.columns.alertframe import DetectorAlerts, whitelist_row_mask
 
         verdicts = self.fingerprint.pair_verdicts(frame)
         layers: list[tuple[str, DetectorAlerts]] = [
@@ -102,47 +92,93 @@ class CommercialBotDefenceDetector(Detector):
         not_whitelisted = ~whitelist_row_mask(
             frame, sessions, self.fingerprint.is_verified_crawler
         )
-        n = len(frame)
-        masked_flags = [alerts.flags & not_whitelisted for _, alerts in layers]
-        flags = np.logical_or.reduce(masked_flags)
-        best = np.maximum.reduce(
-            [
-                np.where(mask, alerts.scores, -np.inf)
-                for mask, (_, alerts) in zip(masked_flags, layers)
-            ]
-        )
-        scores = np.where(flags, best, 0.0)
+        return merge_layers(self.name, layers, not_whitelisted)
 
-        reason_codes = np.full(n, -1, dtype=np.int64)
-        encoder = ReasonEncoder()
-        flagged_rows = np.flatnonzero(flags)
-        if len(flagged_rows):
-            code_matrix = np.stack(
-                [
-                    np.where(mask, alerts.reason_codes, np.int64(-1))
-                    for mask, (_, alerts) in zip(masked_flags, layers)
-                ],
-                axis=1,
-            )
-            combos, inverse = np.unique(
-                code_matrix[flagged_rows], axis=0, return_inverse=True
-            )
-            prefixed = [
-                [
-                    tuple(f"{layer_name}: {reason}" for reason in reasons)
-                    or (layer_name,)
-                    for reasons in alerts.reason_table
-                ]
-                for layer_name, alerts in layers
+
+#: The largest packed key: packing never wraps around int64.
+_KEY_LIMIT = int(np.iinfo(np.int64).max)
+
+
+def _lexicographic_keys(digits: Sequence[np.ndarray], radices: Sequence[int]) -> np.ndarray:
+    """One int64 per row, ordered as the rows' digit tuples are ordered.
+
+    The digits (``0 <= digits[i] < radices[i]``) are packed in mixed
+    radix, the first column most significant.  Before a column whose
+    radix would push the key past int64, the key so far and that column
+    are replaced by their dense ranks: a rank keeps the order and stays
+    below the row count, so the key is exact for any radices (on fewer
+    than three billion rows).
+    """
+    key = np.zeros(len(digits[0]), dtype=np.int64)
+    span = 1  # every key so far is below ``span``
+    for column, radix in zip(digits, radices):
+        if span * radix > _KEY_LIMIT:
+            key_values, key = np.unique(key, return_inverse=True)
+            digit_values, column = np.unique(column, return_inverse=True)
+            span, radix = len(key_values), len(digit_values)
+        key = key * radix + column
+        span *= radix
+    return key
+
+
+def merge_layers(
+    name: str, layers: Sequence[tuple[str, "DetectorAlerts"]], keep: np.ndarray
+) -> "DetectorAlerts":
+    """The union of the layers' alerts on the rows where ``keep`` holds.
+
+    Scores merge by elementwise maximum over the alerting layers;
+    reasons are prefixed with their layer's name (a layer alert without
+    reasons contributes the bare layer name) and concatenated in layer
+    order with order-preserving dedup.  The merge runs once per
+    *distinct combination* of the layers' reason codes: each flagged
+    row's codes (``-1`` for a quiet layer) are packed into one mixed-radix
+    key whose radix per layer is its reason-table size + 1, so a 1-D
+    ``np.unique`` yields the combinations in lexicographic order -- the
+    order the reason table is built in.
+    """
+    from repro.columns.alertframe import DetectorAlerts, ReasonEncoder
+
+    n = len(keep)
+    masked_flags = [alerts.flags & keep for _, alerts in layers]
+    flags = np.logical_or.reduce(masked_flags)
+    best = np.maximum.reduce(
+        [
+            np.where(mask, alerts.scores, -np.inf)
+            for mask, (_, alerts) in zip(masked_flags, layers)
+        ]
+    )
+    scores = np.where(flags, best, 0.0)
+
+    reason_codes = np.full(n, -1, dtype=np.int64)
+    encoder = ReasonEncoder()
+    flagged_rows = np.flatnonzero(flags)
+    if len(flagged_rows):
+        layer_codes = [
+            np.where(mask[flagged_rows], alerts.reason_codes[flagged_rows], np.int64(-1))
+            for mask, (_, alerts) in zip(masked_flags, layers)
+        ]
+        keys = _lexicographic_keys(
+            [codes + 1 for codes in layer_codes],
+            [len(alerts.reason_table) + 1 for _, alerts in layers],
+        )
+        combo_keys, inverse = np.unique(keys, return_inverse=True)
+        # Any row of a combination stands in for all of its rows.
+        representative = np.empty(len(combo_keys), dtype=np.int64)
+        representative[inverse] = np.arange(len(flagged_rows))
+        prefixed = [
+            [
+                tuple(f"{layer_name}: {reason}" for reason in reasons) or (layer_name,)
+                for reasons in alerts.reason_table
             ]
-            combo_codes = np.empty(len(combos), dtype=np.int64)
-            for combo_index, combo in enumerate(combos.tolist()):
-                parts: list[str] = []
-                for layer_index, code in enumerate(combo):
-                    if code >= 0:
-                        parts.extend(prefixed[layer_index][code])
-                combo_codes[combo_index] = encoder.code(tuple(dict.fromkeys(parts)))
-            reason_codes[flagged_rows] = combo_codes[
-                np.asarray(inverse, dtype=np.int64).reshape(-1)
-            ]
-        return DetectorAlerts(self.name, flags, scores, reason_codes, encoder.table)
+            for layer_name, alerts in layers
+        ]
+        combos = zip(*(codes[representative].tolist() for codes in layer_codes))
+        combo_codes = np.empty(len(representative), dtype=np.int64)
+        for combo_index, combo in enumerate(combos):
+            parts: list[str] = []
+            for layer_index, code in enumerate(combo):
+                if code >= 0:
+                    parts.extend(prefixed[layer_index][code])
+            combo_codes[combo_index] = encoder.code(tuple(dict.fromkeys(parts)))
+        reason_codes[flagged_rows] = combo_codes[inverse]
+    return DetectorAlerts(name, flags, scores, reason_codes, encoder.table)

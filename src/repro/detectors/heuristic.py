@@ -148,11 +148,11 @@ class ErrorProbeRule(Rule):
 
         # 204 fraction over non-tracking paths: tracking status is a
         # property of the (distinct) URL path, counted per session.
-        url_paths = frame.url_paths()
+        url_paths = frame.url_path_table()
         tracking_table = np.fromiter(
-            (self._is_tracking_path(path) for path in url_paths), bool, len(url_paths)
+            map(self._is_tracking_path, url_paths), bool, len(url_paths)
         )
-        relevant = ~tracking_table[frame.codes["path"]]
+        relevant = ~tracking_table[frame.url_path_codes()]
         session_of = sessions.record_session_index()
         relevant_counts = np.bincount(session_of[relevant].astype(np.intp), minlength=n)
         no_content_counts = np.bincount(

@@ -35,8 +35,11 @@ fixed-size trailer, jumps to the meta section and has everything
 the trace length.
 
 This module is the pure byte-level layer: it converts between
-:class:`BlockColumns` (plain Python lists) and bytes.  Record-object
-conversion lives in :mod:`repro.trace.store`.
+:class:`BlockColumns` and bytes.  :func:`decode_block` is the one block
+decoder: it reads every integer column straight into an int64 numpy
+array and checks every dictionary code against the trace's tables, for
+the frame reader and the record replay alike.  Record-object conversion
+lives in :mod:`repro.trace.store`.
 """
 
 from __future__ import annotations
@@ -47,6 +50,10 @@ import sys
 import zlib
 from array import array
 from dataclasses import dataclass, field
+from itertools import compress
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from repro.exceptions import TraceError
 
@@ -93,39 +100,52 @@ def _pack_ints(values: list[int]) -> bytes:
     return arr.tobytes()
 
 
-def _unpack_ints(buf: bytes) -> list[int]:
-    arr = array("q")
-    arr.frombytes(buf)
-    if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian hosts only
-        arr.byteswap()
-    return arr.tolist()
+#: An integer column: a list while a writer appends to it, an int64
+#: array once :func:`decode_block` has read it.
+IntColumn = list[int] | np.ndarray
 
 
 @dataclass
 class BlockColumns:
-    """One block of records, as parallel plain-Python columns.
+    """One block of records, as parallel columns.
 
-    All lists have one entry per record.  ``dict_indices`` maps each
-    :data:`DICT_COLUMNS` name to a list of indices into the trace-global
-    string table for that column; ``labels`` / ``actor_indices`` are
-    ``None`` for unlabelled traces; ``extras`` is ``None`` when every
-    record's ``extra`` mapping is empty (the overwhelmingly common case).
+    Every column has one entry per record.  ``dict_indices`` maps each
+    :data:`DICT_COLUMNS` name to the codes into the trace-global string
+    table for that column; ``labels`` / ``actor_indices`` are ``None``
+    for unlabelled traces; ``extras`` is ``None`` when every record's
+    ``extra`` mapping is empty (the overwhelmingly common case).  The
+    writer fills lists; :func:`decode_block` returns int64 arrays.
     """
 
     request_ids: list[str] = field(default_factory=list)
-    timestamps_us: list[int] = field(default_factory=list)
-    tz_offsets_s: list[int] = field(default_factory=list)
-    statuses: list[int] = field(default_factory=list)
-    sizes: list[int] = field(default_factory=list)
-    dict_indices: dict[str, list[int]] = field(
+    timestamps_us: IntColumn = field(default_factory=list)
+    tz_offsets_s: IntColumn = field(default_factory=list)
+    statuses: IntColumn = field(default_factory=list)
+    sizes: IntColumn = field(default_factory=list)
+    dict_indices: dict[str, IntColumn] = field(
         default_factory=lambda: {name: [] for name in DICT_COLUMNS}
     )
-    labels: list[int] | None = None
-    actor_indices: list[int] | None = None
+    labels: IntColumn | None = None
+    actor_indices: IntColumn | None = None
     extras: list[dict] | None = None
 
     def __len__(self) -> int:
         return len(self.timestamps_us)
+
+    def select(self, keep: np.ndarray) -> "BlockColumns":
+        """The records of a decoded block where the boolean mask ``keep`` holds."""
+        flags = keep.tolist()
+        return BlockColumns(
+            request_ids=list(compress(self.request_ids, flags)),
+            timestamps_us=self.timestamps_us[keep],
+            tz_offsets_s=self.tz_offsets_s[keep],
+            statuses=self.statuses[keep],
+            sizes=self.sizes[keep],
+            dict_indices={name: codes[keep] for name, codes in self.dict_indices.items()},
+            labels=None if self.labels is None else self.labels[keep],
+            actor_indices=None if self.actor_indices is None else self.actor_indices[keep],
+            extras=None if self.extras is None else list(compress(self.extras, flags)),
+        )
 
 
 def _delta_encode(values: list[int]) -> list[int]:
@@ -138,15 +158,6 @@ def _delta_encode(values: list[int]) -> list[int]:
         deltas[index] = current - previous
         previous = current
     return deltas
-
-
-def _delta_decode(first: int, deltas: list[int]) -> list[int]:
-    out = [0] * len(deltas)
-    running = first
-    for index, delta in enumerate(deltas):
-        running += delta
-        out[index] = running
-    return out
 
 
 def encode_block(columns: BlockColumns) -> bytes:
@@ -179,8 +190,37 @@ def encode_block(columns: BlockColumns) -> bytes:
     return zlib.compress(b"".join(parts))
 
 
-def decode_block(body: bytes) -> BlockColumns:
-    """Decode a compressed block body back into :class:`BlockColumns`."""
+def _ints(payload: memoryview, column: str) -> np.ndarray:
+    """An int64 column, read in place from its little-endian bytes."""
+    if len(payload) % 8:
+        raise TraceError(
+            f"corrupt trace block: the {column} column has {len(payload)} bytes, "
+            "not a whole number of int64 values"
+        )
+    return np.frombuffer(payload, dtype="<i8").astype(np.int64, copy=False)
+
+
+def _check_codes(codes: np.ndarray, size: int, column: str) -> None:
+    """Reject dictionary codes outside ``range(size)`` (one min and max per column)."""
+    if len(codes) and (codes.min() < 0 or codes.max() >= size):
+        raise TraceError(
+            f"corrupt trace block: {column} codes {codes.min()}..{codes.max()} "
+            f"fall outside its table of {size} entries"
+        )
+
+
+def decode_block(
+    body: bytes, tables: Mapping[str, Sequence], actors: Sequence
+) -> BlockColumns:
+    """Decode a compressed block body into :class:`BlockColumns` of int64 arrays.
+
+    Timestamps are rebuilt as ``first + cumsum(deltas)``, which is exact
+    because every stored timestamp and delta fits in int64.  Each
+    dictionary column's codes are checked against the trace-global
+    ``tables`` (labels against :data:`LABEL_NAMES`, actor codes against
+    ``actors``), so a corrupt code fails here, naming its column, instead
+    of indexing a table from the end or past it.
+    """
     try:
         raw = zlib.decompress(body)
     except zlib.error as exc:
@@ -190,22 +230,22 @@ def decode_block(body: bytes) -> BlockColumns:
         count, first_ts = struct.unpack_from("<Iq", view, 0)
         offset = 12
 
-        def take() -> bytes:
+        def take() -> memoryview:
             nonlocal offset
             (length,) = struct.unpack_from("<I", view, offset)
             offset += 4
-            payload = bytes(view[offset : offset + length])
+            payload = view[offset : offset + length]
             if len(payload) != length:
                 raise TraceError("truncated trace block")
             offset += length
             return payload
 
-        timestamps = _delta_decode(first_ts, _unpack_ints(take()))
-        tz_offsets = _unpack_ints(take())
-        statuses = _unpack_ints(take())
-        sizes = _unpack_ints(take())
-        dict_indices = {name: _unpack_ints(take()) for name in DICT_COLUMNS}
-        request_ids = json.loads(take().decode("utf-8"))
+        timestamps = first_ts + np.cumsum(_ints(take(), "timestamp"))
+        tz_offsets = _ints(take(), "tz_offset")
+        statuses = _ints(take(), "status")
+        sizes = _ints(take(), "size")
+        dict_indices = {name: _ints(take(), name) for name in DICT_COLUMNS}
+        request_ids = json.loads(bytes(take()).decode("utf-8"))
         labels_buf = take()
         actors_buf = take()
         extras_buf = take()
@@ -219,10 +259,11 @@ def decode_block(body: bytes) -> BlockColumns:
         statuses=statuses,
         sizes=sizes,
         dict_indices=dict_indices,
-        labels=_unpack_ints(labels_buf) if labels_buf else None,
-        actor_indices=_unpack_ints(actors_buf) if actors_buf else None,
-        extras=json.loads(extras_buf.decode("utf-8")) if extras_buf else None,
+        labels=_ints(labels_buf, "label") if labels_buf else None,
+        actor_indices=_ints(actors_buf, "actor") if actors_buf else None,
+        extras=json.loads(bytes(extras_buf).decode("utf-8")) if extras_buf else None,
     )
+    optional = (columns.labels, columns.actor_indices, columns.extras)
     lengths = {
         len(columns.request_ids),
         len(columns.timestamps_us),
@@ -230,9 +271,15 @@ def decode_block(body: bytes) -> BlockColumns:
         len(columns.statuses),
         len(columns.sizes),
         *(len(indices) for indices in columns.dict_indices.values()),
+        *(len(column) for column in optional if column is not None),
     }
-    if lengths != {count}:
+    if lengths != {count} or (columns.labels is None) != (columns.actor_indices is None):
         raise TraceError(f"inconsistent column lengths in trace block (expected {count})")
+    for name in DICT_COLUMNS:
+        _check_codes(dict_indices[name], len(tables[name]), name)
+    if columns.labels is not None:
+        _check_codes(columns.labels, len(LABEL_NAMES), "label")
+        _check_codes(columns.actor_indices, len(actors), "actor")
     return columns
 
 

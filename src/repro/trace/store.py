@@ -459,13 +459,14 @@ class TraceReader:
     def iter_blocks(
         self, *, start: datetime | None = None, end: datetime | None = None
     ) -> Iterator[tuple[list[LogRecord], BlockColumns]]:
-        """Yield ``(records, raw columns)`` one block at a time.
+        """Yield ``(records, decoded columns)`` one block at a time.
 
         ``start``/``end`` (inclusive/exclusive) prune whole blocks via
-        the footer index before any decompression happens; records inside
-        boundary blocks are filtered individually.
+        the footer index before any decompression happens; boundary
+        blocks are filtered with a timestamp mask before their records
+        are built.
         """
-        tables, _ = self._load_strings()
+        tables, actors = self._load_strings()
         start_us = None if start is None else _timestamp_us(start)
         end_us = None if end is None else _timestamp_us(end)
         with open(self.path, "rb") as handle:
@@ -475,21 +476,19 @@ class TraceReader:
                 if end_us is not None and min_us >= end_us:
                     continue
                 handle.seek(offset)
-                columns = decode_block(read_section(handle, BLOCK_TAG))
+                columns = decode_block(read_section(handle, BLOCK_TAG), tables, actors)
                 self._account_block_read(handle.tell() - offset)
-                records = _records_from_columns(columns, tables)
                 if start_us is not None or end_us is not None:
-                    keep = [
-                        index
-                        for index, us in enumerate(columns.timestamps_us)
-                        if (start_us is None or us >= start_us)
-                        and (end_us is None or us < end_us)
-                    ]
-                    if len(keep) != len(records):
-                        columns = _select_columns(columns, keep)
-                        records = [records[index] for index in keep]
-                if records:
-                    yield records, columns
+                    timestamps = columns.timestamps_us
+                    keep = np.ones(len(columns), dtype=bool)
+                    if start_us is not None:
+                        keep &= timestamps >= start_us
+                    if end_us is not None:
+                        keep &= timestamps < end_us
+                    if not keep.all():
+                        columns = columns.select(keep)
+                if len(columns):
+                    yield _records_from_columns(columns, tables), columns
 
     def iter_records(
         self, *, start: datetime | None = None, end: datetime | None = None
@@ -509,7 +508,7 @@ class TraceReader:
                     yield record, None, ""
             else:
                 for record, label_index, actor_index in zip(
-                    records, columns.labels, columns.actor_indices
+                    records, columns.labels.tolist(), columns.actor_indices.tolist()
                 ):
                     yield record, LABEL_NAMES[label_index], actors[actor_index]
 
@@ -530,11 +529,12 @@ class TraceReader:
     def read_frame(self):
         """Map the trace straight into a :class:`~repro.columns.RecordFrame`.
 
-        The zero-decode path of the columnar batch pipeline: block
-        columns are concatenated into numpy arrays and the trace-global
-        string tables become the frame's dictionaries as-is -- no
-        ``LogRecord`` object is ever built.  Replaying a trace into the
-        columnar pipeline therefore skips per-record decoding entirely.
+        The columnar batch pipeline's trace reader: :func:`decode_block`
+        reads each block's integer columns as int64 arrays, the blocks'
+        arrays are concatenated, and the trace-global string tables
+        become the frame's dictionaries as-is -- no ``LogRecord`` object
+        and no per-value Python list is ever built.  Only the request ids
+        (and ``extra`` mappings, when a block has any) stay Python lists.
         """
         # Imported lazily: repro.columns is a consumer of this module.
         from repro.columns import RecordFrame
@@ -543,55 +543,44 @@ class TraceReader:
             handle.seek(self._strings_offset)
             tables, actors = decode_strings_section(read_section(handle, STRINGS_TAG))
 
+        labelled = self.info.labelled
         request_ids: list[str] = []
-        timestamps: list[int] = []
-        tz_offsets: list[int] = []
-        statuses: list[int] = []
-        sizes: list[int] = []
-        codes: dict[str, list[int]] = {name: [] for name in DICT_COLUMNS}
-        labels: list[int] | None = [] if self.info.labelled else None
-        actor_codes: list[int] | None = [] if self.info.labelled else None
+        blocks: list[BlockColumns] = []
         extras: list[dict] | None = None
-
         with open(self.path, "rb") as handle:
             for offset, _count, _min_us, _max_us in self._meta["blocks"]:
                 handle.seek(offset)
-                columns = decode_block(read_section(handle, BLOCK_TAG))
+                columns = decode_block(read_section(handle, BLOCK_TAG), tables, actors)
                 self._account_block_read(handle.tell() - offset)
-                block_start = len(request_ids)
+                if labelled and columns.labels is None:
+                    raise TraceError(f"labelled trace {self.path!r} has an unlabelled block")
+                if columns.extras is not None and extras is None:
+                    extras = [{} for _ in range(len(request_ids))]
+                if extras is not None:
+                    extras.extend(columns.extras or ({} for _ in range(len(columns))))
                 request_ids.extend(columns.request_ids)
-                timestamps.extend(columns.timestamps_us)
-                tz_offsets.extend(columns.tz_offsets_s)
-                statuses.extend(columns.statuses)
-                sizes.extend(columns.sizes)
-                for name in DICT_COLUMNS:
-                    codes[name].extend(columns.dict_indices[name])
-                if labels is not None and columns.labels is not None:
-                    labels.extend(columns.labels)
-                    assert actor_codes is not None and columns.actor_indices is not None
-                    actor_codes.extend(columns.actor_indices)
-                if columns.extras is not None:
-                    if extras is None:
-                        extras = [{} for _ in range(block_start)]
-                    extras.extend(columns.extras)
-                elif extras is not None:
-                    extras.extend({} for _ in range(len(columns)))
+                blocks.append(columns)
 
-        tz_offsets_us = np.asarray(tz_offsets, dtype=np.int64) * 1_000_000
+        def joined(arrays: list[np.ndarray]) -> np.ndarray:
+            return np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
+
         if self._registry.enabled:
             self._registry.counter(
                 metric_names.FRAME_ROWS, "Rows loaded into a RecordFrame."
             ).inc(len(request_ids), source="trace")
         return RecordFrame(
             request_ids=request_ids,
-            timestamps_us=np.asarray(timestamps, dtype=np.int64),
-            tz_offsets_us=tz_offsets_us,
-            statuses=np.asarray(statuses, dtype=np.int64),
-            sizes=np.asarray(sizes, dtype=np.int64),
-            codes={name: np.asarray(values, dtype=np.int64) for name, values in codes.items()},
+            timestamps_us=joined([block.timestamps_us for block in blocks]),
+            tz_offsets_us=joined([block.tz_offsets_s for block in blocks]) * 1_000_000,
+            statuses=joined([block.statuses for block in blocks]),
+            sizes=joined([block.sizes for block in blocks]),
+            codes={
+                name: joined([block.dict_indices[name] for block in blocks])
+                for name in DICT_COLUMNS
+            },
             tables=dict(tables),
-            labels=None if labels is None else np.asarray(labels, dtype=np.int64),
-            actor_codes=None if actor_codes is None else np.asarray(actor_codes, dtype=np.int64),
+            labels=joined([block.labels for block in blocks]) if labelled else None,
+            actor_codes=joined([block.actor_indices for block in blocks]) if labelled else None,
             actor_table=list(actors),
             extras=extras,
             metadata=self.read_metadata(),
@@ -610,8 +599,8 @@ class TraceReader:
             records.extend(block_records)
             if labelled:
                 ids.extend(columns.request_ids)
-                labels.extend(LABEL_NAMES[index] for index in columns.labels)
-                actor_classes.extend(actors[index] for index in columns.actor_indices)
+                labels.extend(LABEL_NAMES[index] for index in columns.labels.tolist())
+                actor_classes.extend(actors[index] for index in columns.actor_indices.tolist())
         truth = GroundTruth.from_columns(ids, labels, actor_classes) if labelled else None
         return Dataset(
             records,
@@ -621,49 +610,33 @@ class TraceReader:
         )
 
 
-def _select_columns(columns: BlockColumns, keep: list[int]) -> BlockColumns:
-    """Project a block onto a subset of its record indices."""
-    return BlockColumns(
-        request_ids=[columns.request_ids[i] for i in keep],
-        timestamps_us=[columns.timestamps_us[i] for i in keep],
-        tz_offsets_s=[columns.tz_offsets_s[i] for i in keep],
-        statuses=[columns.statuses[i] for i in keep],
-        sizes=[columns.sizes[i] for i in keep],
-        dict_indices={
-            name: [indices[i] for i in keep] for name, indices in columns.dict_indices.items()
-        },
-        labels=None if columns.labels is None else [columns.labels[i] for i in keep],
-        actor_indices=(
-            None if columns.actor_indices is None else [columns.actor_indices[i] for i in keep]
-        ),
-        extras=None if columns.extras is None else [columns.extras[i] for i in keep],
-    )
-
-
 def _records_from_columns(columns: BlockColumns, tables: dict[str, list]) -> list[LogRecord]:
-    """Rebuild the block's records through the fast slot-filling path.
+    """Rebuild a decoded block's records through the fast slot-filling path.
 
     Every record admitted into a trace was a validated ``LogRecord``, so
     the constructor's ``__post_init__`` checks are skipped here; the
     hypothesis round-trip suite pins the equivalence of the two paths.
+    Each column leaves numpy through one ``.tolist()``, and
+    :func:`~repro.trace.format.decode_block` has already checked every
+    code against its table.
     """
     # Resolve every column to a list of final values first: index lookups
     # in list comprehensions run close to C speed, which keeps the
     # record-assembly loop below as narrow as possible.
     delta = timedelta
+    timestamps_us = columns.timestamps_us.tolist()
+    tz_offsets = columns.tz_offsets_s.tolist()
     epoch_for: dict[int, datetime] = {
-        offset: _EPOCH.astimezone(timezone(delta(seconds=offset)))
-        for offset in set(columns.tz_offsets_s)
+        offset: _EPOCH.astimezone(timezone(delta(seconds=offset))) for offset in set(tz_offsets)
     }
     if len(epoch_for) == 1:
         (epoch,) = epoch_for.values()
-        timestamps = [epoch + delta(microseconds=us) for us in columns.timestamps_us]
+        timestamps = [epoch + delta(microseconds=us) for us in timestamps_us]
     else:
         timestamps = [
-            epoch_for[off] + delta(microseconds=us)
-            for us, off in zip(columns.timestamps_us, columns.tz_offsets_s)
+            epoch_for[off] + delta(microseconds=us) for us, off in zip(timestamps_us, tz_offsets)
         ]
-    indices = columns.dict_indices
+    codes = {name: indices.tolist() for name, indices in columns.dict_indices.items()}
     ips = tables["client_ip"]
     methods = tables["method"]
     paths = tables["path"]
@@ -682,16 +655,16 @@ def _records_from_columns(columns: BlockColumns, tables: dict[str, list]) -> lis
     for rid, ts, ip, method, path, protocol, referrer, agent, ident, auth_user, status, size in zip(
         columns.request_ids,
         timestamps,
-        [ips[i] for i in indices["client_ip"]],
-        [methods[i] for i in indices["method"]],
-        [paths[i] for i in indices["path"]],
-        [protocols[i] for i in indices["protocol"]],
-        [referrers[i] for i in indices["referrer"]],
-        [agents[i] for i in indices["user_agent"]],
-        [idents[i] for i in indices["ident"]],
-        [auth_users[i] for i in indices["auth_user"]],
-        columns.statuses,
-        columns.sizes,
+        [ips[i] for i in codes["client_ip"]],
+        [methods[i] for i in codes["method"]],
+        [paths[i] for i in codes["path"]],
+        [protocols[i] for i in codes["protocol"]],
+        [referrers[i] for i in codes["referrer"]],
+        [agents[i] for i in codes["user_agent"]],
+        [idents[i] for i in codes["ident"]],
+        [auth_users[i] for i in codes["auth_user"]],
+        columns.statuses.tolist(),
+        columns.sizes.tolist(),
     ):
         record = new(cls)
         fill(record, "request_id", rid)

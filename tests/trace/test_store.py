@@ -8,7 +8,9 @@ import pytest
 
 from repro.exceptions import TraceError
 from repro.logs.dataset import BENIGN, MALICIOUS, Dataset, DatasetMetadata, GroundTruth
-from repro.trace import TraceReader, TraceWriter, read_trace, trace_info, write_trace
+from repro.runspec import RunSpec, TrafficSpec, execute
+from repro.trace import TraceReader, TraceWriter, read_trace, store, trace_info, write_trace
+from repro.trace.format import encode_block
 from tests.helpers import BASE_TIME, make_record, make_records
 
 
@@ -218,3 +220,58 @@ class TestReaderErrors:
         path = str(tmp_path / "t.trace")
         write_trace(_labelled_dataset(5), path)
         assert read_trace(path).is_time_ordered
+
+
+class TestCorruptCodes:
+    """A block whose codes fall outside the trace's tables fails on every read path."""
+
+    @staticmethod
+    def _corrupt_trace(tmp_path, monkeypatch, column: str, code: int) -> str:
+        """A 3-record labelled trace whose second record carries ``code`` in ``column``."""
+
+        def corrupting(columns):
+            if column == "label":
+                target = columns.labels
+            elif column == "actor":
+                target = columns.actor_indices
+            else:
+                target = columns.dict_indices[column]
+            target[1] = code
+            return encode_block(columns)
+
+        path = str(tmp_path / "corrupt.trace")
+        with monkeypatch.context() as patch:
+            patch.setattr(store, "encode_block", corrupting)
+            write_trace(_labelled_dataset(3), path)
+        return path
+
+    CASES = [
+        ("client_ip", -1),
+        ("client_ip", 3),
+        ("user_agent", -1),
+        ("path", 99),
+        ("label", 2),
+        ("actor", -1),
+        ("actor", 2),
+    ]
+
+    @pytest.mark.parametrize("column,code", CASES)
+    def test_record_replay_rejects_the_code(self, tmp_path, monkeypatch, column, code):
+        path = self._corrupt_trace(tmp_path, monkeypatch, column, code)
+        with pytest.raises(TraceError, match=f"{column} codes"):
+            list(TraceReader(path).iter_records())
+        with pytest.raises(TraceError, match=f"{column} codes"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("column,code", CASES)
+    def test_frame_read_rejects_the_code(self, tmp_path, monkeypatch, column, code):
+        path = self._corrupt_trace(tmp_path, monkeypatch, column, code)
+        with pytest.raises(TraceError, match=f"{column} codes"):
+            TraceReader(path).read_frame()
+
+    def test_tables_run_over_a_negative_ip_code_fails_with_a_trace_error(
+        self, tmp_path, monkeypatch
+    ):
+        path = self._corrupt_trace(tmp_path, monkeypatch, "client_ip", -1)
+        with pytest.raises(TraceError, match="client_ip codes -1..0 fall outside its table of 1"):
+            execute(RunSpec(mode="tables", traffic=TrafficSpec(source="trace", path=path)))
