@@ -294,15 +294,11 @@ class RecordFrame:
     # ------------------------------------------------------------------
     # Derived columns (computed once per distinct value, then gathered)
     # ------------------------------------------------------------------
-    def _table_flags(self, key: str, column: str, predicate) -> np.ndarray:
-        """Per-table boolean flags for ``predicate``, cached under ``key``."""
+    def _table_flags(self, key: str, table: Sequence[str], predicate) -> np.ndarray:
+        """Per-entry boolean flags of ``predicate`` over ``table``, cached under ``key``."""
         cached = self._derived.get(key)
         if cached is None:
-            cached = np.fromiter(
-                (predicate(value) for value in self.tables[column]),
-                dtype=bool,
-                count=len(self.tables[column]),
-            )
+            cached = np.fromiter(map(predicate, table), dtype=bool, count=len(table))
             self._derived[key] = cached
         return cached
 
@@ -333,38 +329,37 @@ class RecordFrame:
         """Number of distinct query-stripped URL paths in the frame."""
         return len(self.url_path_table())
 
-    def _url_path_flags(self, key: str, predicate) -> np.ndarray:
-        """Per-record flags for ``predicate`` of the URL path.
-
-        The predicate runs once per distinct URL path -- far fewer than
-        the distinct raw paths, which differ in their query strings -- and
-        the table of results is cached under ``key``.
-        """
-        flags = self._derived.get(key)
-        if flags is None:
-            table = self.url_path_table()
-            flags = np.fromiter(map(predicate, table), dtype=bool, count=len(table))
-            self._derived[key] = flags
-        return flags[self.url_path_codes()]
-
     def path_is_asset(self) -> np.ndarray:
-        """Per-record flags: does the path look like a static asset?"""
-        return self._url_path_flags("asset", lambda path: path.lower().endswith(ASSET_SUFFIXES))
+        """Per-record flags: does the path look like a static asset?
+
+        Like every URL-path predicate, it runs once per distinct URL path
+        -- far fewer than the distinct raw paths, which differ in their
+        query strings -- and is gathered through :meth:`url_path_codes`.
+        """
+        flags = self._table_flags(
+            "asset", self.url_path_table(), lambda path: path.lower().endswith(ASSET_SUFFIXES)
+        )
+        return flags[self.url_path_codes()]
 
     def path_is_robots(self) -> np.ndarray:
         """Per-record flags: is the URL path exactly ``/robots.txt``?"""
-        return self._url_path_flags("robots", lambda path: path == "/robots.txt")
+        flags = self._table_flags(
+            "robots", self.url_path_table(), lambda path: path == "/robots.txt"
+        )
+        return flags[self.url_path_codes()]
 
     def has_referrer(self) -> np.ndarray:
         """Per-record flags: a non-empty, non-``-`` Referer header."""
         flags = self._table_flags(
-            "referrer_present", "referrer", lambda value: bool(value) and value != "-"
+            "referrer_present", self.tables["referrer"], lambda value: bool(value) and value != "-"
         )
         return flags[self.codes["referrer"]]
 
     def method_is(self, method: str) -> np.ndarray:
         """Per-record flags: method equals ``method`` (e.g. ``"HEAD"``)."""
-        flags = self._table_flags(f"method_{method}", "method", lambda value: value == method)
+        flags = self._table_flags(
+            f"method_{method}", self.tables["method"], lambda value: value == method
+        )
         return flags[self.codes["method"]]
 
     def night_flags(self) -> np.ndarray:

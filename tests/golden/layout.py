@@ -31,7 +31,14 @@ from typing import Any
 from repro.runspec import RunSpec, TrafficSpec, execute
 from repro.runspec.spec import ExecutionSpec
 from repro.trace import write_trace
-from repro.trace.format import BLOCK_TAG, MAGIC, STRINGS_TAG, TRAILER_SIZE, decode_trailer, read_section
+from repro.trace.format import (
+    BLOCK_TAG,
+    MAGIC,
+    STRINGS_TAG,
+    TRAILER_SIZE,
+    decode_trailer,
+    read_section,
+)
 from repro.traffic.generator import generate_dataset
 from repro.traffic.scenarios import get_scenario
 from tests.golden.batch import PRESETS, run_digest

@@ -51,22 +51,20 @@ def _assert_ints(decoded, expected: list[int]) -> None:
     assert decoded.tolist() == expected
 
 
-#: Payload names of a block body, in on-disk order.
-_PAYLOADS = (
-    "timestamp", "tz_offset", "status", "size", *DICT_COLUMNS,
-    "request_ids", "label", "actor", "extras",
-)  # fmt: skip
+#: The always-present int64 payloads of a block body, in on-disk order;
+#: the request ids and the optional label, actor and extras payloads follow.
+_INT_PAYLOADS = ("timestamp", "tz_offset", "status", "size", *DICT_COLUMNS)
 
 
 def _raw_body(count: int, **payloads: bytes) -> bytes:
     """A hand-built block body of ``count`` all-zero records, some payloads replaced."""
-    body = {name: bytes(8 * count) for name in _PAYLOADS[:12]}
-    body.update(request_ids=json.dumps([f"r{i}" for i in range(count)]).encode())
+    body = {name: bytes(8 * count) for name in _INT_PAYLOADS}
+    body["request_ids"] = json.dumps([f"r{i}" for i in range(count)]).encode()
     body.update(label=b"", actor=b"", extras=b"")
     body.update(payloads)
     parts = [struct.pack("<Iq", count, 0)]
-    for name in _PAYLOADS:
-        parts += [struct.pack("<I", len(body[name])), body[name]]
+    for payload in body.values():
+        parts += [struct.pack("<I", len(payload)), payload]
     return zlib.compress(b"".join(parts))
 
 
