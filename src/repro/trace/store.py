@@ -456,6 +456,28 @@ class TraceReader:
         return self._resolved
 
     # ------------------------------------------------------------------
+    def _decoded_blocks(
+        self,
+        tables: dict[str, list],
+        actors: list[str],
+        start_us: int | None = None,
+        end_us: int | None = None,
+    ) -> Iterator[BlockColumns]:
+        """Decode, in file order, every block the footer index does not prune."""
+        labelled = self.info.labelled
+        with open(self.path, "rb") as handle:
+            for offset, _count, min_us, max_us in self._meta["blocks"]:
+                if start_us is not None and max_us < start_us:
+                    continue
+                if end_us is not None and min_us >= end_us:
+                    continue
+                handle.seek(offset)
+                columns = decode_block(read_section(handle, BLOCK_TAG), tables, actors)
+                self._account_block_read(handle.tell() - offset)
+                if labelled and columns.labels is None:
+                    raise TraceError(f"labelled trace {self.path!r} has an unlabelled block")
+                yield columns
+
     def iter_blocks(
         self, *, start: datetime | None = None, end: datetime | None = None
     ) -> Iterator[tuple[list[LogRecord], BlockColumns]]:
@@ -469,26 +491,18 @@ class TraceReader:
         tables, actors = self._load_strings()
         start_us = None if start is None else _timestamp_us(start)
         end_us = None if end is None else _timestamp_us(end)
-        with open(self.path, "rb") as handle:
-            for offset, _count, min_us, max_us in self._meta["blocks"]:
-                if start_us is not None and max_us < start_us:
-                    continue
-                if end_us is not None and min_us >= end_us:
-                    continue
-                handle.seek(offset)
-                columns = decode_block(read_section(handle, BLOCK_TAG), tables, actors)
-                self._account_block_read(handle.tell() - offset)
-                if start_us is not None or end_us is not None:
-                    timestamps = columns.timestamps_us
-                    keep = np.ones(len(columns), dtype=bool)
-                    if start_us is not None:
-                        keep &= timestamps >= start_us
-                    if end_us is not None:
-                        keep &= timestamps < end_us
-                    if not keep.all():
-                        columns = columns.select(keep)
-                if len(columns):
-                    yield _records_from_columns(columns, tables), columns
+        for columns in self._decoded_blocks(tables, actors, start_us, end_us):
+            if start_us is not None or end_us is not None:
+                timestamps = columns.timestamps_us
+                keep = np.ones(len(columns), dtype=bool)
+                if start_us is not None:
+                    keep &= timestamps >= start_us
+                if end_us is not None:
+                    keep &= timestamps < end_us
+                if not keep.all():
+                    columns = columns.select(keep)
+            if len(columns):
+                yield _records_from_columns(columns, tables), columns
 
     def iter_records(
         self, *, start: datetime | None = None, end: datetime | None = None
@@ -547,19 +561,13 @@ class TraceReader:
         request_ids: list[str] = []
         blocks: list[BlockColumns] = []
         extras: list[dict] | None = None
-        with open(self.path, "rb") as handle:
-            for offset, _count, _min_us, _max_us in self._meta["blocks"]:
-                handle.seek(offset)
-                columns = decode_block(read_section(handle, BLOCK_TAG), tables, actors)
-                self._account_block_read(handle.tell() - offset)
-                if labelled and columns.labels is None:
-                    raise TraceError(f"labelled trace {self.path!r} has an unlabelled block")
-                if columns.extras is not None and extras is None:
-                    extras = [{} for _ in range(len(request_ids))]
-                if extras is not None:
-                    extras.extend(columns.extras or ({} for _ in range(len(columns))))
-                request_ids.extend(columns.request_ids)
-                blocks.append(columns)
+        for columns in self._decoded_blocks(tables, actors):
+            if columns.extras is not None and extras is None:
+                extras = [{} for _ in range(len(request_ids))]
+            if extras is not None:
+                extras.extend(columns.extras or ({} for _ in range(len(columns))))
+            request_ids.extend(columns.request_ids)
+            blocks.append(columns)
 
         def joined(arrays: list[np.ndarray]) -> np.ndarray:
             return np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)

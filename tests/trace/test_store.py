@@ -275,3 +275,18 @@ class TestCorruptCodes:
         path = self._corrupt_trace(tmp_path, monkeypatch, "client_ip", -1)
         with pytest.raises(TraceError, match="client_ip codes -1..0 fall outside its table of 1"):
             execute(RunSpec(mode="tables", traffic=TrafficSpec(source="trace", path=path)))
+
+    def test_unlabelled_block_in_a_labelled_trace_is_rejected(self, tmp_path, monkeypatch):
+        def unlabelled(columns):
+            columns.labels = columns.actor_indices = None
+            return encode_block(columns)
+
+        path = str(tmp_path / "corrupt.trace")
+        with monkeypatch.context() as patch:
+            patch.setattr(store, "encode_block", unlabelled)
+            write_trace(_labelled_dataset(3), path)
+        assert trace_info(path).labelled
+        with pytest.raises(TraceError, match="unlabelled block"):
+            read_trace(path)
+        with pytest.raises(TraceError, match="unlabelled block"):
+            TraceReader(path).read_frame()
