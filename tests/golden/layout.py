@@ -12,6 +12,11 @@ Two things are pinned for each preset of :mod:`tests.golden.batch`:
   batch digests of ``batch_results.json`` exactly (checked by
   ``test_trace_results.py``; nothing extra is stored for them).
 
+The same layout digest also pins the two writers that stream records
+rather than a whole data set (:data:`RECORD_STREAMS`): ``import_clf``
+over the access log of a generated preset, and ``interleave_traces`` of
+two preset traces with a time shift and a sample of the overlay.
+
 Regenerate the committed layout fixture (only when a change to the trace
 bytes is intended) from the repository root::
 
@@ -30,7 +35,8 @@ from typing import Any
 
 from repro.runspec import RunSpec, TrafficSpec, execute
 from repro.runspec.spec import ExecutionSpec
-from repro.trace import write_trace
+from repro.logs.writer import LogWriter
+from repro.trace import import_clf, interleave_traces, write_trace
 from repro.trace.format import (
     BLOCK_TAG,
     MAGIC,
@@ -45,12 +51,45 @@ from tests.golden.batch import PRESETS, run_digest
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "trace_layout.json")
 
+#: The record-stream writers pinned next to the presets: fixture key ->
+#: how its trace is written (see :func:`write_record_stream`).
+IMPORT_PRESET = "amadeus_march_2018"
+MIX_BASE, MIX_OVERLAY = "amadeus_march_2018", "balanced_small"
+MIX_SHIFT_S, MIX_SAMPLE, MIX_SEED = 1800.0, 0.5, 5
+RECORD_STREAMS = (f"import:{IMPORT_PRESET}", f"mix:{MIX_BASE}+{MIX_OVERLAY}")
+
 
 def write_preset_trace(name: str, path: str) -> int:
     """Record one preset's generated traffic as a trace; returns its record count."""
     dataset = generate_dataset(get_scenario(name, **PRESETS[name]))
     write_trace(dataset, path)
     return len(dataset)
+
+
+def write_record_stream(key: str, directory: str, path: str) -> int:
+    """Write one :data:`RECORD_STREAMS` trace to ``path``; returns its record count."""
+    if key == RECORD_STREAMS[0]:
+        log = os.path.join(directory, f"{IMPORT_PRESET}.log")
+        dataset = generate_dataset(get_scenario(IMPORT_PRESET, **PRESETS[IMPORT_PRESET]))
+        LogWriter().write_file(dataset, log)
+        report = import_clf([log], path, skip_malformed=False)
+        assert report.trace is not None
+        return report.trace.records
+    if key == RECORD_STREAMS[1]:
+        base = os.path.join(directory, f"{MIX_BASE}.trace")
+        overlay = os.path.join(directory, f"{MIX_OVERLAY}.trace")
+        write_preset_trace(MIX_BASE, base)
+        write_preset_trace(MIX_OVERLAY, overlay)
+        info = interleave_traces(
+            base,
+            overlay,
+            path,
+            shift_overlay_seconds=MIX_SHIFT_S,
+            sample_overlay=MIX_SAMPLE,
+            seed=MIX_SEED,
+        )
+        return info.records
+    raise KeyError(key)
 
 
 def layout_digest(path: str) -> dict[str, Any]:
@@ -89,6 +128,14 @@ def preset_layout(name: str) -> dict[str, Any]:
         return {"records": records, **layout_digest(path)}
 
 
+def record_stream_layout(key: str) -> dict[str, Any]:
+    """The layout digest of one freshly written :data:`RECORD_STREAMS` trace."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "out.trace")
+        records = write_record_stream(key, directory, path)
+        return {"records": records, **layout_digest(path)}
+
+
 def load_fixture() -> dict[str, Any]:
     with open(FIXTURE, encoding="utf-8") as handle:
         return json.load(handle)
@@ -99,6 +146,7 @@ def main() -> None:
     parser.add_argument("--write", action="store_true", help="rewrite the committed fixture")
     args = parser.parse_args()
     computed = {name: preset_layout(name) for name in PRESETS}
+    computed.update({key: record_stream_layout(key) for key in RECORD_STREAMS})
     text = json.dumps(computed, indent=2, sort_keys=True) + "\n"
     if args.write:
         with open(FIXTURE, "w", encoding="utf-8") as handle:
