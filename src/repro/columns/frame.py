@@ -25,19 +25,21 @@ freely.
 The record-object API remains available as a thin compatibility layer:
 :meth:`RecordFrame.iter_records` rebuilds validated ``LogRecord``
 objects through the same fast slot-filling path the trace reader uses,
-and :meth:`RecordFrame.to_dataset` materialises a full
-:class:`~repro.logs.dataset.Dataset` (ground truth included).
+and :meth:`RecordFrame.to_dataset` wraps the frame in a
+:class:`~repro.logs.dataset.Dataset` that builds its records and ground
+truth only when a caller asks for them.
 """
 
 from __future__ import annotations
 
 from datetime import datetime, timedelta, timezone
-from typing import Iterator, Mapping, Sequence
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.exceptions import ColumnsError, LabelError
-from repro.logs.dataset import MALICIOUS, Dataset, DatasetMetadata, GroundTruth
+from repro.logs.dataset import BENIGN, MALICIOUS, Dataset, DatasetMetadata, GroundTruth
 from repro.logs.record import ASSET_SUFFIXES, LogRecord, RequestMethod, split_url_path
 from repro.obs.names import FRAME_ROWS
 
@@ -66,15 +68,53 @@ def encode_column(values) -> tuple[np.ndarray, list]:
 
     ``dict.fromkeys`` deduplicates at C speed in first-appearance order;
     the per-record pass is then a C-level ``map`` through the finished
-    dictionary.  The single encoding helper -- every dictionary column
-    in the library (frame strings, URL-path factorization, reputation
-    prefixes) goes through here.
+    dictionary.  The single value-to-code encoder in the library: every
+    dictionary column goes through here -- the generator's and the
+    record path's frame strings, labels and actor classes, URL-path
+    factorization and reputation prefixes.  The trace writer does not
+    encode again: it maps a frame's codes onto the trace-global tables.
     """
     table = dict.fromkeys(values)
     for code, key in enumerate(table):
         table[key] = code
     codes = np.fromiter(map(table.__getitem__, values), np.int64, len(values))
     return codes, list(table)
+
+
+def _timestamp_columns(moments: Sequence[datetime], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Microseconds since the epoch and UTC offsets in microseconds; naive moments are UTC."""
+    epoch = _EPOCH
+    one_us = _ONE_US
+    tz_cache: dict[object, int] = {}
+
+    def offset_of(moment: datetime) -> int:
+        tzinfo = moment.tzinfo
+        # Only datetime.timezone is fixed-offset by construction; a
+        # zoneinfo/pytz zone answers utcoffset() per moment (DST), so
+        # it must never be cached per tzinfo object.
+        if type(tzinfo) is timezone:
+            cached = tz_cache.get(tzinfo)
+            if cached is None:
+                cached = moment.utcoffset() // one_us
+                tz_cache[tzinfo] = cached
+            return cached
+        offset = moment.utcoffset()
+        return 0 if offset is None else offset // one_us
+
+    try:
+        timestamps = np.fromiter(((moment - epoch) // one_us for moment in moments), np.int64, n)
+    except TypeError:  # a naive moment: read it as UTC, as LogRecord does
+        moments = [
+            moment if moment.tzinfo is not None else moment.replace(tzinfo=timezone.utc)
+            for moment in moments
+        ]
+        timestamps = np.fromiter(((moment - epoch) // one_us for moment in moments), np.int64, n)
+    return timestamps, np.fromiter(map(offset_of, moments), np.int64, n)
+
+
+def _count_rows(registry, rows: int, source: str) -> None:
+    if registry is not None:
+        registry.counter(FRAME_ROWS, "Rows loaded into a RecordFrame.").inc(rows, source=source)
 
 class RecordFrame:
     """An immutable columnar view of a sequence of log records."""
@@ -170,120 +210,139 @@ class RecordFrame:
     # ------------------------------------------------------------------
     @classmethod
     def from_dataset(cls, dataset: Dataset, *, registry=None) -> "RecordFrame":
-        """Columnarise a materialised data set (labels carried when complete)."""
-        return cls.from_records(
-            dataset.records,
-            ground_truth=dataset.ground_truth,
-            metadata=dataset.metadata,
-            time_ordered=True if dataset.is_time_ordered else None,
-            registry=registry,
-            source="dataset",
-        )
+        """The frame of a data set: its backing frame, or its records columnarised.
+
+        A frame-backed data set (the traffic generator's) hands over its
+        own frame -- no record is built.  Otherwise the records are
+        columnarised, with labels when every record has one.
+        """
+        frame = dataset.frame
+        if frame is None:
+            labels = dataset.label_columns()
+            return cls.from_records(
+                dataset.records,
+                labels=None if labels is None else labels[0],
+                actor_classes=None if labels is None else labels[1],
+                metadata=dataset.metadata,
+                time_ordered=True if dataset.is_time_ordered else None,
+                registry=registry,
+                source="dataset",
+            )
+        _count_rows(registry, len(frame), "dataset")
+        return frame
 
     @classmethod
     def from_records(
         cls,
         records: Sequence[LogRecord],
         *,
-        ground_truth: GroundTruth | None = None,
+        labels: Sequence[str] | None = None,
+        actor_classes: Sequence[str] | None = None,
         metadata: DatasetMetadata | None = None,
         time_ordered: bool | None = None,
         registry=None,
         source: str = "records",
     ) -> "RecordFrame":
-        """Columnarise a sequence of records.
+        """Columnarise a sequence of records (one value list per column).
 
-        One list comprehension per column (slot access runs close to C
-        speed) followed by per-column dictionary encoding -- dictionary
-        code order is an implementation detail, only the decoded strings
-        are contractual.  When ``ground_truth`` does not cover every
-        record (``Dataset.is_labelled`` false) the frame is unlabelled,
-        like every other label consumer in the library.
+        ``labels`` and ``actor_classes``, when given, hold one entry per
+        record, in record order.
         """
-        n = len(records)
-        request_ids = [record.request_id for record in records]
-        moments = [record.timestamp for record in records]
-
-        epoch = _EPOCH
-        one_us = _ONE_US
-        tz_cache: dict[object, int] = {}
-        timestamps = np.fromiter(
-            ((moment - epoch) // one_us for moment in moments), np.int64, n
-        )
-
-        def offset_of(moment: datetime) -> int:
-            tzinfo = moment.tzinfo
-            # Only datetime.timezone is fixed-offset by construction; a
-            # zoneinfo/pytz zone answers utcoffset() per moment (DST), so
-            # it must never be cached per tzinfo object.
-            if type(tzinfo) is timezone:
-                cached = tz_cache.get(tzinfo)
-                if cached is None:
-                    cached = moment.utcoffset() // one_us
-                    tz_cache[tzinfo] = cached
-                return cached
-            offset = moment.utcoffset()
-            return 0 if offset is None else offset // one_us
-
-        tz_offsets = np.fromiter((offset_of(moment) for moment in moments), np.int64, n)
-
-        code_arrays: dict[str, np.ndarray] = {}
-        tables: dict[str, list[str]] = {}
-        code_arrays["client_ip"], tables["client_ip"] = encode_column(
-            [record.client_ip for record in records]
-        )
-        code_arrays["path"], tables["path"] = encode_column([record.path for record in records])
-        code_arrays["protocol"], tables["protocol"] = encode_column(
-            [record.protocol for record in records]
-        )
-        code_arrays["referrer"], tables["referrer"] = encode_column(
-            [record.referrer for record in records]
-        )
-        code_arrays["user_agent"], tables["user_agent"] = encode_column(
-            [record.user_agent for record in records]
-        )
-        code_arrays["ident"], tables["ident"] = encode_column([record.ident for record in records])
-        code_arrays["auth_user"], tables["auth_user"] = encode_column(
-            [record.auth_user for record in records]
-        )
-        # Methods are dictionary-encoded as enum members (hashable), so
-        # ``.value`` runs once per distinct method, not once per record.
-        code_arrays["method"], method_members = encode_column(
-            [record.method for record in records]
-        )
-        tables["method"] = [member.value for member in method_members]
-
         extras: list[Mapping] | None = None
         if any(record.extra for record in records):
             extras = [dict(record.extra) if record.extra else {} for record in records]
+        return cls.from_columns(
+            [record.request_id for record in records],
+            [record.timestamp for record in records],
+            {name: list(map(attrgetter(name), records)) for name in STRING_COLUMNS},
+            map(attrgetter("status"), records),
+            map(attrgetter("response_size"), records),
+            extras=extras,
+            labels=labels,
+            actor_classes=actor_classes,
+            metadata=metadata,
+            time_ordered=time_ordered,
+            registry=registry,
+            source=source,
+        )
 
-        labels: np.ndarray | None = None
+    @classmethod
+    def from_columns(
+        cls,
+        request_ids: list[str],
+        timestamps: Sequence[datetime],
+        strings: Mapping[str, Sequence],
+        statuses: Iterable[int],
+        sizes: Iterable[int],
+        *,
+        extras: Sequence[Mapping] | None = None,
+        labels: Sequence[str] | None = None,
+        actor_classes: Sequence[str] | None = None,
+        metadata: DatasetMetadata | None = None,
+        time_ordered: bool | None = None,
+        registry=None,
+        source: str = "columns",
+    ) -> "RecordFrame":
+        """Build a frame from per-record value columns, checking what ``LogRecord`` checks.
+
+        ``strings`` holds one value list per :data:`STRING_COLUMNS` name;
+        methods may be strings or :class:`RequestMethod` members.  Every
+        string column -- labels and actor classes included -- goes
+        through :func:`encode_column`.  The ``LogRecord`` constructor's
+        checks run vectorised or once per distinct value: naive
+        timestamps are read as UTC, statuses must lie in 100-599, sizes
+        must not be negative and every method must be known (spellings
+        that :meth:`RequestMethod.from_string` maps to one method share
+        one code).  Dictionary code order is first appearance, an
+        implementation detail; only the decoded strings are contractual.
+        ``labels`` (``"benign"``/``"malicious"``) and ``actor_classes``
+        hold one entry per record when given.
+        """
+        n = len(request_ids)
+        timestamps_us, tz_offsets_us = _timestamp_columns(timestamps, n)
+        status_array = np.fromiter(statuses, np.int64, n)
+        size_array = np.fromiter(sizes, np.int64, n)
+        bad_statuses = status_array[(status_array < 100) | (status_array > 599)]
+        if len(bad_statuses):
+            raise ValueError(f"invalid HTTP status code: {bad_statuses[0]}")
+        negative_sizes = size_array[size_array < 0]
+        if len(negative_sizes):
+            raise ValueError(f"negative response size: {negative_sizes[0]}")
+
+        codes: dict[str, np.ndarray] = {}
+        tables: dict[str, list] = {}
+        for name in STRING_COLUMNS:
+            codes[name], tables[name] = encode_column(strings[name])
+        methods = [RequestMethod.from_string(value).value for value in tables["method"]]
+        folded, tables["method"] = encode_column(methods)
+        codes["method"] = folded[codes["method"]]
+
+        label_codes: np.ndarray | None = None
         actor_codes: np.ndarray | None = None
         actor_table: list[str] = []
-        if ground_truth is not None:
-            try:
-                label_values, actor_values = ground_truth.label_columns(request_ids)
-            except LabelError:  # repro-lint: allow[REP007] unlabelled frame is the documented fallback
-                pass  # incomplete ground truth: the frame is unlabelled
-            else:
-                labels = np.fromiter(
-                    (value == MALICIOUS for value in label_values), np.int64, n
+        if labels is not None:
+            value_codes, values = encode_column(labels)
+            unknown = set(values) - {BENIGN, MALICIOUS}
+            if unknown:
+                raise LabelError(
+                    f"unknown labels {sorted(unknown)}; expected {MALICIOUS!r} or {BENIGN!r}"
                 )
-                actor_codes, actor_table = encode_column(actor_values)
-
-        if registry is not None:
-            registry.counter(FRAME_ROWS, "Rows loaded into a RecordFrame.").inc(
-                n, source=source
+            malicious = np.array([value == MALICIOUS for value in values], dtype=np.int64)
+            label_codes = malicious[value_codes]
+            actor_codes, actor_table = encode_column(
+                [""] * n if actor_classes is None else actor_classes
             )
+
+        _count_rows(registry, n, source)
         return cls(
             request_ids=request_ids,
-            timestamps_us=timestamps,
-            tz_offsets_us=tz_offsets,
-            statuses=np.fromiter((record.status for record in records), np.int64, n),
-            sizes=np.fromiter((record.response_size for record in records), np.int64, n),
-            codes=code_arrays,
+            timestamps_us=timestamps_us,
+            tz_offsets_us=tz_offsets_us,
+            statuses=status_array,
+            sizes=size_array,
+            codes=codes,
             tables=tables,
-            labels=labels,
+            labels=label_codes,
             actor_codes=actor_codes,
             actor_table=actor_table,
             extras=extras,
@@ -419,53 +478,60 @@ class RecordFrame:
     def iter_records(self) -> Iterator[LogRecord]:
         """Yield the frame's records as validated :class:`LogRecord` objects.
 
-        Every record admitted into a frame came from a validated
-        ``LogRecord`` (or a trace of them), so the constructor checks are
-        skipped via the same slot-filling path the trace reader uses.
+        Every frame was built from checked values (or a trace of them),
+        so the constructor checks are skipped via the same slot-filling
+        path the trace reader uses.  Each column is resolved to its
+        values first; the loop then only fills slots.
         """
         delta = timedelta
         epoch_for: dict[int, datetime] = {
-            int(offset): _EPOCH.astimezone(timezone(delta(microseconds=int(offset))))
-            for offset in np.unique(self.tz_offsets_us)
-        } or {0: _EPOCH}
-        tables = self.tables
-        methods = [RequestMethod(value) for value in tables["method"]]
-        ips = tables["client_ip"]
-        paths = tables["path"]
-        protocols = tables["protocol"]
-        referrers = tables["referrer"]
-        agents = tables["user_agent"]
-        idents = tables["ident"]
-        auth_users = tables["auth_user"]
-        codes = self.codes
-        extras = self.extras
-        timestamps_us = self.timestamps_us.tolist()
-        tz_offsets = self.tz_offsets_us.tolist()
-        statuses = self.statuses.tolist()
-        sizes = self.sizes.tolist()
+            offset: _EPOCH.astimezone(timezone(delta(microseconds=offset)))
+            for offset in np.unique(self.tz_offsets_us).tolist()
+        }
+        timestamps = [
+            epoch_for[offset] + delta(microseconds=us)
+            for us, offset in zip(self.timestamps_us.tolist(), self.tz_offsets_us.tolist())
+        ]
+        tables = dict(self.tables)
+        tables["method"] = [RequestMethod(value) for value in tables["method"]]
+        values = {
+            name: [table[code] for code in self.codes[name].tolist()]
+            for name, table in tables.items()
+        }
+        extras = self.extras or [{}] * len(self)
 
         new = object.__new__
         fill = object.__setattr__
         cls = LogRecord
-        for index, request_id in enumerate(self.request_ids):
+        for rid, ts, ip, method, path, protocol, status, size, referrer, agent, ident, auth_user, extra in zip(
+            self.request_ids,
+            timestamps,
+            values["client_ip"],
+            values["method"],
+            values["path"],
+            values["protocol"],
+            self.statuses.tolist(),
+            self.sizes.tolist(),
+            values["referrer"],
+            values["user_agent"],
+            values["ident"],
+            values["auth_user"],
+            extras,
+        ):
             record = new(cls)
-            fill(record, "request_id", request_id)
-            fill(
-                record,
-                "timestamp",
-                epoch_for[tz_offsets[index]] + delta(microseconds=timestamps_us[index]),
-            )
-            fill(record, "client_ip", ips[codes["client_ip"][index]])
-            fill(record, "method", methods[codes["method"][index]])
-            fill(record, "path", paths[codes["path"][index]])
-            fill(record, "protocol", protocols[codes["protocol"][index]])
-            fill(record, "status", statuses[index])
-            fill(record, "response_size", sizes[index])
-            fill(record, "referrer", referrers[codes["referrer"][index]])
-            fill(record, "user_agent", agents[codes["user_agent"][index]])
-            fill(record, "ident", idents[codes["ident"][index]])
-            fill(record, "auth_user", auth_users[codes["auth_user"][index]])
-            fill(record, "extra", dict(extras[index]) if extras is not None else {})
+            fill(record, "request_id", rid)
+            fill(record, "timestamp", ts)
+            fill(record, "client_ip", ip)
+            fill(record, "method", method)
+            fill(record, "path", path)
+            fill(record, "protocol", protocol)
+            fill(record, "status", status)
+            fill(record, "response_size", size)
+            fill(record, "referrer", referrer)
+            fill(record, "user_agent", agent)
+            fill(record, "ident", ident)
+            fill(record, "auth_user", auth_user)
+            fill(record, "extra", dict(extra))
             yield record
 
     def ground_truth(self) -> GroundTruth | None:
@@ -480,13 +546,13 @@ class RecordFrame:
         return GroundTruth.from_columns(self.request_ids, label_values, actors)
 
     def to_dataset(self) -> Dataset:
-        """Materialise the frame as a full :class:`Dataset` (labels included)."""
-        return Dataset(
-            list(self.iter_records()),
-            ground_truth=self.ground_truth(),
-            metadata=self.metadata,
-            time_ordered=self._time_ordered,
-        )
+        """The frame as a :class:`Dataset` (labels included) that it backs.
+
+        Nothing is materialised here: the data set builds its records
+        and ground truth from this frame the first time a caller asks
+        for them (see :meth:`Dataset.from_frame`).
+        """
+        return Dataset.from_frame(self, time_ordered=self._time_ordered)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -162,7 +162,15 @@ class GroundTruth:
 
 
 class Dataset:
-    """An ordered collection of log records with optional ground truth."""
+    """An ordered collection of log records with optional ground truth.
+
+    A data set is either built from its records or backed by a
+    :class:`~repro.columns.RecordFrame` (:meth:`from_frame`, the traffic
+    generator's output).  A frame-backed data set answers :func:`len`,
+    :attr:`request_ids`, :attr:`is_labelled`, :attr:`is_time_ordered`
+    and :attr:`metadata` from the frame, and builds its records and
+    ground truth only when a caller first asks for them.
+    """
 
     def __init__(
         self,
@@ -172,19 +180,9 @@ class Dataset:
         *,
         time_ordered: bool | None = None,
     ) -> None:
-        self._records: list[LogRecord] = list(records)
-        self._by_id: dict[str, LogRecord] = {
-            record.request_id: record for record in self._records
-        }
-        if len(self._by_id) != len(self._records):
-            # Only walk again (to name the culprit) once the cheap
-            # cardinality check has already proven there is one.
-            seen: set[str] = set()
-            for record in self._records:
-                if record.request_id in seen:
-                    raise DatasetError(f"duplicate request id: {record.request_id!r}")
-                seen.add(record.request_id)
-        self.ground_truth = ground_truth
+        self._frame = None
+        self._set_records(list(records))
+        self._ground_truth = ground_truth
         self.metadata = metadata or DatasetMetadata()
         # ``None`` means "unknown": :attr:`is_time_ordered` checks (and
         # caches) lazily.  Producers that build records in timestamp
@@ -194,24 +192,57 @@ class Dataset:
         self._request_ids: list[str] | None = None
         self._row_of: dict[str, int] | None = None
 
+    @classmethod
+    def from_frame(cls, frame, *, time_ordered: bool | None = None) -> "Dataset":
+        """A data set backed by ``frame`` (its records, labels and metadata)."""
+        dataset = cls((), metadata=frame.metadata, time_ordered=time_ordered)
+        dataset._frame = frame
+        dataset._records = None
+        dataset._request_ids = frame.request_ids
+        return dataset
+
+    def _set_records(self, records: list[LogRecord]) -> None:
+        self._records = records
+        self._by_id: dict[str, LogRecord] = {record.request_id: record for record in records}
+        if len(self._by_id) != len(records):
+            # Only walk again (to name the culprit) once the cheap
+            # cardinality check has already proven there is one.
+            seen: set[str] = set()
+            for record in records:
+                if record.request_id in seen:
+                    raise DatasetError(f"duplicate request id: {record.request_id!r}")
+                seen.add(record.request_id)
+
     # ------------------------------------------------------------------
     # Container protocol
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._frame) if self._records is None else len(self._records)
 
     def __iter__(self) -> Iterator[LogRecord]:
-        return iter(self._records)
+        return iter(self.records)
 
     def __getitem__(self, index: int) -> LogRecord:
-        return self._records[index]
+        return self.records[index]
 
     def __contains__(self, request_id: str) -> bool:
+        self._materialise()
         return request_id in self._by_id
+
+    @property
+    def frame(self):
+        """The backing :class:`~repro.columns.RecordFrame`, or ``None`` for a record-built data set."""
+        return self._frame
+
+    def _materialise(self) -> None:
+        """Build a frame-backed data set's records and id index, once."""
+        if self._records is None:
+            self._set_records(list(self._frame.iter_records()))
 
     @property
     def records(self) -> list[LogRecord]:
         """The records in log order (do not mutate)."""
+        self._materialise()
         return self._records
 
     @property
@@ -233,6 +264,7 @@ class Dataset:
 
     def get(self, request_id: str) -> LogRecord:
         """Return the record with the given id."""
+        self._materialise()
         try:
             return self._by_id[request_id]
         except KeyError as exc:
@@ -242,28 +274,48 @@ class Dataset:
     # Labels
     # ------------------------------------------------------------------
     @property
+    def ground_truth(self) -> GroundTruth | None:
+        """The ground-truth labels, if any (a frame-backed data set builds them on first use)."""
+        if self._ground_truth is None and self._frame is not None:
+            self._ground_truth = self._frame.ground_truth()
+        return self._ground_truth
+
+    @property
     def is_labelled(self) -> bool:
         """True when every record has a ground-truth label."""
+        if self._frame is not None:
+            return self._frame.is_labelled
         if self.ground_truth is None:
             return False
         return all(record.request_id in self.ground_truth for record in self._records)
 
     def require_labels(self) -> GroundTruth:
         """Return the ground truth, raising :class:`LabelError` if incomplete."""
-        if self.ground_truth is None:
+        truth = self.ground_truth
+        if truth is None:
             raise LabelError("data set has no ground truth labels")
-        missing = [r.request_id for r in self._records if r.request_id not in self.ground_truth]
+        missing = [rid for rid in self.request_ids if rid not in truth]
         if missing:
             raise LabelError(f"{len(missing)} records lack ground truth (first: {missing[0]!r})")
-        return self.ground_truth
+        return truth
+
+    def label_columns(self) -> tuple[list[str], list[str]] | None:
+        """``(labels, actor_classes)`` in record order; ``None`` unless every record is labelled."""
+        truth = self.ground_truth
+        if truth is None:
+            return None
+        try:
+            return truth.label_columns(self.request_ids)
+        except LabelError:
+            return None
 
     def malicious_fraction(self) -> float:
         """Fraction of requests labelled malicious (requires labels)."""
         truth = self.require_labels()
-        if not self._records:
+        if not len(self):
             return 0.0
-        malicious = sum(1 for r in self._records if truth.is_malicious(r.request_id))
-        return malicious / len(self._records)
+        malicious = sum(1 for rid in self.request_ids if truth.is_malicious(rid))
+        return malicious / len(self)
 
     # ------------------------------------------------------------------
     # Views and statistics
@@ -274,7 +326,7 @@ class Dataset:
         Ground truth and metadata are shared with the parent (labels are a
         superset of the filtered records, which is fine).
         """
-        filtered = [record for record in self._records if predicate(record)]
+        filtered = [record for record in self.records if predicate(record)]
         metadata = self.metadata
         if name:
             metadata = DatasetMetadata(
@@ -296,29 +348,29 @@ class Dataset:
 
     def status_counts(self) -> Counter[int]:
         """Number of requests per HTTP status code."""
-        return Counter(record.status for record in self._records)
+        return Counter(record.status for record in self.records)
 
     def method_counts(self) -> Counter[str]:
         """Number of requests per HTTP method."""
-        return Counter(record.method.value for record in self._records)
+        return Counter(record.method.value for record in self.records)
 
     def day_counts(self) -> Counter[str]:
         """Number of requests per calendar day (ISO date strings)."""
-        return Counter(record.day for record in self._records)
+        return Counter(record.day for record in self.records)
 
     def unique_ips(self) -> set[str]:
         """The set of distinct client IPs."""
-        return {record.client_ip for record in self._records}
+        return {record.client_ip for record in self.records}
 
     def unique_user_agents(self) -> set[str]:
         """The set of distinct user-agent strings."""
-        return {record.user_agent for record in self._records}
+        return {record.user_agent for record in self.records}
 
     def time_span(self) -> tuple[datetime, datetime]:
         """The (first, last) request timestamps."""
-        if not self._records:
+        if not len(self):
             raise DatasetError("cannot compute the time span of an empty data set")
-        timestamps = [record.timestamp for record in self._records]
+        timestamps = [record.timestamp for record in self.records]
         return min(timestamps), max(timestamps)
 
     @property
@@ -330,7 +382,7 @@ class Dataset:
         scan (no copy) settles it the first time replay code asks.
         """
         if self._time_ordered is None:
-            records = self._records
+            records = self.records
             self._time_ordered = all(
                 records[i - 1].timestamp <= records[i].timestamp for i in range(1, len(records))
             )
@@ -338,7 +390,7 @@ class Dataset:
 
     def sorted_by_time(self) -> "Dataset":
         """Return a copy with the records sorted by timestamp (stable)."""
-        ordered = sorted(self._records, key=lambda record: record.timestamp)
+        ordered = sorted(self.records, key=lambda record: record.timestamp)
         return Dataset(
             ordered, ground_truth=self.ground_truth, metadata=self.metadata, time_ordered=True
         )
@@ -362,7 +414,7 @@ class Dataset:
         """A dictionary summary of the data set (used by the CLI and reports)."""
         info: dict[str, object] = {
             "name": self.metadata.name,
-            "records": len(self._records),
+            "records": len(self),
             "unique_ips": len(self.unique_ips()),
             "unique_user_agents": len(self.unique_user_agents()),
             "statuses": dict(self.status_counts()),

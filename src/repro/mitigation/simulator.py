@@ -26,11 +26,11 @@ import random
 from dataclasses import dataclass
 
 from repro.logs.dataset import Dataset, DatasetMetadata, GroundTruth
+from repro.logs.record import LogRecord, RequestMethod
 from repro.mitigation.gateway import EnforcementGateway, EnforcementOutcome, GatewayResult
 from repro.mitigation.log import EnforcementLog
 from repro.stream.engine import StreamResult
-from repro.traffic.actors import TimeWindow
-from repro.traffic.generator import _event_to_record
+from repro.traffic.actors import RequestEvent, TimeWindow
 from repro.traffic.labels import actor_label
 from repro.traffic.stepping import Feedback, SteppedActor, SteppedPopulation
 
@@ -59,6 +59,22 @@ class SimulationResult:
     def total_requests(self) -> int:
         """Total number of attempted requests."""
         return len(self.dataset)
+
+
+def _event_to_record(request_id: str, event: RequestEvent) -> LogRecord:
+    """One request event as a validated log record: the gateway judges records one at a time."""
+    return LogRecord(
+        request_id=request_id,
+        timestamp=event.timestamp,
+        client_ip=event.client_ip,
+        method=RequestMethod.from_string(event.method),
+        path=event.path,
+        protocol=event.protocol,
+        status=event.status,
+        response_size=event.response_size,
+        referrer=event.referrer,
+        user_agent=event.user_agent,
+    )
 
 
 def _outcome_feedback(outcome: EnforcementOutcome) -> Feedback:

@@ -35,21 +35,22 @@ fixed-size trailer, jumps to the meta section and has everything
 the trace length.
 
 This module is the pure byte-level layer: it converts between
-:class:`BlockColumns` and bytes.  :func:`decode_block` is the one block
-decoder: it reads every integer column straight into an int64 numpy
-array and checks every dictionary code against the trace's tables, for
-the frame reader and the record replay alike.  Record-object conversion
-lives in :mod:`repro.trace.store`.
+:class:`BlockColumns` -- one block's int64 arrays and request ids -- and
+bytes.  :func:`encode_block` is the one block encoder: it packs every
+integer column with ``tobytes`` and takes the timestamp deltas with
+``np.diff``.  :func:`decode_block` is the one block decoder: it reads
+every integer column straight back into an int64 array and checks every
+dictionary code against the trace's tables, for the frame reader and
+the record replay alike.  Mapping a frame's codes onto the trace-global
+tables, and record-object conversion, live in :mod:`repro.trace.store`.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-import sys
 import zlib
-from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from typing import Mapping, Sequence
 
@@ -90,43 +91,31 @@ _SECTION_HEADER = struct.Struct("<cI")
 _TRAILER = struct.Struct("<QQ5s")
 TRAILER_SIZE = _TRAILER.size
 
-_LITTLE_ENDIAN = sys.byteorder == "little"
-
-
-def _pack_ints(values: list[int]) -> bytes:
-    arr = array("q", values)
-    if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian hosts only
-        arr.byteswap()
-    return arr.tobytes()
-
-
-#: An integer column: a list while a writer appends to it, an int64
-#: array once :func:`decode_block` has read it.
-IntColumn = list[int] | np.ndarray
+def _pack_ints(values: np.ndarray) -> bytes:
+    """An integer column as little-endian int64 bytes."""
+    return np.asarray(values, dtype="<i8").tobytes()
 
 
 @dataclass
 class BlockColumns:
     """One block of records, as parallel columns.
 
-    Every column has one entry per record.  ``dict_indices`` maps each
-    :data:`DICT_COLUMNS` name to the codes into the trace-global string
-    table for that column; ``labels`` / ``actor_indices`` are ``None``
-    for unlabelled traces; ``extras`` is ``None`` when every record's
-    ``extra`` mapping is empty (the overwhelmingly common case).  The
-    writer fills lists; :func:`decode_block` returns int64 arrays.
+    Every integer column is an int64 array with one entry per record.
+    ``dict_indices`` maps each :data:`DICT_COLUMNS` name to the codes
+    into the trace-global string table for that column; ``labels`` /
+    ``actor_indices`` are ``None`` for unlabelled traces; ``extras`` is
+    ``None`` when every record's ``extra`` mapping is empty (the
+    overwhelmingly common case).
     """
 
-    request_ids: list[str] = field(default_factory=list)
-    timestamps_us: IntColumn = field(default_factory=list)
-    tz_offsets_s: IntColumn = field(default_factory=list)
-    statuses: IntColumn = field(default_factory=list)
-    sizes: IntColumn = field(default_factory=list)
-    dict_indices: dict[str, IntColumn] = field(
-        default_factory=lambda: {name: [] for name in DICT_COLUMNS}
-    )
-    labels: IntColumn | None = None
-    actor_indices: IntColumn | None = None
+    request_ids: list[str]
+    timestamps_us: np.ndarray
+    tz_offsets_s: np.ndarray
+    statuses: np.ndarray
+    sizes: np.ndarray
+    dict_indices: dict[str, np.ndarray]
+    labels: np.ndarray | None = None
+    actor_indices: np.ndarray | None = None
     extras: list[dict] | None = None
 
     def __len__(self) -> int:
@@ -148,31 +137,20 @@ class BlockColumns:
         )
 
 
-def _delta_encode(values: list[int]) -> list[int]:
-    if not values:
-        return []
-    deltas = [0] * len(values)
-    previous = values[0]
-    for index in range(1, len(values)):
-        current = values[index]
-        deltas[index] = current - previous
-        previous = current
-    return deltas
-
-
 def encode_block(columns: BlockColumns) -> bytes:
     """Encode one block of columns as a compressed body (no section header)."""
     count = len(columns)
     if count == 0:
         raise TraceError("cannot encode an empty block")
-    first_ts = columns.timestamps_us[0]
-    parts: list[bytes] = [struct.pack("<Iq", count, first_ts)]
+    timestamps = columns.timestamps_us
+    parts: list[bytes] = [struct.pack("<Iq", count, int(timestamps[0]))]
 
     def add(payload: bytes) -> None:
         parts.append(struct.pack("<I", len(payload)))
         parts.append(payload)
 
-    add(_pack_ints(_delta_encode(columns.timestamps_us)))
+    # The first delta is 0: the block header carries the first timestamp.
+    add(_pack_ints(np.diff(timestamps, prepend=timestamps[:1])))
     # UTC offsets are near-constant; stored plain, zlib erases the runs.
     add(_pack_ints(columns.tz_offsets_s))
     add(_pack_ints(columns.statuses))

@@ -1,14 +1,17 @@
 """The trace store: :class:`TraceWriter`, :class:`TraceReader`, :class:`TraceInfo`.
 
-The writer turns a stream of validated
-:class:`~repro.logs.record.LogRecord` objects (optionally with labels)
-into the chunked columnar file described in :mod:`repro.trace.format`;
-the reader walks it back block by block, so traces far larger than
-memory replay in bounded space.  Because every record admitted by the
-writer was a fully validated ``LogRecord``, the reader trusts the
-columns and rebuilds records through a fast slot-filling path instead of
-re-running constructor validation -- replaying a trace is several times
-cheaper than regenerating the traffic it recorded.
+The writer takes :class:`~repro.columns.RecordFrame` blocks (optionally
+labelled) and writes the chunked columnar file described in
+:mod:`repro.trace.format`: each block's dictionary codes are mapped onto
+the trace-global string tables with numpy, so strings are encoded once,
+when the frame is built.  Callers holding one record at a time write
+through a buffer that turns every ``block_size`` records into one such
+frame.  The reader walks a trace back block by block, so traces far
+larger than memory replay in bounded space.  Because every frame was
+built from checked values, the reader trusts the columns and rebuilds
+records through a fast slot-filling path instead of re-running
+constructor validation -- replaying a trace is several times cheaper
+than regenerating the traffic it recorded.
 
 Module-level helpers cover the common whole-dataset cases::
 
@@ -23,7 +26,7 @@ import json
 import os
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import IO, Iterator
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -55,26 +58,12 @@ from repro.trace.format import (
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _ONE_US = timedelta(microseconds=1)
-_ONE_S = timedelta(seconds=1)
 _LABEL_INDEX = {name: index for index, name in enumerate(LABEL_NAMES)}
 
 
 def _timestamp_us(moment: datetime) -> int:
     """Exact integer microseconds since the epoch (no float rounding)."""
     return (moment - _EPOCH) // _ONE_US
-
-
-def _utc_offset_s(moment: datetime) -> int:
-    offset = moment.utcoffset()
-    if offset is None:  # pragma: no cover - LogRecord normalizes to aware
-        return 0
-    seconds = offset // _ONE_S
-    if offset != timedelta(seconds=seconds):
-        raise TraceError(
-            f"cannot store sub-second UTC offset {offset!r}; "
-            "trace timestamps carry whole-second offsets"
-        )
-    return seconds
 
 
 # ----------------------------------------------------------------------
@@ -136,13 +125,22 @@ class TraceInfo:
 # Writer
 # ----------------------------------------------------------------------
 class TraceWriter:
-    """Stream records into a trace file.
+    """Write :class:`~repro.columns.RecordFrame` blocks into a trace file.
+
+    :meth:`write_frame` is the one encoding path: it cuts a frame into
+    blocks of ``block_size`` rows and maps each block's dictionary codes
+    onto the trace-global string tables with numpy, so every string is
+    encoded once, by :func:`~repro.columns.frame.encode_column`, when
+    its frame is built.  :meth:`write` is a buffer in front of it for
+    callers that hold one record at a time (the log importer, the trace
+    operators): every ``block_size`` buffered records become one
+    ``RecordFrame.from_records`` block.
 
     Use as a context manager; the footer (string tables, meta section,
     trailer) is written by :meth:`close`.  Labels are all-or-nothing: the
-    first :meth:`write` decides whether the trace is labelled, and later
-    writes must agree, so a trace can always answer "is this labelled?"
-    from its footer alone.
+    first write decides whether the trace is labelled, and later writes
+    must agree, so a trace can always answer "is this labelled?" from
+    its footer alone.
     """
 
     def __init__(
@@ -159,15 +157,18 @@ class TraceWriter:
         self.block_size = block_size
         self._registry = resolve_registry(registry)
         self.metadata = metadata or DatasetMetadata()
+        # Checked before the file exists: a footer that cannot be written
+        # must not cost the caller a half-written trace.
+        self._dataset_meta = _metadata_dict(self.metadata)
         self._handle: IO[bytes] | None = open(path, "wb")
         self._handle.write(MAGIC)
+        # The trace-global code of every string written so far, per
+        # column; insertion order is code order.
         self._tables: dict[str, dict[str, int]] = {name: {} for name in DICT_COLUMNS}
         self._actors: dict[str, int] = {}
-        self._pending = BlockColumns()
-        self._pending_labels: list[int] = []
-        self._pending_actors: list[int] = []
-        self._pending_extras: list[dict] = []
-        self._pending_has_extra = False
+        self._buffer: list[LogRecord] = []
+        self._buffer_labels: list[str] = []
+        self._buffer_actors: list[str] = []
         self._blocks: list[list[int]] = []  # [offset, count, min_us, max_us]
         self._records = 0
         self._labelled: bool | None = None
@@ -185,110 +186,133 @@ class TraceWriter:
             if self._handle is not None:
                 self.close()
         else:
-            # Do not write a footer over a failed run -- close the raw
-            # handle and leave the (invalid, footer-less) file behind for
-            # the caller to discard.
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+            self._abandon()
 
-    # ------------------------------------------------------------------
-    def _intern(self, column: str, value: str) -> int:
-        table = self._tables[column]
-        index = table.get(value)
-        if index is None:
-            index = len(table)
-            table[value] = index
-        return index
+    def _abandon(self) -> None:
+        """Close the raw handle without a footer, leaving an invalid file to discard."""
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
-    def _intern_actor(self, value: str) -> int:
-        index = self._actors.get(value)
-        if index is None:
-            index = len(self._actors)
-            self._actors[value] = index
-        return index
-
-    def write(self, record: LogRecord, *, label: str | None = None, actor_class: str = "") -> None:
-        """Append one record (with its ground-truth label, if any)."""
+    def _require_open(self) -> None:
         if self._handle is None:
             raise TraceError(f"trace writer for {self.path!r} is closed")
-        has_label = label is not None
+
+    def _agree_on_labels(self, has_label: bool, what: str) -> None:
         if self._labelled is None:
             self._labelled = has_label
         elif self._labelled != has_label:
             raise TraceError(
                 "a trace is labelled all-or-nothing: "
-                f"record {record.request_id!r} {'has' if has_label else 'lacks'} a label "
+                f"{what} {'has' if has_label else 'lacks'} a label "
                 f"but the trace is {'labelled' if self._labelled else 'unlabelled'}"
             )
+
+    # ------------------------------------------------------------------
+    def write(self, record: LogRecord, *, label: str | None = None, actor_class: str = "") -> None:
+        """Buffer one record (with its ground-truth label, if any)."""
+        self._require_open()
+        has_label = label is not None
+        self._agree_on_labels(has_label, f"record {record.request_id!r}")
         if has_label:
             if label not in _LABEL_INDEX:
                 raise TraceError(
                     f"unknown label {label!r}; expected {BENIGN!r} or {MALICIOUS!r}"
                 )
-            self._pending_labels.append(_LABEL_INDEX[label])
-            self._pending_actors.append(self._intern_actor(actor_class))
+            self._buffer_labels.append(label)
+            self._buffer_actors.append(actor_class)
+        self._buffer.append(record)
+        if len(self._buffer) >= self.block_size:
+            self._flush_buffer()
 
-        us = _timestamp_us(record.timestamp)
-        if self._last_us is not None and us < self._last_us:
-            self._time_ordered = False
-        self._last_us = us
-        self._min_us = us if self._min_us is None else min(self._min_us, us)
-        self._max_us = us if self._max_us is None else max(self._max_us, us)
-
-        pending = self._pending
-        pending.request_ids.append(record.request_id)
-        pending.timestamps_us.append(us)
-        pending.tz_offsets_s.append(_utc_offset_s(record.timestamp))
-        pending.statuses.append(record.status)
-        pending.sizes.append(record.response_size)
-        indices = pending.dict_indices
-        indices["client_ip"].append(self._intern("client_ip", record.client_ip))
-        indices["method"].append(self._intern("method", record.method.value))
-        indices["path"].append(self._intern("path", record.path))
-        indices["protocol"].append(self._intern("protocol", record.protocol))
-        indices["referrer"].append(self._intern("referrer", record.referrer))
-        indices["user_agent"].append(self._intern("user_agent", record.user_agent))
-        indices["ident"].append(self._intern("ident", record.ident))
-        indices["auth_user"].append(self._intern("auth_user", record.auth_user))
-        extra = dict(record.extra) if record.extra else {}
-        if extra:
-            self._pending_has_extra = True
-        self._pending_extras.append(extra)
-
-        self._records += 1
-        if len(pending) >= self.block_size:
-            self._flush_block()
-
-    def write_dataset(self, dataset: Dataset) -> None:
-        """Append every record of a data set (labels included when complete)."""
-        truth = dataset.ground_truth if dataset.is_labelled else None
-        if truth is None:
-            for record in dataset:
-                self.write(record)
-        else:
-            for record in dataset:
-                request_id = record.request_id
-                self.write(
-                    record,
-                    label=truth.label_of(request_id),
-                    actor_class=truth.actor_class_of(request_id),
-                )
-
-    # ------------------------------------------------------------------
-    def _flush_block(self) -> None:
-        pending = self._pending
-        if not len(pending):
+    def _flush_buffer(self) -> None:
+        if not self._buffer:
             return
+        from repro.columns import RecordFrame
+
+        frame = RecordFrame.from_records(
+            self._buffer,
+            labels=self._buffer_labels if self._labelled else None,
+            actor_classes=self._buffer_actors if self._labelled else None,
+        )
+        self._buffer, self._buffer_labels, self._buffer_actors = [], [], []
+        self._write_blocks(frame)
+
+    def write_frame(self, frame) -> None:
+        """Append a frame's rows, ``block_size`` to a block (labels included if it has them).
+
+        Records buffered by :meth:`write` go out first, as a block of
+        their own.  The whole frame is checked before its first block is
+        written: UTC offsets must be whole seconds and label codes 0
+        (benign) or 1 (malicious).
+        """
+        self._require_open()
+        self._flush_buffer()
+        self._write_blocks(frame)
+
+    def _write_blocks(self, frame) -> None:
+        count = len(frame)
+        if not count:
+            return
+        labelled = frame.is_labelled
+        self._agree_on_labels(labelled, f"a frame of {count} records")
+        offsets_s = _whole_second_offsets(frame.tz_offsets_us)
+        mappings = {name: _unmapped(len(frame.tables[name])) for name in DICT_COLUMNS}
+        if labelled:
+            labels = frame.labels
+            if labels.min() < 0 or labels.max() >= len(LABEL_NAMES):
+                raise TraceError(
+                    f"unknown label codes {labels.min()}..{labels.max()}; "
+                    f"expected 0 ({BENIGN!r}) or 1 ({MALICIOUS!r})"
+                )
+            if frame.actor_codes is not None and frame.actor_table:
+                actor_codes, actor_table = frame.actor_codes, frame.actor_table
+            else:
+                actor_codes, actor_table = np.zeros(count, dtype=np.int64), [""]
+            actor_mapping = _unmapped(len(actor_table))
+
+        for start in range(0, count, self.block_size):
+            rows = slice(start, start + self.block_size)
+            extras = None if frame.extras is None else frame.extras[rows]
+            self._write_block(
+                BlockColumns(
+                    request_ids=frame.request_ids[rows],
+                    timestamps_us=frame.timestamps_us[rows],
+                    tz_offsets_s=offsets_s[rows],
+                    statuses=frame.statuses[rows],
+                    sizes=frame.sizes[rows],
+                    dict_indices={
+                        name: _global_codes(
+                            frame.codes[name][rows],
+                            frame.tables[name],
+                            mappings[name],
+                            self._tables[name],
+                        )
+                        for name in DICT_COLUMNS
+                    },
+                    labels=labels[rows] if labelled else None,
+                    actor_indices=(
+                        _global_codes(actor_codes[rows], actor_table, actor_mapping, self._actors)
+                        if labelled
+                        else None
+                    ),
+                    extras=[dict(extra) for extra in extras] if extras and any(extras) else None,
+                )
+            )
+
+    def _write_block(self, columns: BlockColumns) -> None:
         assert self._handle is not None
-        if self._labelled:
-            pending.labels = self._pending_labels
-            pending.actor_indices = self._pending_actors
-        if self._pending_has_extra:
-            pending.extras = self._pending_extras
+        timestamps = columns.timestamps_us
+        first, low, high = int(timestamps[0]), int(timestamps.min()), int(timestamps.max())
+        if (self._last_us is not None and first < self._last_us) or bool(
+            (timestamps[1:] < timestamps[:-1]).any()
+        ):
+            self._time_ordered = False
+        self._last_us = int(timestamps[-1])
+        self._min_us = low if self._min_us is None else min(self._min_us, low)
+        self._max_us = high if self._max_us is None else max(self._max_us, high)
         offset = self._handle.tell()
-        body = encode_block(pending)
-        section = encode_section(BLOCK_TAG, body)
+        section = encode_section(BLOCK_TAG, encode_block(columns))
         self._handle.write(section)
         registry = self._registry
         if registry.enabled:
@@ -300,41 +324,23 @@ class TraceWriter:
             ).inc(len(section))
             registry.counter(
                 metric_names.TRACE_RECORDS_WRITTEN, "Records appended to trace files."
-            ).inc(len(pending))
-        self._blocks.append(
-            [offset, len(pending), min(pending.timestamps_us), max(pending.timestamps_us)]
-        )
-        self._pending = BlockColumns()
-        self._pending_labels = []
-        self._pending_actors = []
-        self._pending_extras = []
-        self._pending_has_extra = False
-
-    def _metadata_dict(self) -> dict:
-        meta = self.metadata
-        try:
-            extra = json.loads(json.dumps(dict(meta.extra)))
-        except (TypeError, ValueError):
-            extra = {}
-        return {
-            "name": meta.name,
-            "description": meta.description,
-            "source": meta.source,
-            "scenario": meta.scenario,
-            "scale": meta.scale,
-            "seed": meta.seed,
-            "extra": extra,
-        }
+            ).inc(len(columns))
+        self._blocks.append([offset, len(columns), low, high])
+        self._records += len(columns)
 
     def close(self) -> TraceInfo:
-        """Flush pending records, write the footer and return the info."""
+        """Flush buffered records, write the footer and return the info."""
         if self._handle is None:
             raise TraceError(f"trace writer for {self.path!r} is already closed")
         # Imported here, not at module level: repro.trace is reachable
         # from the package __init__, which defines __version__ last.
         from repro import __version__ as library_version
 
-        self._flush_block()
+        try:
+            self._flush_buffer()
+        except BaseException:
+            self._abandon()
+            raise
         handle = self._handle
         strings_offset = handle.tell()
         tables = {name: list(table) for name, table in self._tables.items()}
@@ -354,13 +360,71 @@ class TraceWriter:
             "time_range_us": (
                 None if self._min_us is None else [self._min_us, self._max_us]
             ),
-            "dataset": self._metadata_dict(),
+            "dataset": self._dataset_meta,
         }
         handle.write(encode_section(META_TAG, json.dumps(meta, separators=(",", ":")).encode("utf-8")))
         handle.write(encode_trailer(strings_offset, meta_offset))
         handle.close()
         self._handle = None
         return _info_from_meta(self.path, meta, os.path.getsize(self.path))
+
+
+def _metadata_dict(meta: DatasetMetadata) -> dict:
+    """The footer's dataset entry; a non-JSON ``extra`` value raises, naming its key."""
+    extra: dict = {}
+    for key, value in dict(meta.extra).items():
+        try:
+            extra.update(json.loads(json.dumps({key: value})))
+        except (TypeError, ValueError) as exc:
+            raise TraceError(
+                f"dataset metadata extra[{key!r}] cannot be stored in a trace footer: {exc}"
+            ) from exc
+    return {
+        "name": meta.name,
+        "description": meta.description,
+        "source": meta.source,
+        "scenario": meta.scenario,
+        "scale": meta.scale,
+        "seed": meta.seed,
+        "extra": extra,
+    }
+
+
+def _whole_second_offsets(offsets_us: np.ndarray) -> np.ndarray:
+    """UTC offsets in whole seconds; a sub-second offset raises :class:`TraceError`."""
+    seconds, rest = np.divmod(offsets_us, 1_000_000)
+    if rest.any():
+        offset = timedelta(microseconds=int(offsets_us[np.flatnonzero(rest)[0]]))
+        raise TraceError(
+            f"cannot store sub-second UTC offset {offset!r}; "
+            "trace timestamps carry whole-second offsets"
+        )
+    return seconds
+
+
+def _unmapped(size: int) -> np.ndarray:
+    """A frame-code -> trace-code map with no entry mapped yet (-1)."""
+    return np.full(size, -1, dtype=np.int64)
+
+
+def _global_codes(
+    codes: np.ndarray, table: Sequence[str], mapping: np.ndarray, trace_codes: dict[str, int]
+) -> np.ndarray:
+    """Map one block's frame ``codes`` (into ``table``) onto trace-global codes.
+
+    ``mapping`` remembers the trace code of each ``table`` entry already
+    seen; entries new to it are looked up once in ``trace_codes``, and
+    strings new to the trace take the next codes in order of first
+    appearance -- the order a per-record writer would have given them.
+    """
+    mapped = mapping[codes]
+    unseen = mapped < 0
+    if unseen.any():
+        fresh, first = np.unique(codes[unseen], return_index=True)
+        for code in fresh[np.argsort(first)].tolist():
+            mapping[code] = trace_codes.setdefault(table[code], len(trace_codes))
+        mapped = mapping[codes]
+    return mapped
 
 
 # ----------------------------------------------------------------------
@@ -704,11 +768,32 @@ def _records_from_columns(columns: BlockColumns, tables: dict[str, list]) -> lis
 def write_trace(
     dataset: Dataset, path: str, *, block_size: int = DEFAULT_BLOCK_SIZE, registry=None
 ) -> TraceInfo:
-    """Record a data set (records, labels, metadata) as a trace file."""
+    """Record a data set (records, labels, metadata) as a trace file.
+
+    A frame-backed data set (generated traffic) is written from its
+    frame; no record is built.  A record-built one goes through
+    ``RecordFrame.from_records`` one block at a time, labels included
+    when every record has one.
+    """
+    from repro.columns import RecordFrame
+
     with TraceWriter(
         path, metadata=dataset.metadata, block_size=block_size, registry=registry
     ) as writer:
-        writer.write_dataset(dataset)
+        if dataset.frame is not None:
+            writer.write_frame(dataset.frame)
+        else:
+            records = dataset.records
+            labels, actor_classes = dataset.label_columns() or (None, None)
+            for start in range(0, len(records), block_size):
+                rows = slice(start, start + block_size)
+                writer.write_frame(
+                    RecordFrame.from_records(
+                        records[rows],
+                        labels=None if labels is None else labels[rows],
+                        actor_classes=None if actor_classes is None else actor_classes[rows],
+                    )
+                )
         return writer.close()
 
 

@@ -4,12 +4,16 @@ The generator takes an :class:`~repro.traffic.actors.ActorPopulation`, a
 :class:`~repro.traffic.actors.TimeWindow` and a seed, simulates every
 actor independently (each with its own deterministic child random
 generator), merges the resulting request events in time order and
-materialises them as a labelled :class:`~repro.logs.dataset.Dataset`.
+builds a labelled :class:`~repro.columns.RecordFrame` straight from
+them.  The :class:`~repro.logs.dataset.Dataset` it returns is backed by
+that frame: the batch pipeline and the trace writer take the frame as it
+is, and :class:`~repro.logs.record.LogRecord` objects and the ground
+truth are built only for consumers that ask for records (the stream
+sources, the log writer of ``repro generate``).
 
 The output of the generator is indistinguishable, format-wise, from a
-parsed production access log: the detectors only ever consume the
-:class:`~repro.logs.record.LogRecord` objects (or the combined-log-format
-lines written by :mod:`repro.logs.writer`).
+parsed production access log: the records hold what an access log holds
+and the labels live apart from them.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.logs.dataset import Dataset, DatasetMetadata, GroundTruth
-from repro.logs.record import LogRecord, RequestMethod
+from repro.columns.frame import RecordFrame
+from repro.logs.dataset import Dataset, DatasetMetadata
 from repro.traffic.actors import ActorPopulation, RequestEvent, TimeWindow
 from repro.traffic.labels import actor_label
 
@@ -60,14 +64,6 @@ class TrafficGenerator:
             events_per_class[actor.actor_class] = events_per_class.get(actor.actor_class, 0) + len(actor_events)
 
         events.sort(key=lambda event: event.timestamp)
-
-        records: list[LogRecord] = []
-        truth = GroundTruth()
-        for index, event in enumerate(events):
-            request_id = f"r{index}"
-            records.append(_event_to_record(request_id, event))
-            truth.set(request_id, actor_label(event.actor_class), event.actor_class)
-
         metadata = DatasetMetadata(
             name=dataset_name,
             description="synthetic e-commerce access log",
@@ -76,25 +72,40 @@ class TrafficGenerator:
             scale=scale,
             seed=self.seed,
         )
-        # Events were just sorted, so the records are born in timestamp
-        # order; marking that here lets replay skip a full sorted copy.
-        dataset = Dataset(records, ground_truth=truth, metadata=metadata, time_ordered=True)
-        return GenerationResult(dataset=dataset, events_per_class=events_per_class)
+        return GenerationResult(
+            dataset=_events_frame(events, metadata).to_dataset(),
+            events_per_class=events_per_class,
+        )
 
 
-def _event_to_record(request_id: str, event: RequestEvent) -> LogRecord:
-    """Convert a request event into an immutable log record."""
-    return LogRecord(
-        request_id=request_id,
-        timestamp=event.timestamp,
-        client_ip=event.client_ip,
-        method=RequestMethod.from_string(event.method),
-        path=event.path,
-        protocol=event.protocol,
-        status=event.status,
-        response_size=event.response_size,
-        referrer=event.referrer,
-        user_agent=event.user_agent,
+def _events_frame(events: list[RequestEvent], metadata: DatasetMetadata) -> RecordFrame:
+    """The sorted events as a labelled frame, with request ids ``r0, r1, ...``.
+
+    Events were just sorted, so the frame is marked time-ordered and
+    replay never needs a sorted copy.
+    """
+    actor_classes = [event.actor_class for event in events]
+    label_of = {actor_class: actor_label(actor_class) for actor_class in set(actor_classes)}
+    unset = ["-"] * len(events)
+    return RecordFrame.from_columns(
+        [f"r{index}" for index in range(len(events))],
+        [event.timestamp for event in events],
+        {
+            "client_ip": [event.client_ip for event in events],
+            "method": [event.method for event in events],
+            "path": [event.path for event in events],
+            "protocol": [event.protocol for event in events],
+            "referrer": [event.referrer for event in events],
+            "user_agent": [event.user_agent for event in events],
+            "ident": unset,
+            "auth_user": unset,
+        },
+        [event.status for event in events],
+        [event.response_size for event in events],
+        labels=[label_of[actor_class] for actor_class in actor_classes],
+        actor_classes=actor_classes,
+        metadata=metadata,
+        time_ordered=True,
     )
 
 

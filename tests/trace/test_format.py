@@ -26,16 +26,20 @@ TABLES = {name: [f"{name}-0", f"{name}-1"] for name in DICT_COLUMNS}
 ACTORS = ["human"]
 
 
+def _ints(values: list[int]) -> np.ndarray:
+    return np.array(values, dtype=np.int64)
+
+
 def _columns(count: int, *, labelled: bool = False, extras: bool = False) -> BlockColumns:
     return BlockColumns(
         request_ids=[f"r{i}" for i in range(count)],
-        timestamps_us=[1_520_000_000_000_000 + i * 997 for i in range(count)],
-        tz_offsets_s=[0] * count,
-        statuses=[200 + (i % 3) for i in range(count)],
-        sizes=[1024 * i for i in range(count)],
-        dict_indices={name: [i % 2 for i in range(count)] for name in DICT_COLUMNS},
-        labels=[i % 2 for i in range(count)] if labelled else None,
-        actor_indices=[0] * count if labelled else None,
+        timestamps_us=_ints([1_520_000_000_000_000 + i * 997 for i in range(count)]),
+        tz_offsets_s=_ints([0] * count),
+        statuses=_ints([200 + (i % 3) for i in range(count)]),
+        sizes=_ints([1024 * i for i in range(count)]),
+        dict_indices={name: _ints([i % 2 for i in range(count)]) for name in DICT_COLUMNS},
+        labels=_ints([i % 2 for i in range(count)]) if labelled else None,
+        actor_indices=_ints([0] * count) if labelled else None,
         extras=[{"k": i} for i in range(count)] if extras else None,
     )
 
@@ -44,11 +48,11 @@ def _decode(body: bytes) -> BlockColumns:
     return decode_block(body, TABLES, ACTORS)
 
 
-def _assert_ints(decoded, expected: list[int]) -> None:
+def _assert_ints(decoded, expected) -> None:
     """A decoded integer column is an int64 array holding exactly ``expected``."""
     assert isinstance(decoded, np.ndarray)
     assert decoded.dtype == np.int64
-    assert decoded.tolist() == expected
+    assert decoded.tolist() == np.asarray(expected).tolist()
 
 
 #: The always-present int64 payloads of a block body, in on-disk order;
@@ -101,13 +105,13 @@ class TestBlockRoundTrip:
 
     def test_negative_and_huge_timestamps_survive(self):
         columns = _columns(3)
-        columns.timestamps_us = [-62_000_000_000_000_000, 0, 4_102_444_800_000_000]
+        columns.timestamps_us = _ints([-62_000_000_000_000_000, 0, 4_102_444_800_000_000])
         decoded = _decode(encode_block(columns))
         _assert_ints(decoded.timestamps_us, columns.timestamps_us)
 
     def test_non_utc_offsets_survive(self):
         columns = _columns(3)
-        columns.tz_offsets_s = [3600, -18_000, 0]
+        columns.tz_offsets_s = _ints([3600, -18_000, 0])
         decoded = _decode(encode_block(columns))
         _assert_ints(decoded.tz_offsets_s, columns.tz_offsets_s)
 
@@ -123,7 +127,7 @@ class TestBlockRoundTrip:
 
     def test_empty_block_is_rejected(self):
         with pytest.raises(TraceError, match="empty block"):
-            encode_block(BlockColumns())
+            encode_block(_columns(0))
 
     def test_corrupt_block_raises(self):
         with pytest.raises(TraceError, match="corrupt"):
