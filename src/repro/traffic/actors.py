@@ -13,6 +13,7 @@ import abc
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from repro.traffic.site import SiteModel
@@ -175,13 +176,14 @@ def spread_session_starts(
     """
     starts: list[datetime] = []
     day_starts = window.day_starts()
+    cum_weights = None if hourly_weights is None else list(accumulate(hourly_weights))
     for _ in range(sessions):
         day_start = rng.choice(day_starts)
-        if hourly_weights is None:
+        if cum_weights is None:
             offset = rng.uniform(0, 24 * 3600)
             starts.append(day_start + timedelta(seconds=offset))
         else:
-            hour = rng.choices(range(24), weights=list(hourly_weights), k=1)[0]
+            hour = rng.choices(range(24), cum_weights=cum_weights, k=1)[0]
             starts.append(day_start + timedelta(hours=hour, seconds=rng.uniform(0, 3600)))
     starts.sort()
     return starts

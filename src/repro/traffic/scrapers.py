@@ -26,9 +26,19 @@ from __future__ import annotations
 
 import random
 from datetime import timedelta
+from itertools import accumulate
 
 from repro.traffic.actors import Actor, RequestEvent, TimeWindow, spread_session_starts
 from repro.traffic.site import SiteModel
+
+# Each scraper's endpoint mix, as cumulative weights for ``random.choices``
+# (the same draws as the plain weights, accumulated once).
+_AGGRESSIVE_ENDPOINTS = ("search", "offer", "price_api", "availability")
+_AGGRESSIVE_CUM_WEIGHTS = tuple(accumulate((38, 40, 14, 8)))
+_STEALTH_ENDPOINTS = ("search", "offer", "price_api")
+_STEALTH_CUM_WEIGHTS = tuple(accumulate((30, 58, 12)))
+_PROBING_ENDPOINTS = ("offer", "search", "price_api")
+_PROBING_CUM_WEIGHTS = tuple(accumulate((52, 34, 14)))
 
 SITE_ORIGIN = "https://shop.example.com"
 
@@ -70,9 +80,7 @@ class AggressiveScraper(Actor):
             gap = 60.0 / self.requests_per_minute
             for _ in range(this_burst):
                 endpoint = rng.choices(
-                    ["search", "offer", "price_api", "availability"],
-                    weights=[38, 40, 14, 8],
-                    k=1,
+                    _AGGRESSIVE_ENDPOINTS, cum_weights=_AGGRESSIVE_CUM_WEIGHTS, k=1
                 )[0]
                 path = self.site.build_path(endpoint, rng)
                 malformed = rng.random() < 0.0015
@@ -138,7 +146,7 @@ class StealthScraper(Actor):
             gap = 60.0 / self.requests_per_minute
             current_page = "/search"
             for step in range(this_session):
-                endpoint = rng.choices(["search", "offer", "price_api"], weights=[30, 58, 12], k=1)[0]
+                endpoint = rng.choices(_STEALTH_ENDPOINTS, cum_weights=_STEALTH_CUM_WEIGHTS, k=1)[0]
                 path = self.site.build_path(endpoint, rng)
                 status, size = self.site.respond(endpoint, rng)
                 referrer = f"{SITE_ORIGIN}{current_page}" if (evasive or rng.random() < 0.1) else ""
@@ -246,7 +254,9 @@ class ProbingScraper(Actor):
                     method = "GET"
                 else:
                     # Ordinary-looking offer/search traffic.
-                    endpoint = rng.choices(["offer", "search", "price_api"], weights=[52, 34, 14], k=1)[0]
+                    endpoint = rng.choices(
+                        _PROBING_ENDPOINTS, cum_weights=_PROBING_CUM_WEIGHTS, k=1
+                    )[0]
                     path = self.site.build_path(endpoint, rng)
                     status, size = self.site.respond(endpoint, rng)
                     method = "GET"
