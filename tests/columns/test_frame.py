@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from datetime import datetime, timedelta, tzinfo
+from datetime import datetime, timedelta, timezone, tzinfo
 
 import numpy as np
 import pytest
 
 from repro.columns import RecordFrame
-from repro.exceptions import ColumnsError
+from repro.exceptions import ColumnsError, LabelError
 from repro.logs.dataset import Dataset
 from repro.trace.store import TraceReader, write_trace
 from repro.traffic.generator import generate_dataset
@@ -185,3 +185,67 @@ class TestDstOffsets:
         rebuilt = list(frame.iter_records())
         assert [r.timestamp for r in rebuilt] == [r.timestamp for r in records]
         assert [r.timestamp.hour for r in rebuilt] == [6, 6]
+
+
+def _columns(**overrides):
+    """Arguments of ``RecordFrame.from_columns`` for two plain GET requests."""
+    arguments = {
+        "request_ids": ["r0", "r1"],
+        "timestamps": [datetime(2018, 3, 11, 12, tzinfo=timezone.utc)] * 2,
+        "strings": {
+            "client_ip": ["10.0.0.1", "10.0.0.2"],
+            "method": ["GET", "GET"],
+            "path": ["/", "/search"],
+            "protocol": ["HTTP/1.1"] * 2,
+            "referrer": ["", ""],
+            "user_agent": ["ua", "ua"],
+            "ident": ["-", "-"],
+            "auth_user": ["-", "-"],
+        },
+        "statuses": [200, 302],
+        "sizes": [10, 0],
+    }
+    strings = overrides.pop("strings", {})
+    arguments.update(overrides)
+    arguments["strings"] = {**arguments["strings"], **strings}
+    return arguments
+
+
+class TestFromColumns:
+    """The checks ``LogRecord`` runs per record, run once per column or distinct value."""
+
+    def test_plain_columns_build_the_records_they_describe(self):
+        frame = RecordFrame.from_columns(**_columns())
+        assert [(r.status, r.response_size, r.path) for r in frame.iter_records()] == [
+            (200, 10, "/"),
+            (302, 0, "/search"),
+        ]
+
+    @pytest.mark.parametrize("status", [99, 600])
+    def test_status_outside_100_599_is_rejected(self, status):
+        with pytest.raises(ValueError, match=f"invalid HTTP status code: {status}"):
+            RecordFrame.from_columns(**_columns(statuses=[200, status]))
+
+    def test_negative_size_is_rejected(self):
+        with pytest.raises(ValueError, match="negative response size: -1"):
+            RecordFrame.from_columns(**_columns(sizes=[-1, 0]))
+
+    def test_unknown_method_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown HTTP method: 'FETCH'"):
+            RecordFrame.from_columns(**_columns(strings={"method": ["GET", "FETCH"]}))
+
+    def test_spellings_of_one_method_share_one_code(self):
+        frame = RecordFrame.from_columns(**_columns(strings={"method": ["get", "GET"]}))
+        assert frame.tables["method"] == ["GET"]
+        assert frame.codes["method"].tolist() == [0, 0]
+
+    def test_naive_timestamps_are_read_as_utc(self):
+        naive = datetime(2018, 3, 11, 12)
+        frame = RecordFrame.from_columns(**_columns(timestamps=[naive, naive]))
+        aware = naive.replace(tzinfo=timezone.utc)
+        assert [r.timestamp for r in frame.iter_records()] == [aware, aware]
+        assert frame.tz_offsets_us.tolist() == [0, 0]
+
+    def test_unknown_label_is_rejected(self):
+        with pytest.raises(LabelError, match="unknown labels"):
+            RecordFrame.from_columns(**_columns(labels=["benign", "suspicious"]))

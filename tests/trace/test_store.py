@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
-from datetime import timedelta, timezone
+from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
+from repro.columns import RecordFrame
 from repro.exceptions import TraceError
 from repro.logs.dataset import BENIGN, MALICIOUS, Dataset, DatasetMetadata, GroundTruth
 from repro.runspec import RunSpec, TrafficSpec, execute
 from repro.trace import TraceReader, TraceWriter, read_trace, store, trace_info, write_trace
 from repro.trace.format import encode_block
+from repro.traffic.generator import generate_dataset
+from repro.traffic.scenarios import balanced_small
 from tests.helpers import BASE_TIME, make_record, make_records
 
 
@@ -189,6 +193,126 @@ class TestWriterContract:
                 raise RuntimeError("boom")
         with pytest.raises(TraceError):
             trace_info(str(path))
+
+
+class TestMetadataExtra:
+    def test_non_json_extra_raises_naming_its_key_before_the_file_exists(self, tmp_path):
+        path = tmp_path / "t.trace"
+        metadata = DatasetMetadata(
+            extra={"when": datetime(2018, 3, 11, tzinfo=timezone.utc), "tag": "keep-me"}
+        )
+        with pytest.raises(TraceError, match="'when'"):
+            TraceWriter(str(path), metadata=metadata)
+        with pytest.raises(TraceError, match="'when'"):
+            write_trace(Dataset(make_records(2), metadata=metadata), str(path))
+        assert not path.exists()
+
+    def test_json_extra_round_trips(self, tmp_path):
+        path = str(tmp_path / "t.trace")
+        metadata = DatasetMetadata(extra={"tag": "keep-me", "attempts": [1, 2]})
+        write_trace(Dataset(make_records(2), metadata=metadata), path)
+        assert read_trace(path).metadata.extra == {"tag": "keep-me", "attempts": [1, 2]}
+
+
+#: A UTC offset of +01:00:00.5, which trace timestamps cannot carry.
+_SUB_SECOND_ZONE = timezone(timedelta(hours=1, microseconds=500_000))
+
+
+def _sub_second_records() -> list:
+    records = make_records(3)
+    object.__setattr__(records[1], "timestamp", records[1].timestamp.astimezone(_SUB_SECOND_ZONE))
+    return records
+
+
+class TestSubSecondOffsets:
+    """Every write path rejects an offset it cannot store, and leaves no valid trace."""
+
+    def test_record_built_write_trace(self, tmp_path):
+        path = str(tmp_path / "t.trace")
+        with pytest.raises(TraceError, match="sub-second UTC offset"):
+            write_trace(Dataset(_sub_second_records()), path)
+        with pytest.raises(TraceError):
+            trace_info(path)
+
+    def test_write_frame(self, tmp_path):
+        path = str(tmp_path / "t.trace")
+        frame = RecordFrame.from_records(_sub_second_records())
+        with pytest.raises(TraceError, match="sub-second UTC offset"):
+            with TraceWriter(path) as writer:
+                writer.write_frame(frame)
+        with pytest.raises(TraceError):
+            trace_info(path)
+
+    def test_buffered_write(self, tmp_path):
+        path = str(tmp_path / "t.trace")
+        with pytest.raises(TraceError, match="sub-second UTC offset"):
+            with TraceWriter(path) as writer:
+                for record in _sub_second_records():
+                    writer.write(record)
+        with pytest.raises(TraceError):
+            trace_info(path)
+
+
+class TestWriteFrame:
+    def test_generated_frame_writes_the_bytes_of_its_records(self, tmp_path):
+        generated = generate_dataset(balanced_small(total_requests=1_500, seed=5))
+        record_built = Dataset(
+            list(generated.records),
+            ground_truth=generated.ground_truth,
+            metadata=generated.metadata,
+            time_ordered=True,
+        )
+        assert generated.frame is not None and record_built.frame is None
+        from_frame, from_records = str(tmp_path / "frame.trace"), str(tmp_path / "records.trace")
+        write_trace(generated, from_frame, block_size=256)
+        write_trace(record_built, from_records, block_size=256)
+        with open(from_frame, "rb") as ours, open(from_records, "rb") as theirs:
+            assert ours.read() == theirs.read()
+
+    def test_frames_and_buffered_records_share_the_trace_tables(self, tmp_path):
+        path = str(tmp_path / "t.trace")
+        first = make_records(5, ip="10.0.0.1")
+        second = [make_record(f"s{i}", seconds=10 + i, ip=f"10.0.0.{i % 2 + 1}") for i in range(4)]
+        third = [make_record("t0", seconds=20, ip="10.0.0.9")]
+        with TraceWriter(path, block_size=3) as writer:
+            writer.write_frame(RecordFrame.from_records(first))
+            for record in second:
+                writer.write(record)
+            writer.write_frame(RecordFrame.from_records(third))
+            info = writer.close()
+        # 5 rows in blocks of 3, then the 4 buffered records (a full
+        # block and the rest, flushed ahead of the next frame), then 1.
+        reader = TraceReader(path)
+        assert [len(records) for records, _columns in reader.iter_blocks()] == [3, 2, 3, 1, 1]
+        assert info.records == 10 and info.time_ordered
+        assert read_trace(path).records == first + second + third
+        # One trace-global table: a string seen in an earlier frame keeps its code.
+        assert reader.read_frame().tables["client_ip"] == ["10.0.0.1", "10.0.0.2", "10.0.0.9"]
+
+    def test_labelled_then_unlabelled_frame_is_rejected(self, tmp_path):
+        labelled = RecordFrame.from_records(
+            make_records(2), labels=[BENIGN, MALICIOUS], actor_classes=["human", "bot"]
+        )
+        with pytest.raises(TraceError, match="all-or-nothing"):
+            with TraceWriter(str(tmp_path / "t.trace")) as writer:
+                writer.write_frame(labelled)
+                writer.write_frame(RecordFrame.from_records(make_records(2)))
+
+    def test_label_codes_outside_benign_malicious_are_rejected(self, tmp_path):
+        frame = RecordFrame.from_records(make_records(2))
+        bad = RecordFrame(
+            request_ids=frame.request_ids,
+            timestamps_us=frame.timestamps_us,
+            tz_offsets_us=frame.tz_offsets_us,
+            statuses=frame.statuses,
+            sizes=frame.sizes,
+            codes=frame.codes,
+            tables=frame.tables,
+            labels=np.array([0, 2]),
+        )
+        with pytest.raises(TraceError, match="unknown label codes 0..2"):
+            with TraceWriter(str(tmp_path / "t.trace")) as writer:
+                writer.write_frame(bad)
 
 
 class TestReaderErrors:

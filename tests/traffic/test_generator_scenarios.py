@@ -6,7 +6,10 @@ import random
 
 import pytest
 
+from repro.columns import RecordFrame
 from repro.exceptions import ScenarioError
+from repro.runspec import RunSpec, TrafficSpec, execute
+from repro.trace import write_trace
 from repro.traffic.actors import TimeWindow
 from repro.traffic.botnet import BotnetCampaign
 from repro.traffic.generator import TrafficGenerator, generate_dataset
@@ -102,6 +105,40 @@ class TestTrafficGenerator:
             "stealth_scraper",
             "probing_scraper",
         }
+
+
+class TestFrameBackedDataset:
+    """Generated traffic is a frame; records and ground truth come on demand."""
+
+    def test_batch_and_trace_paths_build_no_record(self, tmp_path, monkeypatch):
+        dataset = generate_dataset(balanced_small(total_requests=1500, seed=3))
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("records or ground truth were built")
+
+        monkeypatch.setattr(RecordFrame, "iter_records", forbidden)
+        monkeypatch.setattr(RecordFrame, "ground_truth", forbidden)
+        assert len(dataset) == len(dataset.frame) > 0
+        assert dataset.metadata.scenario == "balanced_small"
+        assert dataset.is_labelled and dataset.is_time_ordered
+        assert RecordFrame.from_dataset(dataset) is dataset.frame
+        info = write_trace(dataset, str(tmp_path / "t.trace"))
+        assert info.records == len(dataset) and info.labelled and info.time_ordered
+        traffic = TrafficSpec(scenario="balanced_small", seed=3, params={"total_requests": 1500})
+        assert execute(RunSpec(mode="tables", traffic=traffic)).total_requests == len(dataset)
+
+    def test_records_and_labels_are_built_once_on_first_use(self):
+        dataset = generate_dataset(balanced_small(total_requests=1500, seed=3))
+        records = dataset.records
+        assert [record.request_id for record in records] == [f"r{i}" for i in range(len(dataset))]
+        assert dataset.records is records
+        truth = dataset.ground_truth
+        assert dataset.ground_truth is truth
+        assert {truth.actor_class_of(rid) for rid in dataset.request_ids} <= set(
+            dataset.frame.actor_table
+        )
+        for rid in dataset.request_ids:
+            assert truth.label_of(rid) == actor_label(truth.actor_class_of(rid))
 
 
 class TestScenarioValidation:
