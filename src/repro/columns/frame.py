@@ -33,8 +33,7 @@ truth only when a caller asks for them.
 from __future__ import annotations
 
 from datetime import datetime, timedelta, timezone
-from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -254,9 +253,18 @@ class RecordFrame:
         return cls.from_columns(
             [record.request_id for record in records],
             [record.timestamp for record in records],
-            {name: list(map(attrgetter(name), records)) for name in STRING_COLUMNS},
-            map(attrgetter("status"), records),
-            map(attrgetter("response_size"), records),
+            {
+                "client_ip": [record.client_ip for record in records],
+                "method": [record.method for record in records],
+                "path": [record.path for record in records],
+                "protocol": [record.protocol for record in records],
+                "referrer": [record.referrer for record in records],
+                "user_agent": [record.user_agent for record in records],
+                "ident": [record.ident for record in records],
+                "auth_user": [record.auth_user for record in records],
+            },
+            [record.status for record in records],
+            [record.response_size for record in records],
             extras=extras,
             labels=labels,
             actor_classes=actor_classes,
@@ -272,8 +280,8 @@ class RecordFrame:
         request_ids: list[str],
         timestamps: Sequence[datetime],
         strings: Mapping[str, Sequence],
-        statuses: Iterable[int],
-        sizes: Iterable[int],
+        statuses: Sequence[int],
+        sizes: Sequence[int],
         *,
         extras: Sequence[Mapping] | None = None,
         labels: Sequence[str] | None = None,
@@ -289,7 +297,7 @@ class RecordFrame:
         methods may be strings or :class:`RequestMethod` members.  Every
         string column -- labels and actor classes included -- goes
         through :func:`encode_column`.  The ``LogRecord`` constructor's
-        checks run vectorised or once per distinct value: naive
+        checks run once per column or once per distinct value: naive
         timestamps are read as UTC, statuses must lie in 100-599, sizes
         must not be negative and every method must be known (spellings
         that :meth:`RequestMethod.from_string` maps to one method share
@@ -300,22 +308,23 @@ class RecordFrame:
         """
         n = len(request_ids)
         timestamps_us, tz_offsets_us = _timestamp_columns(timestamps, n)
-        status_array = np.fromiter(statuses, np.int64, n)
-        size_array = np.fromiter(sizes, np.int64, n)
-        bad_statuses = status_array[(status_array < 100) | (status_array > 599)]
-        if len(bad_statuses):
-            raise ValueError(f"invalid HTTP status code: {bad_statuses[0]}")
-        negative_sizes = size_array[size_array < 0]
-        if len(negative_sizes):
-            raise ValueError(f"negative response size: {negative_sizes[0]}")
+        # One C-level min/max pass per column: a numpy reduction costs
+        # more than that on the few-record frames of live sessions.
+        if n and (min(statuses) < 100 or max(statuses) > 599):
+            bad = next(status for status in statuses if not 100 <= status <= 599)
+            raise ValueError(f"invalid HTTP status code: {bad}")
+        if n and min(sizes) < 0:
+            raise ValueError(f"negative response size: {next(s for s in sizes if s < 0)}")
 
         codes: dict[str, np.ndarray] = {}
         tables: dict[str, list] = {}
         for name in STRING_COLUMNS:
             codes[name], tables[name] = encode_column(strings[name])
         methods = [RequestMethod.from_string(value).value for value in tables["method"]]
-        folded, tables["method"] = encode_column(methods)
-        codes["method"] = folded[codes["method"]]
+        if len(set(methods)) < len(methods):  # spellings of one method share its code
+            folded, methods = encode_column(methods)
+            codes["method"] = folded[codes["method"]]
+        tables["method"] = methods
 
         label_codes: np.ndarray | None = None
         actor_codes: np.ndarray | None = None
@@ -338,8 +347,8 @@ class RecordFrame:
             request_ids=request_ids,
             timestamps_us=timestamps_us,
             tz_offsets_us=tz_offsets_us,
-            statuses=status_array,
-            sizes=size_array,
+            statuses=np.fromiter(statuses, np.int64, n),
+            sizes=np.fromiter(sizes, np.int64, n),
             codes=codes,
             tables=tables,
             labels=label_codes,
