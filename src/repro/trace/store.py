@@ -257,7 +257,8 @@ class TraceWriter:
         labelled = frame.is_labelled
         self._agree_on_labels(labelled, f"a frame of {count} records")
         offsets_s = _whole_second_offsets(frame.tz_offsets_us)
-        mappings = {name: _unmapped(len(frame.tables[name])) for name in DICT_COLUMNS}
+        # Per string table: the trace code of each entry, -1 until first seen.
+        mappings = {name: np.full(len(frame.tables[name]), -1, np.int64) for name in DICT_COLUMNS}
         if labelled:
             labels = frame.labels
             if labels.min() < 0 or labels.max() >= len(LABEL_NAMES):
@@ -269,7 +270,7 @@ class TraceWriter:
                 actor_codes, actor_table = frame.actor_codes, frame.actor_table
             else:
                 actor_codes, actor_table = np.zeros(count, dtype=np.int64), [""]
-            actor_mapping = _unmapped(len(actor_table))
+            actor_mapping = np.full(len(actor_table), -1, np.int64)
 
         for start in range(0, count, self.block_size):
             rows = slice(start, start + self.block_size)
@@ -400,11 +401,6 @@ def _whole_second_offsets(offsets_us: np.ndarray) -> np.ndarray:
             "trace timestamps carry whole-second offsets"
         )
     return seconds
-
-
-def _unmapped(size: int) -> np.ndarray:
-    """A frame-code -> trace-code map with no entry mapped yet (-1)."""
-    return np.full(size, -1, dtype=np.int64)
 
 
 def _global_codes(
