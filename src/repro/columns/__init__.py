@@ -4,10 +4,11 @@ Three layers, each a vectorized counterpart of a record-object API:
 
 * :class:`RecordFrame` -- a data set as numpy column arrays with
   dictionary-encoded strings (counterpart of a list of
-  :class:`~repro.logs.record.LogRecord`); built from a
-  :class:`~repro.logs.dataset.Dataset`, straight from a trace file
+  :class:`~repro.logs.record.LogRecord`); built by the traffic
+  generator straight from its events, straight from a trace file
   (:meth:`repro.trace.store.TraceReader.read_frame`, zero per-record
-  decode), or record by record.
+  decode), or from records (:meth:`RecordFrame.from_records`, one
+  column at a time).
 * :func:`sessionize_frame` / :class:`FrameSessions` -- vectorized
   group-by-visitor sessionization producing session index spans
   (counterpart of :class:`~repro.logs.sessionization.Sessionizer`,

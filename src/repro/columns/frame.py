@@ -115,6 +115,7 @@ def _count_rows(registry, rows: int, source: str) -> None:
     if registry is not None:
         registry.counter(FRAME_ROWS, "Rows loaded into a RecordFrame.").inc(rows, source=source)
 
+
 class RecordFrame:
     """An immutable columnar view of a sequence of log records."""
 

@@ -4,7 +4,7 @@ An *actor* is anything that issues HTTP requests against the site: a
 human visitor, a legitimate crawler or a scraping bot.  Each actor turns
 its behaviour profile into a list of :class:`RequestEvent` objects over
 the simulated time window; the generator merges all events, orders them
-by time and materialises them as log records with ground-truth labels.
+by time and builds a labelled frame of log records from them.
 """
 
 from __future__ import annotations
