@@ -251,7 +251,7 @@ class RecordFrame:
         extras: list[Mapping] | None = None
         if any(record.extra for record in records):
             extras = [dict(record.extra) if record.extra else {} for record in records]
-        return cls.from_columns(
+        frame = cls.from_columns(
             [record.request_id for record in records],
             [record.timestamp for record in records],
             {
@@ -271,9 +271,9 @@ class RecordFrame:
             actor_classes=actor_classes,
             metadata=metadata,
             time_ordered=time_ordered,
-            registry=registry,
-            source=source,
         )
+        _count_rows(registry, len(frame), source)
+        return frame
 
     @classmethod
     def from_columns(
@@ -289,8 +289,6 @@ class RecordFrame:
         actor_classes: Sequence[str] | None = None,
         metadata: DatasetMetadata | None = None,
         time_ordered: bool | None = None,
-        registry=None,
-        source: str = "columns",
     ) -> "RecordFrame":
         """Build a frame from per-record value columns, checking what ``LogRecord`` checks.
 
@@ -343,7 +341,6 @@ class RecordFrame:
                 [""] * n if actor_classes is None else actor_classes
             )
 
-        _count_rows(registry, n, source)
         return cls(
             request_ids=request_ids,
             timestamps_us=timestamps_us,

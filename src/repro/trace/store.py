@@ -58,7 +58,6 @@ from repro.trace.format import (
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _ONE_US = timedelta(microseconds=1)
-_LABEL_INDEX = {name: index for index, name in enumerate(LABEL_NAMES)}
 
 
 def _timestamp_us(moment: datetime) -> int:
@@ -215,7 +214,7 @@ class TraceWriter:
         has_label = label is not None
         self._agree_on_labels(has_label, f"record {record.request_id!r}")
         if has_label:
-            if label not in _LABEL_INDEX:
+            if label not in LABEL_NAMES:
                 raise TraceError(
                     f"unknown label {label!r}; expected {BENIGN!r} or {MALICIOUS!r}"
                 )
@@ -236,7 +235,7 @@ class TraceWriter:
             actor_classes=self._buffer_actors if self._labelled else None,
         )
         self._buffer, self._buffer_labels, self._buffer_actors = [], [], []
-        self._write_blocks(frame)
+        self.write_frame(frame)
 
     def write_frame(self, frame) -> None:
         """Append a frame's rows, ``block_size`` to a block (labels included if it has them).
@@ -248,9 +247,6 @@ class TraceWriter:
         """
         self._require_open()
         self._flush_buffer()
-        self._write_blocks(frame)
-
-    def _write_blocks(self, frame) -> None:
         count = len(frame)
         if not count:
             return
