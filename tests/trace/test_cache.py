@@ -57,6 +57,28 @@ class TestGenerationCache:
         assert replayed.records == original.records
         assert cache.disk_hits == 1
 
+    def test_disk_hit_builds_no_record(self, tmp_path):
+        import gc
+
+        from repro.logs.record import LogRecord
+        from repro.traffic.generator import generate_dataset
+        from repro.traffic.scenarios import balanced_small
+
+        def live_records() -> int:
+            return sum(isinstance(item, LogRecord) for item in gc.get_objects())
+
+        original = generate_dataset(balanced_small(total_requests=400, seed=4))
+        fp = traffic_fingerprint(scenario="balanced_small", seed=4)
+        GenerationCache(str(tmp_path / "cache")).store(fp, original)
+        before = live_records()
+        replayed = GenerationCache(str(tmp_path / "cache")).load(fp)
+        assert len(replayed) == len(original)
+        assert replayed.metadata == original.metadata
+        assert replayed.is_time_ordered
+        assert live_records() == before
+        assert replayed.records == original.records
+        assert replayed.ground_truth.to_dict() == original.ground_truth.to_dict()
+
     def test_distinct_fingerprints_get_distinct_entries(self, tmp_path):
         cache = GenerationCache(str(tmp_path / "cache"))
         cache.get_or_generate(traffic_fingerprint(scenario="a"), self._dataset)
