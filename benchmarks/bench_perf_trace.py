@@ -137,10 +137,11 @@ def test_perf_trace_warm_generation_cache(record_bench, tmp_path, monkeypatch):
         memo_speedup=warm_speedup,
         warm_tables_run_seconds=warm_tables,
     )
-    # The issue's headline number: a warm cache makes materialisation at
-    # least 5x cheaper than the cold generate-and-record path.
-    assert disk_speedup >= 5.0 or warm_speedup >= 5.0, (
-        "warm cache should be >=5x faster than cold materialisation "
+    # A warm cache makes materialisation at least 5x cheaper than the cold
+    # generate-and-record path, from disk alone (a disk hit maps the trace
+    # into a frame and builds no record).
+    assert disk_speedup >= 5.0, (
+        "a disk hit should be >=5x faster than cold materialisation "
         f"(disk x{disk_speedup:.2f}, memo x{warm_speedup:.2f})"
     )
     assert warm_materialize < disk_materialize < cold_materialize

@@ -26,8 +26,8 @@ shared frame; :meth:`~repro.core.alerts.AlertMatrix.from_alert_frame`
 stacks the flag columns into the boolean matrix with no per-alert
 iteration.  :meth:`DetectorAlerts.to_alert_set` and
 :meth:`DetectorAlerts.from_alert_set` convert to and from the dict
-representation (``Detector.analyze`` returns alert sets; the anomaly
-and stream-replay detectors build one first).
+representation (``Detector.analyze`` returns alert sets; the
+stream-replay adapter builds one first).
 
 Shard merge: :meth:`DetectorAlerts.scatter` writes a sub-frame's arrays
 back into a global frame's arrays at the shard's row positions,
@@ -64,6 +64,15 @@ class ReasonEncoder:
             self._codes[reasons] = code
             self.table.append(reasons)
         return code
+
+    def remap(self, table: Sequence[tuple[str, ...]]) -> np.ndarray:
+        """This encoder's code for each entry of ``table``, in table order.
+
+        The merge step of every sharded join, batch and stream: a shard's
+        reason codes, gathered through the result, become codes of this
+        shared table.
+        """
+        return np.fromiter((self.code(reasons) for reasons in table), np.int64, len(table))
 
 
 class DetectorAlerts:
@@ -206,11 +215,7 @@ class DetectorAlerts:
         self.flags[rows] = shard.flags
         self.scores[rows] = shard.scores
         if shard.reason_table:
-            remap = np.fromiter(
-                (encoder.code(reasons) for reasons in shard.reason_table),
-                np.int64,
-                len(shard.reason_table),
-            )
+            remap = encoder.remap(shard.reason_table)
             remapped = np.where(
                 shard.reason_codes >= 0,
                 remap[np.maximum(shard.reason_codes, 0)],

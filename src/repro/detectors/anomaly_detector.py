@@ -9,13 +9,12 @@ data set, score every session and alert on the most anomalous fraction
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.anomaly.base import AnomalyModel
 from repro.anomaly.isolation_forest import IsolationForestModel
-from repro.core.alerts import AlertSet
 from repro.detectors.base import Detector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -24,33 +23,41 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def alert_anomalous_groups(
-    alert_set: AlertSet,
-    model: AnomalyModel,
-    matrix: np.ndarray,
-    request_id_groups: Sequence[Sequence[str]],
-    contamination: float,
-) -> None:
-    """Fit ``model`` on ``matrix`` and alert the top-``contamination`` rows.
+    model: AnomalyModel, matrix: np.ndarray, contamination: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[str, ...]]]:
+    """Fit ``model`` on ``matrix`` and flag the top-``contamination`` rows.
 
-    One row of ``matrix`` describes one session; ``request_id_groups``
-    holds the session's request ids in the same row order.  This is the
-    single definition of the fit/threshold/normalise/alert step, shared
-    by the batch detector below and the streaming port
-    (:class:`repro.stream.detectors.OnlineAnomalyDetector`) so their
-    alert sets can never drift apart.
+    One row of ``matrix`` describes one session.  Returns the per-session
+    verdicts ``(flags, scores, reason codes, reason table)``: a flagged
+    session's score is its model score over the largest one (capped at
+    1), and its one reason names the model and the raw score.  This is
+    the single definition of the fit/threshold/normalise step, shared by
+    the batch detector below (which scatters the verdicts onto the
+    sessions' rows) and the streaming port
+    (:class:`repro.stream.detectors.OnlineAnomalyDetector`, which files
+    them as row spans) so their alerts can never drift apart.
     """
+    # Imported lazily: repro.columns builds on the detectors package.
+    from repro.columns.alertframe import ReasonEncoder
+
     scores = model.fit_score(matrix)
     threshold = model.threshold_for_contamination(scores, contamination)
     max_score = float(scores.max()) or 1.0
-    for request_ids, score in zip(request_id_groups, scores):
+    count = len(scores)
+    flags = np.zeros(count, dtype=bool)
+    normalised = np.zeros(count, dtype=np.float64)
+    codes = np.full(count, -1, dtype=np.int64)
+    encoder = ReasonEncoder()
+    model_name = model.__class__.__name__
+    for index, score in enumerate(scores.tolist()):
         if score < threshold:
             continue
-        for request_id in request_ids:
-            alert_set.add(
-                request_id,
-                score=min(1.0, float(score) / max_score),
-                reasons=(f"anomalous session ({model.__class__.__name__} score {score:.3f})",),
-            )
+        flags[index] = True
+        normalised[index] = min(1.0, score / max_score)
+        codes[index] = encoder.code(
+            (f"anomalous session ({model_name} score {score:.3f})",)
+        )
+    return flags, normalised, codes, encoder.table
 
 
 class AnomalySessionDetector(Detector):
@@ -75,15 +82,11 @@ class AnomalySessionDetector(Detector):
         """Alert every session in the top ``contamination`` fraction of scores."""
         from repro.columns.alertframe import DetectorAlerts
 
-        alert_set = AlertSet(self.name)
-        if len(features) >= 2:
-            # Copy so a model that standardises in place can never corrupt
-            # the shared matrix for later detectors.
-            alert_anomalous_groups(
-                alert_set,
-                self.model,
-                features.values.copy(),
-                sessions.request_id_groups(),
-                self.contamination,
-            )
-        return DetectorAlerts.from_alert_set(frame, alert_set)
+        if len(features) < 2:
+            return DetectorAlerts.empty(self.name, len(frame))
+        # Copy so a model that standardises in place can never corrupt
+        # the shared matrix for later detectors.
+        verdicts = alert_anomalous_groups(
+            self.model, features.values.copy(), self.contamination
+        )
+        return DetectorAlerts.from_sessions(self.name, frame, sessions, *verdicts)

@@ -10,6 +10,7 @@ default).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from datetime import timedelta
 from typing import Any, Iterable, Iterator
@@ -33,6 +34,12 @@ class Session:
     #: :func:`repro.stream.columnar.session_columns`.
     columns: tuple[int, Any, int] | None = field(
         default=None, init=False, repr=False, compare=False
+    )
+    #: The stream rows (ingest sequence numbers) of :attr:`records`, in
+    #: the same order; kept by the stream's incremental sessionizer and
+    #: empty for sessions built any other way.
+    rows: array = field(
+        default_factory=lambda: array("q"), init=False, repr=False, compare=False
     )
 
     # ------------------------------------------------------------------

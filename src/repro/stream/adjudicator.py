@@ -18,17 +18,23 @@ measure how many requests needed the second tool's decision.)
 The accumulated decisions are reported as an :class:`AdjudicationResult`
 via :meth:`WindowedAdjudicator.to_result` (one engine) or
 :meth:`WindowedAdjudicator.merge_states` (the join of a sharded run).
+Decisions are kept as a flag column, one byte per stream row (see
+:class:`~repro.stream.alerts.StreamRows`), not as a set of request ids.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Deque, Mapping, Sequence
+
+import numpy as np
 
 from repro.core.framestats import k_out_of_n_name
 from repro.exceptions import AdjudicationError
 from repro.logs.record import LogRecord
+from repro.stream.alerts import StreamRows
 from repro.stream.events import OnlineVerdict
 
 #: Vote-combination modes of the windowed adjudicator.
@@ -41,13 +47,21 @@ class AdjudicationResult:
 
     scheme_name: str
     detector_names: tuple[str, ...]
-    alerted_ids: frozenset[str]
+    #: One byte per stream row: 1 where the ensemble alerted.
+    flags: bytes = field(repr=False)
+    #: The request id of every row (at least as many as :attr:`flags`).
+    request_ids: Sequence[str] = field(repr=False)
     total_requests: int
 
-    @property
+    @cached_property
     def alert_count(self) -> int:
         """Number of requests the adjudicated ensemble alerts on."""
-        return len(self.alerted_ids)
+        return self.flags.count(1)
+
+    @cached_property
+    def alerted_ids(self) -> frozenset[str]:
+        """The request ids the ensemble alerted on."""
+        return _alerted_ids(self.flags, self.request_ids)
 
     def alert_rate(self) -> float:
         """Fraction of requests the adjudicated ensemble alerts on."""
@@ -120,7 +134,7 @@ class WindowedAdjudicator:
         else:
             rest = "+".join(self.detector_names[1:])
             self.name = f"{mode}({self.detector_names[0]}->{rest})"
-        self._alerted_ids: set[str] = set()
+        self.bind(StreamRows())
         self._processed = 0
         self._window: Deque[tuple[float, bool]] = deque()
         self._workload: dict[str, int] = {name: 0 for name in self.detector_names}
@@ -153,8 +167,13 @@ class WindowedAdjudicator:
             alerted = first or any(rest)
 
         self._processed += 1
-        if alerted:
-            self._alerted_ids.add(record.request_id)
+        row = self._rows.row(record.request_id)
+        flags = self._flags
+        if row < len(flags):
+            flags[row] = alerted
+        else:
+            flags.extend(bytes(row - len(flags)))
+            flags.append(alerted)
         now = record.timestamp.timestamp()
         self._window.append((now, alerted))
         cutoff = now - self.window_seconds
@@ -184,7 +203,7 @@ class WindowedAdjudicator:
     @property
     def alerted_ids(self) -> frozenset[str]:
         """All request ids the ensemble has alerted on so far."""
-        return frozenset(self._alerted_ids)
+        return _alerted_ids(self._flags, self._rows.request_ids)
 
     @property
     def processed(self) -> int:
@@ -201,26 +220,39 @@ class WindowedAdjudicator:
         return AdjudicationResult(
             scheme_name=self.name,
             detector_names=self.detector_names,
-            alerted_ids=frozenset(self._alerted_ids),
+            flags=bytes(self._flags),
+            request_ids=self._rows.request_ids,
             total_requests=self._processed if total_requests is None else total_requests,
         )
 
-    def merge_states(
-        self, alerted_ids: Sequence[Iterable[str]], total_requests: int
-    ) -> AdjudicationResult:
-        """The result of a sharded run, from each shard's alerted request ids.
+    def merge_states(self, flags: Sequence[bytes], total_requests: int) -> AdjudicationResult:
+        """The result of a sharded run, from each shard's flag column.
 
         Every shard adjudicates its own visitors, so the run's decisions
-        are the union of the shards'.  Called on a fresh adjudicator (the
+        are the shards', their rows laid end to end in shard order.
+        Called on a fresh adjudicator bound to the joined rows (the
         sharded join's merge reference).
         """
-        for ids in alerted_ids:
-            self._alerted_ids.update(ids)
+        self._flags = bytearray(b"".join(flags))
         return self.to_result(total_requests)
+
+    def bind(self, rows: StreamRows) -> None:
+        """File decisions under ``rows``, dropping those filed so far.
+
+        A :class:`~repro.stream.engine.StreamEngine` binds its
+        adjudicator to the rows it numbers its records with.
+        """
+        self._rows = rows
+        self._flags = bytearray()
 
     def reset(self) -> None:
         """Drop all state (start of a new stream)."""
-        self._alerted_ids.clear()
+        self.bind(StreamRows())
         self._processed = 0
         self._window.clear()
         self._workload = {name: 0 for name in self.detector_names}
+
+
+def _alerted_ids(flags: bytes | bytearray, request_ids: Sequence[str]) -> frozenset[str]:
+    rows = np.flatnonzero(np.frombuffer(flags, dtype=np.uint8))
+    return frozenset(request_ids[row] for row in rows.tolist())

@@ -7,13 +7,17 @@ output:
 * an **immediate verdict** per request (:meth:`OnlineDetector.observe`),
   based on the visitor's session *so far* -- this is what a deployment
   blocks or challenges on;
-* a **final alert set** (:meth:`OnlineDetector.final_alert_set`),
-  accumulated from per-request alerts, session-close judgements
+* **final alerts** (:meth:`OnlineDetector.final_alerts`), accumulated
+  from per-request alerts, session-close judgements
   (:meth:`OnlineDetector.on_session_close`) and an end-of-stream
-  :meth:`OnlineDetector.finalize` step.
+  :meth:`OnlineDetector.finalize` step.  They are kept as columns (an
+  :class:`~repro.stream.alerts.AlertColumns`: the alerted record's row,
+  a score and a reason code) and become an
+  :class:`~repro.core.alerts.AlertSet` only on request
+  (:meth:`OnlineDetector.final_alert_set`).
 
-The final alert set is the bridge back to the paper's batch analysis: for
-each port below it reproduces the corresponding batch detector's alert
+The final alerts are the bridge back to the paper's batch analysis: for
+each port below they reproduce the corresponding batch detector's alert
 set *exactly* when the stream replays the same records in timestamp
 order, so streaming runs plug straight into the existing
 :class:`~repro.core.alerts.AlertMatrix` machinery.
@@ -52,6 +56,7 @@ Ports
 from __future__ import annotations
 
 import abc
+from array import array
 from collections import deque
 from typing import Callable, Deque, Mapping, Sequence
 
@@ -70,6 +75,7 @@ from repro.exceptions import DetectorError
 from repro.logs.record import LogRecord
 from repro.logs.sessionization import Session
 from repro.registry import Registry
+from repro.stream.alerts import AlertColumns, StreamRows, shift_rows
 from repro.stream.columnar import session_columns, session_verdict
 from repro.stream.events import OnlineVerdict
 from repro.traffic.useragents import is_scripted_agent
@@ -84,7 +90,7 @@ class OnlineDetector(abc.ABC):
     def __init__(self, *, name: str | None = None) -> None:
         if name is not None:
             self.name = name
-        self._alerts = AlertSet(self.name)
+        self.bind(StreamRows())
 
     # ------------------------------------------------------------------
     @abc.abstractmethod
@@ -98,45 +104,74 @@ class OnlineDetector(abc.ABC):
         """End-of-stream hook (e.g. fit a global model over all sessions)."""
 
     # ------------------------------------------------------------------
-    def final_alert_set(self) -> AlertSet:
-        """The accumulated (batch-equivalent) alerts of this detector."""
+    def final_alerts(self) -> AlertColumns:
+        """The accumulated (batch-equivalent) alerts of this detector, as columns."""
         return self._alerts
+
+    def final_alert_set(self) -> AlertSet:
+        """The accumulated alerts as an :class:`AlertSet` (built on each call)."""
+        return self._alerts.to_alert_set()
+
+    def bind(self, rows: StreamRows) -> None:
+        """File this detector's alerts under ``rows``, dropping those filed so far.
+
+        A :class:`~repro.stream.engine.StreamEngine` binds its detectors
+        to the rows it numbers its records with.
+        """
+        self._rows = rows
+        self._alerts = AlertColumns(self.name, rows)
 
     def reset(self) -> None:
         """Drop all state (start of a new stream)."""
-        self._alerts = AlertSet(self.name)
+        self.bind(StreamRows())
         self._reset_state()
 
     def _reset_state(self) -> None:
         """Subclass hook invoked by :meth:`reset`."""
 
     # ------------------------------------------------------------------
+    # Filing final alerts (for subclasses)
+    # ------------------------------------------------------------------
+    def _alert(self, record: LogRecord, score: float, reasons: tuple[str, ...]) -> None:
+        """File a final alert on the record being judged."""
+        self._alerts.append(self._rows.row(record.request_id), score, reasons)
+
+    def _alert_session(self, session: Session, score: float, reasons: tuple[str, ...]) -> None:
+        """File a final alert on every request of ``session``."""
+        self._alerts.extend(self._session_rows(session), score, reasons)
+
+    def _session_rows(self, session: Session) -> array:
+        """The rows of ``session``'s records.
+
+        A session built outside an engine has none; its requests are
+        numbered as new rows here.
+        """
+        if len(session.rows) == len(session.records):
+            return session.rows
+        return array("q", [self._rows.row(request_id) for request_id in session.request_ids()])
+
+    # ------------------------------------------------------------------
     # Sharded-runner support: detector state must cross worker boundaries
     # as plain picklable data, and per-shard partial results must merge
-    # into one global alert set.
+    # into one global set of final alerts.
     # ------------------------------------------------------------------
     def export_state(self) -> dict:
         """A picklable summary of this detector's final output."""
-        return {
-            "alerts": [
-                (alert.request_id, alert.score, alert.reasons)
-                for alert in self._alerts.alerts()
-            ]
-        }
+        return {"alerts": self._alerts.export()}
 
-    def merge_states(self, states: Sequence[Mapping]) -> AlertSet:
-        """Merge exported per-shard states into one alert set.
+    def merge_states(self, states: Sequence[Mapping], offsets: Sequence[int]) -> AlertColumns:
+        """Merge exported per-shard states into this detector's final alerts.
 
-        The default implementation unions the per-shard alerts, which is
+        Shard ``i``'s rows start at row ``offsets[i]`` of the joined
+        stream, which this detector must already be bound to.  The
+        default implementation appends every shard's alerts, which is
         correct for every detector whose verdicts depend only on
         per-visitor state (visitors never span shards).  Detectors with
         global state (e.g. the anomaly port) override this.
         """
-        merged = AlertSet(self.name)
-        for state in states:
-            for request_id, score, reasons in state["alerts"]:
-                merged.add(request_id, score=score, reasons=reasons)
-        return merged
+        for state, offset in zip(states, offsets):
+            self._alerts.merge(offset, *state["alerts"])
+        return self._alerts
 
     def describe(self) -> str:
         """A one-line description (defaults to the class docstring's first line)."""
@@ -167,11 +202,12 @@ class OnlineRequestRateLimiter(OnlineDetector):
     ``max_requests`` requests within the last ``window_seconds``.  Once a
     visitor trips the limit it stays flagged for ``penalty_seconds`` (the
     way production rate limiters and bot-mitigation challenges behave).
-    Verdicts are final at observe time, so the alert set needs no
+    Verdicts are final at observe time, so the final alerts need no
     session-close step.
 
-    The accumulated alert set is what bridges back to the batch
-    analysis, but it grows with every flagged request.  An indefinitely
+    The accumulated alerts are what bridge back to the batch analysis,
+    but they grow with every flagged request (20 bytes of columns each,
+    plus the engine's 8 bytes and request id per row).  An indefinitely
     running deployment that only acts on the per-request verdicts should
     pass ``record_alerts=False``; run inside a
     :class:`~repro.stream.engine.StreamEngine` the per-visitor window
@@ -209,7 +245,7 @@ class OnlineRequestRateLimiter(OnlineDetector):
     def observe(self, record: LogRecord, session: Session | None = None) -> OnlineVerdict:
         verdict = self._judge(record)
         if verdict.alerted and self.record_alerts:
-            self._alerts.add(record.request_id, score=verdict.score, reasons=(verdict.reason,))
+            self._alert(record, verdict.score, (verdict.reason,))
         return verdict
 
     def on_session_close(self, session: Session) -> None:
@@ -296,7 +332,7 @@ class OnlineFingerprintDetector(OnlineDetector):
         if verdict is None:
             return OnlineVerdict(request_id=record.request_id, alerted=False)
         score, reason = verdict
-        self._alerts.add(record.request_id, score=score, reasons=(reason,))
+        self._alert(record, score, (reason,))
         return OnlineVerdict(request_id=record.request_id, alerted=True, reason=reason, score=score)
 
     def on_session_close(self, session: Session) -> None:
@@ -309,11 +345,11 @@ class OnlineFingerprintDetector(OnlineDetector):
 # ----------------------------------------------------------------------
 # Session-level ports
 # ----------------------------------------------------------------------
-def _alert_closed_session(alerts: AlertSet, kernel: Detector, session: Session) -> None:
+def _alert_closed_session(detector: OnlineDetector, kernel: Detector, session: Session) -> None:
     """Alert every request of a closed session that ``kernel`` flags."""
     verdict = session_verdict(kernel, session)
     if verdict is not None:
-        alerts.add_many(session.request_ids(), *verdict)
+        detector._alert_session(session, *verdict)
 
 
 class _SessionRateState:
@@ -396,7 +432,7 @@ class OnlineRateLimitDetector(OnlineDetector):
 
     def on_session_close(self, session: Session) -> None:
         self._state.pop(session.session_id, None)
-        _alert_closed_session(self._alerts, self.batch, session)
+        _alert_closed_session(self, self.batch, session)
 
 
 class OnlineInHouseDetector(OnlineDetector):
@@ -450,7 +486,12 @@ class OnlineInHouseDetector(OnlineDetector):
 
     def on_session_close(self, session: Session) -> None:
         self._provisional.pop(session.session_id, None)
-        _alert_closed_session(self._alerts, self.batch, session)
+        _alert_closed_session(self, self.batch, session)
+
+
+#: A closed session as the anomaly port keeps it: (start ISO timestamp,
+#: session id, feature vector, rows).
+_ClosedSession = tuple[str, str, np.ndarray, array]
 
 
 class OnlineAnomalyDetector(OnlineDetector):
@@ -488,8 +529,8 @@ class OnlineAnomalyDetector(OnlineDetector):
         self.model_factory = model_factory
         self.contamination = contamination
         self.refit_interval = refit_interval
-        #: (session start ISO timestamp, session id, feature vector, request ids)
-        self._closed: list[tuple[str, str, np.ndarray, tuple[str, ...]]] = []
+        #: (session start ISO timestamp, session id, feature vector, rows)
+        self._closed: list[_ClosedSession] = []
         self._live_model: AnomalyModel | None = None
         self._live_threshold = float("inf")
         #: session_id -> (request count at last scoring, alerted, score)
@@ -531,7 +572,7 @@ class OnlineAnomalyDetector(OnlineDetector):
                 session.start.isoformat(),
                 session.session_id,
                 columns.features.values[index],
-                tuple(session.request_ids()),
+                self._session_rows(session),
             )
         )
         if len(self._closed) % self.refit_interval == 0:
@@ -546,41 +587,40 @@ class OnlineAnomalyDetector(OnlineDetector):
 
     # ------------------------------------------------------------------
     def finalize(self) -> None:
-        self._alerts = self._score_closed_sessions(self._closed)
+        self._score_closed_sessions(self._closed)
 
-    def _score_closed_sessions(
-        self, closed: Sequence[tuple[str, str, np.ndarray, tuple[str, ...]]]
-    ) -> AlertSet:
+    def _score_closed_sessions(self, closed: Sequence[_ClosedSession]) -> None:
         """The batch-identical global fit/threshold/alert computation."""
-        alert_set = AlertSet(self.name)
+        self.bind(self._rows)
         if len(closed) < 2:
-            return alert_set
+            return
         # Sort by session start for reproducibility (the batch detector
         # scores sessions in start order; order only matters to models
         # that subsample rows).
         ordered = sorted(closed, key=lambda entry: (entry[0], entry[1]))
         matrix = np.vstack([entry[2] for entry in ordered])
-        alert_anomalous_groups(
-            alert_set,
-            self.model_factory(),
-            matrix,
-            [entry[3] for entry in ordered],
-            self.contamination,
+        flags, scores, codes, reasons = alert_anomalous_groups(
+            self.model_factory(), matrix, self.contamination
         )
-        return alert_set
+        for index in np.flatnonzero(flags).tolist():
+            self._alerts.extend(ordered[index][3], float(scores[index]), reasons[codes[index]])
 
     # ------------------------------------------------------------------
     def export_state(self) -> dict:
         # Export the raw per-session features instead of per-shard alerts:
         # the contamination threshold is a quantile over *all* sessions, so
         # merging must pool features and refit globally.
-        return {"alerts": [], "sessions": list(self._closed)}
+        return {"sessions": list(self._closed)}
 
-    def merge_states(self, states: Sequence[Mapping]) -> AlertSet:
-        pooled: list[tuple[str, str, np.ndarray, tuple[str, ...]]] = []
-        for state in states:
-            pooled.extend(state["sessions"])
-        return self._score_closed_sessions(pooled)
+    def merge_states(self, states: Sequence[Mapping], offsets: Sequence[int]) -> AlertColumns:
+        pooled: list[_ClosedSession] = []
+        for state, offset in zip(states, offsets):
+            pooled.extend(
+                (start, session_id, features, shift_rows(rows, offset))
+                for start, session_id, features, rows in state["sessions"]
+            )
+        self._score_closed_sessions(pooled)
+        return self._alerts
 
 
 def default_online_detectors(

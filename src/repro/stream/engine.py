@@ -27,6 +27,12 @@ arrive within the skew bound.
 detectors, identical to a batch
 :class:`~repro.detectors.pipeline.DetectionPipeline` run over the same
 records (see :mod:`repro.stream.bridge`).
+
+The engine numbers the records it ingests (their *rows*, see
+:class:`~repro.stream.alerts.StreamRows`) and keeps each row's request
+id once; its detectors and adjudicator file their verdicts by row, as
+columns, and the result builds ``AlertSet`` objects from those columns only
+when a caller asks for them.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from datetime import timedelta
 from typing import Iterable, Sequence
 
@@ -44,18 +51,31 @@ from repro.logs.sessionization import DEFAULT_TIMEOUT, Session
 from repro.obs import names as metric_names
 from repro.obs.metrics import MetricsRegistry, resolve_registry
 from repro.stream.adjudicator import AdjudicationResult, WindowedAdjudicator
+from repro.stream.alerts import AlertColumns, StreamRows
 from repro.stream.columnar import SessionColumns
 from repro.stream.detectors import OnlineDetector
 from repro.stream.events import EngineStats, OnlineVerdict, RequestVerdict
 from repro.stream.sessionizer import IncrementalSessionizer
 
 
+#: One detector's final alerts as a result holds them.
+FinalAlerts = AlertColumns | AlertSet
+
+
 @dataclass
 class StreamResult:
-    """Everything a finished streaming run produced."""
+    """Everything a finished streaming run produced.
 
-    #: Final, batch-equivalent alert sets (one per detector).
-    alert_sets: list[AlertSet]
+    Each detector's final alerts are kept as columns
+    (:class:`~repro.stream.alerts.AlertColumns`); :attr:`alert_sets`
+    builds the batch-equivalent alert sets from them on first access.
+    A detector that overrides
+    :meth:`~repro.stream.detectors.OnlineDetector.final_alert_set`
+    contributes the alert set its override returns instead.
+    """
+
+    #: Final, batch-equivalent alerts (one entry per detector).
+    final_alerts: list[FinalAlerts]
     stats: EngineStats
     #: The adjudicated ensemble decisions (when an adjudicator was set).
     adjudication: AdjudicationResult | None = None
@@ -63,6 +83,14 @@ class StreamResult:
     latencies: list[float] = field(default_factory=list)
 
     # ------------------------------------------------------------------
+    @cached_property
+    def alert_sets(self) -> list[AlertSet]:
+        """The final alert sets (one per detector), built on first access."""
+        return [
+            alerts if isinstance(alerts, AlertSet) else alerts.to_alert_set()
+            for alerts in self.final_alerts
+        ]
+
     def alert_set(self, detector_name: str) -> AlertSet:
         """The final alert set of one detector."""
         for alert_set in self.alert_sets:
@@ -72,16 +100,17 @@ class StreamResult:
 
     def alert_counts(self) -> dict[str, int]:
         """Alerted-request totals per detector (a Table-1-style summary)."""
-        return {alert_set.detector_name: len(alert_set) for alert_set in self.alert_sets}
+        return {alerts.detector_name: len(alerts) for alerts in self.final_alerts}
 
     def to_matrix(self, dataset, *, strict: bool = True) -> AlertMatrix:
         """The final alerts as a request x detector matrix over ``dataset``.
 
         This is the hand-off point to the paper's analysis: the matrix
         feeds Tables 1-4, the diversity metrics and the batch k-out-of-n
-        kernel.
+        kernel.  Rows are matched by request id, and no alert set is
+        built.
         """
-        return AlertMatrix.from_alert_sets(dataset, self.alert_sets, strict=strict)
+        return AlertMatrix.from_alert_sets(dataset, self.final_alerts, strict=strict)
 
     def latency_percentiles(self) -> dict[str, float]:
         """p50/p95/p99/max of the per-request decision latency, in seconds."""
@@ -147,6 +176,7 @@ class StreamEngine:
         self.track_latency = track_latency
         self.sessionizer = IncrementalSessionizer(timeout)
         self.stats = EngineStats(online_alerts={name: 0 for name in names})
+        self.bind(StreamRows())
         self._buffer: list[tuple[float, int, LogRecord]] = []
         self._sequence = 0
         self._latencies: list[float] = []
@@ -170,12 +200,21 @@ class StreamEngine:
             detector.reset()
         if self.adjudicator is not None:
             self.adjudicator.reset()
+        self.bind(StreamRows())
         self.sessionizer.reset()
         self.stats = EngineStats(online_alerts={d.name: 0 for d in self.detectors})
         self._buffer = []
         self._sequence = 0
         self._latencies = []
         self._finished = False
+
+    def bind(self, rows: StreamRows) -> None:
+        """Number this engine's records with ``rows``, shared by its detectors."""
+        self.rows = rows
+        for detector in self.detectors:
+            detector.bind(rows)
+        if self.adjudicator is not None:
+            self.adjudicator.bind(rows)
 
     # ------------------------------------------------------------------
     def process(self, record: LogRecord) -> list[RequestVerdict]:
@@ -221,13 +260,13 @@ class StreamEngine:
             self.adjudicator.to_result(self.stats.records) if self.adjudicator else None
         )
         result = StreamResult(
-            alert_sets=[detector.final_alert_set() for detector in self.detectors],
+            final_alerts=[_final_alerts(detector) for detector in self.detectors],
             stats=self.stats,
             adjudication=adjudication,
             latencies=self._latencies,
         )
         if self._timed:
-            self.export_metrics(alert_sets=result.alert_sets)
+            self.export_metrics(final_alerts=result.final_alerts)
         return result
 
     def finish_shard(self) -> dict:
@@ -248,8 +287,9 @@ class StreamEngine:
         return {
             "states": [detector.export_state() for detector in self.detectors],
             "stats": self.stats,
-            "adjudicated_ids": (
-                sorted(self.adjudicator.alerted_ids) if self.adjudicator is not None else None
+            "request_ids": self.rows.request_ids,
+            "adjudicated": (
+                self.adjudicator.to_result().flags if self.adjudicator is not None else None
             ),
             "latencies": self._latencies,
             "sessions_evicted": self.sessionizer.sessions_evicted,
@@ -259,7 +299,7 @@ class StreamEngine:
     def export_metrics(
         self,
         *,
-        alert_sets: Sequence[AlertSet] = (),
+        final_alerts: Sequence[FinalAlerts] = (),
         stats: EngineStats | None = None,
         registry: MetricsRegistry | None = None,
         sessions_evicted: int | None = None,
@@ -299,13 +339,13 @@ class StreamEngine:
         alerts = registry.counter(
             metric_names.DETECTOR_ALERTS, "Requests alerted per detector."
         )
-        for alert_set in alert_sets:
-            alerts.inc(len(alert_set), detector=alert_set.detector_name)
+        for final in final_alerts:
+            alerts.inc(len(final), detector=final.detector_name)
 
     # ------------------------------------------------------------------
     def _ingest(self, record: LogRecord) -> RequestVerdict:
         started = time.perf_counter()
-        update = self.sessionizer.observe(record)
+        update = self.sessionizer.observe(record, self.rows.ingest(record.request_id))
         if update.opened:
             self.stats.sessions_opened += 1
         self._close_sessions(update.closed)
@@ -356,3 +396,16 @@ class StreamEngine:
         for session in sessions:
             for detector in self.detectors:
                 detector.on_session_close(session)
+
+
+def _final_alerts(detector: OnlineDetector) -> FinalAlerts:
+    """A finished detector's final alerts, as its result keeps them.
+
+    The columns, unless the detector's class overrides
+    :meth:`~repro.stream.detectors.OnlineDetector.final_alert_set`: then
+    the alert set the override returns, as before the columns existed.
+    """
+    method = getattr(detector.final_alert_set, "__func__", None)
+    if method is OnlineDetector.final_alert_set:
+        return detector.final_alerts()
+    return detector.final_alert_set()

@@ -4,9 +4,13 @@ Every stateful signal the engine computes is keyed by visitor (sessions,
 rate windows, fingerprints), so the stream partitions cleanly by client
 IP: records of one visitor always land on the same shard, and each shard
 runs an independent :class:`~repro.stream.engine.StreamEngine`.  The
-final per-detector alert sets merge losslessly: the anomaly port pools
-its session features across shards before fitting, so even its global
-contamination threshold matches an unsharded run.  Two outputs do
+final per-detector alerts merge losslessly: the join lays the shards'
+rows end to end, appends each shard's alert columns at its row offset
+and remaps its reason codes through the detector's
+:class:`~repro.columns.alertframe.ReasonEncoder` (the merge step of the
+batch shard join too), and the anomaly port pools its session features
+across shards before fitting, so even its global contamination
+threshold matches an unsharded run.  Two outputs do
 depend on the shard count.  The anomaly port refits its *live* model on
 its own shard's closed sessions, so its online votes, and with them the
 adjudicated ensemble decisions, differ from one engine's; without that
@@ -36,6 +40,7 @@ from repro.logs.record import LogRecord
 from repro.obs import names as metric_names
 from repro.obs.metrics import MetricsRegistry, resolve_registry
 from repro.sharding import forks, run_shards, shard_of
+from repro.stream.alerts import StreamRows
 from repro.stream.engine import StreamEngine, StreamResult
 from repro.stream.events import EngineStats
 
@@ -95,8 +100,14 @@ class ShardedStreamRunner:
     # ------------------------------------------------------------------
     def _merge(self, exports: Sequence[dict], *, concurrent: bool) -> StreamResult:
         reference = self.engine_factory()
-        alert_sets = [
-            detector.merge_states([export["states"][column] for export in exports])
+        rows = StreamRows()
+        offsets = []
+        for export in exports:
+            offsets.append(len(rows))
+            rows.request_ids.extend(export["request_ids"])
+        reference.bind(rows)
+        final_alerts = [
+            detector.merge_states([export["states"][column] for export in exports], offsets)
             for column, detector in enumerate(reference.detectors)
         ]
 
@@ -127,17 +138,17 @@ class ShardedStreamRunner:
         adjudication = None
         if reference.adjudicator is not None:
             adjudication = reference.adjudicator.merge_states(
-                [export["adjudicated_ids"] for export in exports], stats.records
+                [export["adjudicated"] for export in exports], stats.records
             )
         result = StreamResult(
-            alert_sets=alert_sets,
+            final_alerts=final_alerts,
             stats=stats,
             adjudication=adjudication,
             latencies=latencies,
         )
         if self.registry.enabled:
             reference.export_metrics(
-                alert_sets=alert_sets,
+                final_alerts=final_alerts,
                 stats=stats,
                 registry=self.registry,
                 sessions_evicted=sessions_evicted,

@@ -10,9 +10,9 @@ visitor key and closes sessions in two ways:
 * **eviction** -- the stream's watermark (latest timestamp observed)
   moves more than ``timeout`` past a session's last request, so no
   in-order record can ever extend it again.  Eviction is what bounds the
-  engine's *session* state on an infinite stream (the final alert sets
-  the detectors accumulate still grow with the number of alerts; see
-  :mod:`repro.stream.detectors` for the knobs that bound those).
+  engine's *session* state on an infinite stream (the final alerts the
+  detectors accumulate still grow with the stream, as columns; see
+  :mod:`repro.stream.alerts`).
 
 Fed the same records in timestamp order, the incremental sessionizer
 produces exactly the partition (and the same ``s<n>`` session ids) as the
@@ -25,7 +25,7 @@ stay correct.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
@@ -44,6 +44,10 @@ class SessionUpdate:
     #: Sessions closed by this record (its visitor's previous session
     #: when the inactivity gap was exceeded, plus any evicted sessions).
     closed: list[Session] = field(default_factory=list)
+
+
+def _timestamp(record: LogRecord) -> datetime:
+    return record.timestamp
 
 
 class IncrementalSessionizer:
@@ -99,8 +103,16 @@ class IncrementalSessionizer:
         return self._watermark
 
     # ------------------------------------------------------------------
-    def observe(self, record: LogRecord) -> SessionUpdate:
-        """Attribute one record to its session and advance the watermark."""
+    def observe(self, record: LogRecord, row: int | None = None) -> SessionUpdate:
+        """Attribute one record to its session and advance the watermark.
+
+        ``row`` is the record's stream row, kept in the session's
+        :attr:`~repro.logs.sessionization.Session.rows`; it defaults to
+        the number of records observed before this one, which is the
+        engine's row numbering too.
+        """
+        if row is None:
+            row = self._observed
         self._observed += 1
         if self._watermark is None or record.timestamp > self._watermark:
             self._watermark = record.timestamp
@@ -121,13 +133,17 @@ class IncrementalSessionizer:
             )
             self._counter += 1
             self._open[key] = current
-            current.add(record)
+            current.records.append(record)
+            current.rows.append(row)
         elif record.timestamp >= current.end:
-            current.add(record)
+            current.records.append(record)
+            current.rows.append(row)
         else:
             # Late arrival within the open session: keep records sorted so
             # rate/interarrival metrics match a batch run over sorted input.
-            insort(current.records, record, key=lambda r: r.timestamp)
+            index = bisect_right(current.records, record.timestamp, key=_timestamp)
+            current.records.insert(index, record)
+            current.rows.insert(index, row)
 
         if self._observed % self.eviction_interval == 0:
             closed.extend(self.evict_idle())

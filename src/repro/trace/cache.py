@@ -13,6 +13,10 @@ The cache is two-tier:
   objects, so sweeps that execute many specs over the same traffic pay
   for at most one decode per process, and
 * the on-disk trace files themselves, shared across processes and runs.
+  A disk hit maps the trace straight into a
+  :class:`~repro.columns.RecordFrame` (labels, actor classes, metadata
+  and time order included) and returns the data set it backs; records
+  are built only if a caller asks for them.
 
 :func:`~repro.runspec.execute.build_dataset` consults the cache when a
 spec sets ``TrafficSpec(cache=True)``; nothing else in the library
@@ -38,7 +42,7 @@ from repro.logs.dataset import Dataset
 from repro.obs import names as metric_names
 from repro.obs.metrics import resolve_registry
 from repro.trace.format import FORMAT_VERSION
-from repro.trace.store import TraceInfo, read_trace, trace_info, write_trace
+from repro.trace.store import TraceInfo, TraceReader, trace_info, write_trace
 
 logger = logging.getLogger(__name__)
 
@@ -142,7 +146,7 @@ class GenerationCache:
         if not os.path.exists(path):
             return None
         try:
-            dataset = read_trace(path, registry=registry)
+            dataset = TraceReader(path, registry=registry).read_frame().to_dataset()
         except TraceError:
             logger.warning(
                 "corrupt cache entry removed", extra={"fingerprint": fingerprint, "path": path}

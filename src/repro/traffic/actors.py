@@ -13,9 +13,9 @@ import abc
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
+from repro.traffic.draws import WeightedDraw
 from repro.traffic.site import SiteModel
 
 
@@ -176,14 +176,14 @@ def spread_session_starts(
     """
     starts: list[datetime] = []
     day_starts = window.day_starts()
-    cum_weights = None if hourly_weights is None else list(accumulate(hourly_weights))
+    hours = None if hourly_weights is None else WeightedDraw(range(24), hourly_weights)
     for _ in range(sessions):
         day_start = rng.choice(day_starts)
-        if cum_weights is None:
+        if hours is None:
             offset = rng.uniform(0, 24 * 3600)
             starts.append(day_start + timedelta(seconds=offset))
         else:
-            hour = rng.choices(range(24), cum_weights=cum_weights, k=1)[0]
+            hour = hours.draw(rng)
             starts.append(day_start + timedelta(hours=hour, seconds=rng.uniform(0, 3600)))
     starts.sort()
     return starts

@@ -27,19 +27,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from itertools import accumulate
 
 from repro.traffic.actors import RequestEvent, TimeWindow, split_budget
+from repro.traffic.draws import WeightedDraw
 from repro.traffic.ipspace import IPSpace
 from repro.traffic.site import SiteModel
 from repro.traffic.stepping import Feedback, SteppedActor, SteppedPopulation
 from repro.traffic.useragents import UserAgentCatalog
 
 #: Endpoint mix of a price-scraping node (same targets as the scripted
-#: :class:`~repro.traffic.scrapers.AggressiveScraper`), as cumulative
-#: weights for ``random.choices``.
-_SCRAPE_ENDPOINTS = ("search", "offer", "price_api", "availability")
-_SCRAPE_CUM_WEIGHTS = tuple(accumulate((38, 40, 14, 8)))
+#: :class:`~repro.traffic.scrapers.AggressiveScraper`).
+_SCRAPE_ENDPOINTS = WeightedDraw(
+    ("search", "offer", "price_api", "availability"), (38, 40, 14, 8)
+)
 
 
 class AdaptiveScraperNode(SteppedActor):
@@ -130,7 +130,7 @@ class AdaptiveScraperNode(SteppedActor):
 
     def emit(self) -> RequestEvent:
         rng = self._rng
-        endpoint = rng.choices(_SCRAPE_ENDPOINTS, cum_weights=_SCRAPE_CUM_WEIGHTS, k=1)[0]
+        endpoint = _SCRAPE_ENDPOINTS.draw(rng)
         path = self.site.build_path(endpoint, rng)
         status, size = self.site.respond(endpoint, rng)
         event = RequestEvent(

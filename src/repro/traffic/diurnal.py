@@ -12,8 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from itertools import accumulate
 from typing import Sequence
+
+from repro.traffic.draws import WeightedDraw
 
 #: Relative human activity per hour of day (00:00 .. 23:00), roughly the
 #: shape observed on European consumer e-commerce sites.
@@ -40,7 +41,7 @@ class DiurnalProfile:
             raise ValueError("hourly weights must be non-negative")
         if sum(self.hourly_weights) <= 0:
             raise ValueError("at least one hourly weight must be positive")
-        self._cum_weights = list(accumulate(self.hourly_weights))
+        self._hours = WeightedDraw(range(24), self.hourly_weights)
 
     @classmethod
     def human(cls) -> "DiurnalProfile":
@@ -54,7 +55,7 @@ class DiurnalProfile:
 
     def random_time_in_day(self, day_start: datetime, rng: random.Random) -> datetime:
         """Draw one timestamp within the day starting at ``day_start``."""
-        hour = rng.choices(range(24), cum_weights=self._cum_weights, k=1)[0]
+        hour = self._hours.draw(rng)
         second = rng.uniform(0, 3600)
         return day_start + timedelta(hours=hour, seconds=second)
 

@@ -18,15 +18,13 @@ from __future__ import annotations
 
 import random
 from datetime import timedelta
-from itertools import accumulate
 
 from repro.traffic.actors import Actor, RequestEvent, TimeWindow, spread_session_starts
+from repro.traffic.draws import WeightedDraw
 from repro.traffic.site import SiteModel
 
-#: The crawler's page mix, as cumulative weights for ``random.choices``
-#: (the same draws as the weights 10/30/60, accumulated once).
-_CRAWL_ENDPOINTS = ("home", "search", "offer")
-_CRAWL_CUM_WEIGHTS = tuple(accumulate((10, 30, 60)))
+#: The crawler's page mix.
+_CRAWL_ENDPOINTS = WeightedDraw(("home", "search", "offer"), (10, 30, 60))
 
 
 class SearchEngineCrawler(Actor):
@@ -71,7 +69,7 @@ class SearchEngineCrawler(Actor):
             for _ in range(per_wave):
                 if len(events) >= self.request_budget:
                     break
-                endpoint = rng.choices(_CRAWL_ENDPOINTS, cum_weights=_CRAWL_CUM_WEIGHTS, k=1)[0]
+                endpoint = _CRAWL_ENDPOINTS.draw(rng)
                 conditional = rng.random() < 0.12  # crawlers re-validate known pages
                 path = self.site.build_path(endpoint, rng)
                 status, size = self.site.respond(endpoint, rng, conditional=conditional)

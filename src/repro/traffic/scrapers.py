@@ -26,19 +26,17 @@ from __future__ import annotations
 
 import random
 from datetime import timedelta
-from itertools import accumulate
 
 from repro.traffic.actors import Actor, RequestEvent, TimeWindow, spread_session_starts
+from repro.traffic.draws import WeightedDraw
 from repro.traffic.site import SiteModel
 
-# Each scraper's endpoint mix, as cumulative weights for ``random.choices``
-# (the same draws as the plain weights, accumulated once).
-_AGGRESSIVE_ENDPOINTS = ("search", "offer", "price_api", "availability")
-_AGGRESSIVE_CUM_WEIGHTS = tuple(accumulate((38, 40, 14, 8)))
-_STEALTH_ENDPOINTS = ("search", "offer", "price_api")
-_STEALTH_CUM_WEIGHTS = tuple(accumulate((30, 58, 12)))
-_PROBING_ENDPOINTS = ("offer", "search", "price_api")
-_PROBING_CUM_WEIGHTS = tuple(accumulate((52, 34, 14)))
+# Each scraper's endpoint mix.
+_AGGRESSIVE_ENDPOINTS = WeightedDraw(
+    ("search", "offer", "price_api", "availability"), (38, 40, 14, 8)
+)
+_STEALTH_ENDPOINTS = WeightedDraw(("search", "offer", "price_api"), (30, 58, 12))
+_PROBING_ENDPOINTS = WeightedDraw(("offer", "search", "price_api"), (52, 34, 14))
 
 SITE_ORIGIN = "https://shop.example.com"
 
@@ -79,9 +77,7 @@ class AggressiveScraper(Actor):
             this_burst = min(burst_size, self.request_budget - produced)
             gap = 60.0 / self.requests_per_minute
             for _ in range(this_burst):
-                endpoint = rng.choices(
-                    _AGGRESSIVE_ENDPOINTS, cum_weights=_AGGRESSIVE_CUM_WEIGHTS, k=1
-                )[0]
+                endpoint = _AGGRESSIVE_ENDPOINTS.draw(rng)
                 path = self.site.build_path(endpoint, rng)
                 malformed = rng.random() < 0.0015
                 status, size = self.site.respond(endpoint, rng, malformed=malformed)
@@ -146,7 +142,7 @@ class StealthScraper(Actor):
             gap = 60.0 / self.requests_per_minute
             current_page = "/search"
             for step in range(this_session):
-                endpoint = rng.choices(_STEALTH_ENDPOINTS, cum_weights=_STEALTH_CUM_WEIGHTS, k=1)[0]
+                endpoint = _STEALTH_ENDPOINTS.draw(rng)
                 path = self.site.build_path(endpoint, rng)
                 status, size = self.site.respond(endpoint, rng)
                 referrer = f"{SITE_ORIGIN}{current_page}" if (evasive or rng.random() < 0.1) else ""
@@ -254,9 +250,7 @@ class ProbingScraper(Actor):
                     method = "GET"
                 else:
                     # Ordinary-looking offer/search traffic.
-                    endpoint = rng.choices(
-                        _PROBING_ENDPOINTS, cum_weights=_PROBING_CUM_WEIGHTS, k=1
-                    )[0]
+                    endpoint = _PROBING_ENDPOINTS.draw(rng)
                     path = self.site.build_path(endpoint, rng)
                     status, size = self.site.respond(endpoint, rng)
                     method = "GET"

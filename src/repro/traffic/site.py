@@ -19,14 +19,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
 from typing import Mapping, Sequence
 
-#: Passenger counts of a flight search and their cumulative weights
-#: (``random.choices`` draws the same values from ``cum_weights`` as from
-#: the weights 55/30/10/5, without re-accumulating them on every call).
-_PASSENGERS = (1, 2, 3, 4)
-_PASSENGER_CUM_WEIGHTS = tuple(accumulate((55, 30, 10, 5)))
+from repro.traffic.draws import WeightedDraw
+
+#: Passenger counts of a flight search, weighted 55/30/10/5.
+_PASSENGERS = WeightedDraw((1, 2, 3, 4), (55, 30, 10, 5))
 
 
 @dataclass(frozen=True)
@@ -57,14 +55,13 @@ class Endpoint:
     supports_conditional: bool = False
 
     @cached_property
-    def _status_draw(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        """The statuses and their cumulative weights, accumulated once."""
-        return tuple(self.status_weights), tuple(accumulate(self.status_weights.values()))
+    def _status_draw(self) -> WeightedDraw[int]:
+        """The status draw, prepared once."""
+        return WeightedDraw(tuple(self.status_weights), self.status_weights.values())
 
     def choose_status(self, rng: random.Random) -> int:
         """Draw a status code for a well-formed request."""
-        statuses, cum_weights = self._status_draw
-        return rng.choices(statuses, cum_weights=cum_weights, k=1)[0]
+        return self._status_draw.draw(rng)
 
 
 def _default_endpoints() -> Sequence[Endpoint]:
@@ -216,7 +213,7 @@ class SiteModel:
         destination = rng.choice([c for c in self.cities if c != origin])
         day = rng.randrange(1, 29)
         month = rng.choice(["04", "05", "06", "07"])
-        passengers = rng.choices(_PASSENGERS, cum_weights=_PASSENGER_CUM_WEIGHTS, k=1)[0]
+        passengers = _PASSENGERS.draw(rng)
         return f"o={origin}&d={destination}&dt=2018-{month}-{day:02d}&pax={passengers}"
 
     def pricing_query(self, rng: random.Random) -> str:

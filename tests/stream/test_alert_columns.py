@@ -13,15 +13,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.alerts import Alert
-from repro.stream import ShardedStreamRunner, StreamEngine, default_online_detectors
+from repro.core.alerts import Alert, AlertSet
+from repro.stream import (
+    OnlineDetector,
+    OnlineVerdict,
+    ShardedStreamRunner,
+    StreamEngine,
+    default_online_detectors,
+)
 from repro.stream.sources import dataset_replay
 from repro.traffic.generator import generate_dataset
 from repro.traffic.scenarios import balanced_small
+from tests.helpers import make_records
 
-#: Bytes a finished replay may hold per final alert.  An ``Alert`` object
-#: per alerted request held about 216 B per alert at e2e scale and about
-#: 300 B on this replay; the columns hold about 40 B.
+#: Bytes a finished replay may hold per final alert.  With an ``Alert``
+#: object per alerted request this replay held about 214 B per alert; as
+#: columns it holds about 48 B.
 MAX_BYTES_PER_ALERT = 100
 
 
@@ -90,3 +97,34 @@ def test_counts_and_matrix_do_not_depend_on_workers(balanced_dataset, shard_path
         other = sharded.to_matrix(balanced_dataset)
         assert other.detector_names == matrix.detector_names
         assert np.array_equal(other.values, matrix.values)
+
+
+class _Twice(OnlineDetector):
+    """Files two alerts on every request, then one more at session close."""
+
+    name = "twice"
+
+    def observe(self, record, session=None):
+        self._alert(record, 0.25, ("first", "shared"))
+        self._alert(record, 0.75, ("shared", "second"))
+        return OnlineVerdict(request_id=record.request_id, alerted=True)
+
+    def on_session_close(self, session):
+        self._alert_session(session, 0.5, ("closed",))
+
+
+def test_a_row_alerted_twice_materialises_with_the_alert_set_merge():
+    records = make_records(4, gap_seconds=1)
+    result = StreamEngine([_Twice()]).run(iter(records))
+    expected = AlertSet("twice")
+    for record in records:
+        expected.add(record.request_id, 0.25, ("first", "shared"))
+        expected.add(record.request_id, 0.75, ("shared", "second"))
+    expected.add_many([record.request_id for record in records], 0.5, ("closed",))
+    assert result.alert_counts() == {"twice": 4}
+    (alert_set,) = result.alert_sets
+    assert sorted(alert_set.alerts(), key=lambda a: a.request_id) == sorted(
+        expected.alerts(), key=lambda a: a.request_id
+    )
+    assert alert_set.get(records[0].request_id).reasons == ("first", "shared", "second", "closed")
+    assert alert_set.get(records[0].request_id).score == 0.75
