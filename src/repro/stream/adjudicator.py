@@ -168,12 +168,12 @@ class WindowedAdjudicator:
 
         self._processed += 1
         row = self._rows.row(record.request_id)
-        flags = self._flags
-        if row < len(flags):
-            flags[row] = alerted
+        column = self._flags
+        if row < len(column):
+            column[row] = alerted
         else:
-            flags.extend(bytes(row - len(flags)))
-            flags.append(alerted)
+            column.extend(bytes(row - len(column)))
+            column.append(alerted)
         now = record.timestamp.timestamp()
         self._window.append((now, alerted))
         cutoff = now - self.window_seconds

@@ -34,6 +34,14 @@ class TestParallelAdjudication:
         assert adjudicator.observe(second, _votes(second, a=True, b=True)).alerted
         assert adjudicator.alerted_ids == frozenset({"r1"})
 
+    def test_votes_count_each_request_on_its_own(self):
+        adjudicator = WindowedAdjudicator(["a", "b"], k=1)
+        for index in range(3):
+            record = make_record(f"r{index}", seconds=index)
+            verdict = adjudicator.observe(record, _votes(record, a=True, b=False))
+            assert (verdict.votes, verdict.detectors) == (1, 2)
+        assert adjudicator.alerted_ids == frozenset({"r0", "r1", "r2"})
+
     def test_missing_vote_raises(self):
         adjudicator = WindowedAdjudicator(["a", "b"])
         record = make_record("r0")
