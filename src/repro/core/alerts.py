@@ -77,31 +77,6 @@ class AlertSet:
                 reasons=merged_reasons,
             )
 
-    def add_many(self, request_ids: Iterable[str], score: float = 1.0, reasons: Sequence[str] = ()) -> None:
-        """Alert every id in ``request_ids`` with one score and reason tuple.
-
-        Exactly equivalent to calling :meth:`add` per id (same merge
-        semantics), but the reason tuple is normalised once -- this is
-        the bulk entry point of the columnar detectors, which alert whole
-        sessions at a time.
-        """
-        reason_tuple = tuple(reasons)
-        alerts = self._alerts
-        detector = self.detector_name
-        for request_id in request_ids:
-            existing = alerts.get(request_id)
-            if existing is None:
-                alerts[request_id] = Alert(
-                    request_id=request_id, detector=detector, score=score, reasons=reason_tuple
-                )
-            else:
-                alerts[request_id] = Alert(
-                    request_id=request_id,
-                    detector=detector,
-                    score=max(existing.score, score),
-                    reasons=tuple(dict.fromkeys(existing.reasons + reason_tuple)),
-                )
-
     @classmethod
     def from_scored(
         cls, detector_name: str, scored: Mapping[str, tuple[float, Sequence[str]]]

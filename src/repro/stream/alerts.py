@@ -154,5 +154,5 @@ class AlertColumns:
         self.rows.extend(shift_rows(rows, offset))
         self.scores.extend(scores)
         if len(codes):
-            remapped = remap[np.frombuffer(codes, dtype=np.int32)].astype(np.int32)
+            remapped = remap[np.frombuffer(codes, dtype=np.intc)].astype(np.intc)
             self.codes.frombytes(remapped.tobytes())

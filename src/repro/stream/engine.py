@@ -40,8 +40,8 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from datetime import timedelta
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from repro.core.alerts import AlertMatrix, AlertSet

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.alerts import Alert, AlertSet
+from repro.obs.metrics import MetricsRegistry
 from repro.stream import (
     OnlineDetector,
     OnlineVerdict,
@@ -77,8 +78,15 @@ def test_finished_replay_holds_few_bytes_per_final_alert(balanced_dataset):
 def test_no_alert_is_built_until_alert_sets_are_asked_for(
     balanced_dataset, alert_constructions
 ):
-    result = _engine().run(dataset_replay(balanced_dataset))
+    # A registry makes finish() and the sharded join export their metrics.
+    registry = MetricsRegistry()
+    engine = StreamEngine(default_online_detectors(), registry=registry)
+    result = engine.run(dataset_replay(balanced_dataset))
+    sharded = ShardedStreamRunner(_engine, workers=2, registry=MetricsRegistry()).run(
+        dataset_replay(balanced_dataset)
+    )
     counts = result.alert_counts()
+    assert sharded.alert_counts() == counts
     matrix = result.to_matrix(balanced_dataset)
     assert alert_constructions == []
     assert matrix.alert_counts() == counts
@@ -120,7 +128,8 @@ def test_a_row_alerted_twice_materialises_with_the_alert_set_merge():
     for record in records:
         expected.add(record.request_id, 0.25, ("first", "shared"))
         expected.add(record.request_id, 0.75, ("shared", "second"))
-    expected.add_many([record.request_id for record in records], 0.5, ("closed",))
+    for record in records:
+        expected.add(record.request_id, 0.5, ("closed",))
     assert result.alert_counts() == {"twice": 4}
     (alert_set,) = result.alert_sets
     assert sorted(alert_set.alerts(), key=lambda a: a.request_id) == sorted(
