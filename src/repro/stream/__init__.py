@@ -17,6 +17,8 @@ verdicts online:
   window;
 * :mod:`repro.stream.engine` -- the event-driven engine tying the above
   together;
+* :mod:`repro.stream.alerts` -- the engine's record rows and every
+  detector's final alerts as row/score/reason-code columns;
 * :mod:`repro.stream.runner` -- visitor-sharded replay through the shard
   executor :mod:`repro.sharding` (on a 2-core machine, 2 forked workers
   replayed 28,792 records in 2.42-2.55 s against 2.50-2.66 s for one

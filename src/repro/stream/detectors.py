@@ -615,10 +615,8 @@ class OnlineAnomalyDetector(OnlineDetector):
     def merge_states(self, states: Sequence[Mapping], offsets: Sequence[int]) -> AlertColumns:
         pooled: list[_ClosedSession] = []
         for state, offset in zip(states, offsets):
-            pooled.extend(
-                (start, session_id, features, shift_rows(rows, offset))
-                for start, session_id, features, rows in state["sessions"]
-            )
+            for start, session_id, features, rows in state["sessions"]:
+                pooled.append((start, session_id, features, shift_rows(rows, offset)))
         self._score_closed_sessions(pooled)
         return self._alerts
 
