@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.columns import RecordFrame
+from repro.columns.frame import Dictionary, TableCache, encode_column
 from repro.exceptions import ColumnsError, LabelError
 from repro.logs.dataset import Dataset
 from repro.trace.store import TraceReader, write_trace
@@ -249,3 +250,51 @@ class TestFromColumns:
     def test_unknown_label_is_rejected(self):
         with pytest.raises(LabelError, match="unknown labels"):
             RecordFrame.from_columns(**_columns(labels=["benign", "suspicious"]))
+
+
+class TestTableCache:
+    """Per-entry derived values are computed once per entry, also while a table grows."""
+
+    def test_flags_extend_with_a_growing_table(self):
+        dictionary = Dictionary()
+        cache = TableCache()
+        seen: list[str] = []
+
+        def is_css(value: str) -> bool:
+            seen.append(value)
+            return value.endswith(".css")
+
+        dictionary.encode(["/a.css", "/b", "/a.css"])
+        assert cache.flags("css", dictionary.values, is_css).tolist() == [True, False]
+        for value in ("/c", "/d.css", "/b", "/e", "/f", "/g.css"):
+            dictionary.code(value)
+            expected = [value.endswith(".css") for value in dictionary.values]
+            assert cache.flags("css", dictionary.values, is_css).tolist() == expected
+        assert seen == dictionary.values
+
+    def test_values_and_url_paths_extend_with_a_growing_table(self):
+        dictionary = Dictionary()
+        cache = TableCache()
+        dictionary.encode(["/a?x=1", "/b"])
+        codes, table = cache.url_paths(dictionary.values)
+        assert (codes.tolist(), table) == ([0, 1], ["/a", "/b"])
+        assert cache.values("upper", dictionary.values, str.upper) == ["/A?X=1", "/B"]
+        dictionary.encode(["/a?x=2", "/c#top", "/b"])
+        codes, table = cache.url_paths(dictionary.values)
+        assert (codes.tolist(), table) == ([0, 1, 0, 2], ["/a", "/b", "/c"])
+        assert cache.values("upper", dictionary.values, str.upper)[2:] == ["/A?X=2", "/C#TOP"]
+
+    def test_encode_column_is_a_fresh_dictionary(self):
+        codes, table = encode_column(["x", "y", "x", "z"])
+        assert (codes.tolist(), table) == ([0, 1, 0, 2], ["x", "y", "z"])
+        dictionary = Dictionary()
+        assert dictionary.encode(["x", "y", "x"]).tolist() == [0, 1, 0]
+        assert dictionary.encode(["z", "x"]).tolist() == [2, 0]
+        assert dictionary.code("w") == 3 and dictionary.values == ["x", "y", "z", "w"]
+
+    def test_row_subsets_share_the_table_cache(self, scenario_dataset):
+        frame = RecordFrame.from_dataset(scenario_dataset)
+        asset = frame.path_is_asset()
+        subset = frame.take(np.arange(0, len(frame), 3))
+        assert np.array_equal(subset.path_is_asset(), asset[::3])
+        assert subset.table_flags("asset", subset.url_path_table(), None) is not None

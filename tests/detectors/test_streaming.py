@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.columns import FeatureMatrix, RecordFrame, sessionize_frame
+from repro.columns.alertframe import DetectorAlerts
+from repro.core.alerts import Alert
 from repro.detectors.ratelimit import RateLimitDetector
 from repro.detectors.streaming import StreamingDetector, StreamingRateLimiter
 from repro.logs.dataset import Dataset
+from repro.stream import OnlineRequestRateLimiter, OnlineVerdict, StreamEngine
+from repro.stream.sources import dataset_replay
+from repro.traffic.generator import generate_dataset
+from repro.traffic.scenarios import balanced_small
 from tests.helpers import BROWSER_UA, SCRIPTED_UA, make_record, make_records
 
 
@@ -108,3 +116,64 @@ class TestStreamingDetector:
         result = run_detectors(small_dataset, [StreamingDetector(), InHouseHeuristicDetector()])
         breakdown = diversity_breakdown(result.matrix, "streaming-rate", "inhouse")
         assert breakdown.total == len(small_dataset)
+
+
+class TestStreamingDetectorColumns:
+    """The batch adapter maps the replay's alert columns onto frame rows, building no ``Alert``."""
+
+    @pytest.fixture(scope="class")
+    def balanced_frame(self):
+        frame = RecordFrame.from_dataset(
+            generate_dataset(balanced_small(total_requests=3000, seed=7))
+        )
+        spans = sessionize_frame(frame)
+        return frame, spans, FeatureMatrix.from_frame(frame, spans)
+
+    @staticmethod
+    def _specification(frame, limiter, name):
+        """The replay's alert set, columnarised over the frame."""
+        result = StreamEngine([limiter]).run(dataset_replay(frame.to_dataset()))
+        expected = DetectorAlerts.from_alert_set(frame, result.alert_sets[0])
+        expected.detector_name = name
+        return expected
+
+    @staticmethod
+    def _assert_equal(alerts, expected):
+        assert alerts.detector_name == expected.detector_name
+        assert np.array_equal(alerts.flags, expected.flags)
+        assert np.array_equal(alerts.scores, expected.scores)
+        rows = np.flatnonzero(expected.flags).tolist()
+        assert [alerts.reasons_of(row) for row in rows] == [expected.reasons_of(row) for row in rows]
+
+    def test_no_alert_is_built(self, balanced_frame, monkeypatch):
+        built: list[str] = []
+        original = Alert.__post_init__
+
+        def counting(self) -> None:
+            built.append(self.request_id)
+            original(self)
+
+        monkeypatch.setattr(Alert, "__post_init__", counting)
+        alerts = StreamingDetector().alert_columns(*balanced_frame)
+        assert built == []
+        assert alerts.flags.sum() > 100
+        monkeypatch.undo()
+        frame = balanced_frame[0]
+        self._assert_equal(alerts, self._specification(frame, StreamingRateLimiter(), "streaming-rate"))
+
+    def test_a_row_alerted_twice_merges_as_the_alert_set_does(self, balanced_frame):
+        alerts = StreamingDetector(_TwiceAlerting(), name="twice").alert_columns(*balanced_frame)
+        expected = self._specification(balanced_frame[0], _TwiceAlerting(), "twice")
+        assert expected.reasons_of(0) == ("first", "shared", "second")
+        self._assert_equal(alerts, expected)
+
+
+class _TwiceAlerting(OnlineRequestRateLimiter):
+    """Files two alerts with overlapping reasons on every request."""
+
+    name = "twice"
+
+    def observe(self, record, session=None):
+        self._alert(record, 0.25, ("first", "shared"))
+        self._alert(record, 0.75 if record.request_id.endswith("1") else 0.1, ("shared", "second"))
+        return OnlineVerdict(request_id=record.request_id, alerted=True)

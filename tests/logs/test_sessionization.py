@@ -80,14 +80,10 @@ class TestSessionizer:
 
 
 class TestSessionMetrics:
-    def test_duration_and_rate(self):
+    def test_duration(self):
         session = make_session(make_records(7, gap_seconds=10))
         assert session.duration_seconds == pytest.approx(60.0)
-        assert session.requests_per_minute() == pytest.approx(7.0)
-
-    def test_single_request_session_rate(self):
-        session = make_session([make_record()])
-        assert session.requests_per_minute() == 1.0
+        assert session.request_count == 7
 
     def test_request_ids_order(self):
         session = make_session(make_records(3))

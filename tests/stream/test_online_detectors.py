@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.columns.frame import epoch_microseconds
 from repro.logs.sessionization import Session
 from repro.stream.detectors import (
     OnlineAnomalyDetector,
@@ -11,6 +12,7 @@ from repro.stream.detectors import (
     OnlineInHouseDetector,
     OnlineRateLimitDetector,
     OnlineRequestRateLimiter,
+    _SessionRateState,
     default_online_detectors,
 )
 from tests.helpers import (
@@ -71,6 +73,50 @@ class TestOnlineRequestRateLimiter:
             limiter.observe(record)
         limiter.on_session_close(make_session(records))
         assert len(limiter._state) == 1  # penalty outlives the session
+
+
+def _reference_rate(records) -> float:
+    """The session rate as the batch feature defines it, from the records' datetimes."""
+    if len(records) <= 1:
+        return float(len(records))
+    moments = sorted(record.timestamp for record in records)
+    duration = (moments[-1] - moments[0]).total_seconds()
+    return len(records) / max(duration / 60.0, 1.0 / 60.0)
+
+
+class TestSessionRateState:
+    """The rate-limit port's per-session counters (the session's rate, its peak window)."""
+
+    @staticmethod
+    def _rates(records):
+        state = _SessionRateState()
+        rates = []
+        for record in records:
+            state.update(epoch_microseconds(record.timestamp), 60.0)
+            rates.append(state.requests_per_minute())
+        return state, rates
+
+    def test_rate_of_an_even_session(self):
+        state, rates = self._rates(make_records(7, gap_seconds=10))
+        assert rates[-1] == pytest.approx(7.0)
+        assert state.count == 7
+
+    def test_single_request_session_rate(self):
+        _, rates = self._rates([make_record()])
+        assert rates == [1.0]
+
+    def test_rate_is_bit_identical_to_the_datetime_rate(self):
+        # Uneven sub-second gaps, a one-second floor and a late arrival
+        # that moves the session's first timestamp.
+        gaps = [0.0, 0.333333, 0.1, 7.000001, 61.5, 0.000001, 1234.567891]
+        records = [make_record(f"r{i}", seconds=sum(gaps[: i + 1])) for i in range(len(gaps))]
+        records.append(make_record("late", seconds=-0.25))
+        _, rates = self._rates(records)
+        assert rates == [_reference_rate(records[: i + 1]) for i in range(len(records))]
+
+    def test_peak_window_counts_the_busiest_minute(self):
+        state, _ = self._rates(make_records(5, gap_seconds=1) + [make_record("r9", seconds=500)])
+        assert state.peak == 5
 
 
 class TestOnlineRateLimitDetector:
