@@ -7,8 +7,12 @@ Three layers, each a vectorized counterpart of a record-object API:
   :class:`~repro.logs.record.LogRecord`); built by the traffic
   generator straight from its events, straight from a trace file
   (:meth:`repro.trace.store.TraceReader.read_frame`, zero per-record
-  decode), or from records (:meth:`RecordFrame.from_records`, one
-  column at a time).
+  decode), from records (:meth:`RecordFrame.from_records`, one column
+  at a time), or over existing tables (:meth:`RecordFrame.over_tables`:
+  a frame's row subsets, and the stream engine's live sessions, which
+  it encodes record by record into growable :class:`Dictionary`
+  tables).  Values derived from each table entry are cached per table
+  (:class:`TableCache`).
 * :func:`sessionize_frame` / :class:`FrameSessions` -- vectorized
   group-by-visitor sessionization producing session index spans
   (counterpart of :class:`~repro.logs.sessionization.Sessionizer`,
@@ -32,12 +36,13 @@ from repro.columns.features import (
     SessionArrays,
     SessionFeatures,
 )
-from repro.columns.frame import STRING_COLUMNS, RecordFrame, encode_column
+from repro.columns.frame import STRING_COLUMNS, Dictionary, RecordFrame, TableCache, encode_column
 from repro.columns.sessions import FrameSessions, sessionize_frame, timeout_microseconds
 
 __all__ = [
     "AlertFrame",
     "DetectorAlerts",
+    "Dictionary",
     "FEATURE_NAMES",
     "FeatureMatrix",
     "FrameSessions",
@@ -46,6 +51,7 @@ __all__ = [
     "SessionArrays",
     "SessionFeatures",
     "STRING_COLUMNS",
+    "TableCache",
     "encode_column",
     "sessionize_frame",
     "timeout_microseconds",

@@ -169,16 +169,10 @@ class SessionArrays:
     def from_frame(cls, frame: "RecordFrame", sessions: "FrameSessions") -> "SessionArrays":
         """Gather a frame's columns into session-grouped order."""
         order = sessions.order
-        agent_tables = frame.tables["user_agent"]
-        scripted_table = np.fromiter(
-            (is_scripted_agent(agent) for agent in agent_tables), bool, len(agent_tables)
-        )
-        headless_table = np.fromiter(
-            (is_headless_agent(agent) for agent in agent_tables), bool, len(agent_tables)
-        )
-        crawler_table = np.fromiter(
-            (is_known_crawler_agent(agent) for agent in agent_tables), bool, len(agent_tables)
-        )
+        agents = frame.tables["user_agent"]
+        scripted_table = frame.table_flags("scripted_agent", agents, is_scripted_agent)
+        headless_table = frame.table_flags("headless_agent", agents, is_headless_agent)
+        crawler_table = frame.table_flags("crawler_agent", agents, is_known_crawler_agent)
         return cls(
             starts=sessions.starts,
             ts_us=frame.timestamps_us[order],

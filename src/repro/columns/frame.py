@@ -16,7 +16,8 @@ Dictionary encoding is what makes the batch hot path cheap: predicates
 that depend only on the string value -- "is this path a static asset?",
 "is this user agent a scripted client?" -- are evaluated once per
 *distinct* value and gathered through the code arrays, instead of once
-per record.  Those derived columns are cached on the frame.
+per record.  Those per-entry values are cached per table
+(:class:`TableCache`), and the per-record columns on the frame.
 
 Frames are immutable by convention: nothing in the library mutates a
 frame after construction, so derived columns and views can be shared
@@ -33,13 +34,13 @@ truth only when a caller asks for them.
 from __future__ import annotations
 
 from datetime import datetime, timedelta, timezone
-from typing import Iterator, Mapping, Sequence
+from typing import Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.exceptions import ColumnsError, LabelError
 from repro.logs.dataset import BENIGN, MALICIOUS, Dataset, DatasetMetadata, GroundTruth
-from repro.logs.record import ASSET_SUFFIXES, LogRecord, RequestMethod, split_url_path
+from repro.logs.record import ASSET_SUFFIXES, LogRecord, RequestMethod, split_url_paths
 from repro.obs.names import FRAME_ROWS
 
 #: The dictionary-encoded string columns, in canonical order (matches
@@ -62,22 +63,151 @@ LABEL_NAMES = ("benign", "malicious")
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _ONE_US = timedelta(microseconds=1)
 
-def encode_column(values) -> tuple[np.ndarray, list]:
-    """Dictionary-encode a value column: ``(codes, table)``.
+class Dictionary:
+    """A growable dictionary encoder: each distinct value gets the next code.
 
-    ``dict.fromkeys`` deduplicates at C speed in first-appearance order;
-    the per-record pass is then a C-level ``map`` through the finished
-    dictionary.  The single value-to-code encoder in the library: every
-    dictionary column goes through here -- the generator's and the
-    record path's frame strings, labels and actor classes, URL-path
-    factorization and reputation prefixes.  The trace writer does not
-    encode again: it maps a frame's codes onto the trace-global tables.
+    The library's one value-to-code encoder.  :func:`encode_column`
+    encodes a whole column into a fresh dictionary -- the generator's
+    and the record path's frame strings, labels and actor classes,
+    URL-path factorization and reputation prefixes.  A stream engine
+    keeps one per string column and encodes each record as it arrives
+    (:meth:`code`), so its tables grow only with distinct values.  The
+    trace writer does not encode again: it maps a frame's codes onto the
+    trace-global tables.
+
+    :attr:`values` is the table, the value behind each code in
+    first-appearance order.  It only ever grows and is never replaced,
+    so frames may share it while the dictionary grows.
     """
-    table = dict.fromkeys(values)
-    for code, key in enumerate(table):
-        table[key] = code
-    codes = np.fromiter(map(table.__getitem__, values), np.int64, len(values))
-    return codes, list(table)
+
+    __slots__ = ("index", "values")
+
+    def __init__(self) -> None:
+        self.index: dict = {}
+        self.values: list = []
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def code(self, value) -> int:
+        """The code of one value, added to the table when it is new."""
+        code = self.index.get(value)
+        if code is None:
+            code = self.index[value] = len(self.values)
+            self.values.append(value)
+        return code
+
+    def encode(self, values) -> np.ndarray:
+        """The codes of a value column, new values added in first-appearance order.
+
+        ``dict.fromkeys`` deduplicates at C speed in first-appearance
+        order; the per-value pass is then a C-level ``map`` through the
+        finished dictionary.
+        """
+        index = self.index
+        if index:
+            table = self.values
+            for value in dict.fromkeys(values):
+                if value not in index:
+                    index[value] = len(table)
+                    table.append(value)
+        else:
+            index = dict.fromkeys(values)
+            for code, key in enumerate(index):
+                index[key] = code
+            self.index = index
+            self.values.extend(index)
+        return np.fromiter(map(index.__getitem__, values), np.int64, len(values))
+
+
+def encode_column(values) -> tuple[np.ndarray, list]:
+    """Dictionary-encode a value column: ``(codes, table)``, through a fresh :class:`Dictionary`."""
+    dictionary = Dictionary()
+    return dictionary.encode(values), dictionary.values
+
+
+def _extend(entry: list, tail) -> None:
+    """Append ``tail`` to a cached ``[buffer, count, ...]`` entry, doubling the buffer when full."""
+    buffer, count = entry[0], entry[1]
+    end = count + len(tail)
+    if end > len(buffer):
+        grown = np.empty(max(end, 2 * len(buffer)), dtype=buffer.dtype)
+        grown[:count] = buffer[:count]
+        entry[0] = buffer = grown
+    buffer[count:end] = tail
+    entry[1] = end
+
+
+class TableCache:
+    """Values derived from each entry of a frame's string tables, cached per table.
+
+    Predicates that depend only on a string value -- "is this path a
+    static asset?", "is this agent a known crawler?" -- run once per
+    table entry and are gathered through the code arrays.  A batch frame
+    computes each once, and its row subsets (:meth:`RecordFrame.take`)
+    share the cache.  A stream engine keeps one cache for its growing
+    tables (:class:`~repro.stream.columnar.StreamEncoder`): when a table
+    has grown since the last call, only the new entries are computed, so
+    each derived value is computed once per distinct value.
+
+    Each derived value has a caller-chosen key, unique within the cache.
+    A table may only grow at its end, as a :class:`Dictionary` table does.
+    """
+
+    __slots__ = ("_entries", "_url_paths")
+
+    def __init__(self) -> None:
+        self._entries: dict[Hashable, list] = {}
+        self._url_paths: list | None = None
+
+    def flags(self, key: Hashable, table: Sequence, predicate) -> np.ndarray:
+        """Boolean ``predicate`` of every entry of ``table``."""
+        n = len(table)
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = [np.fromiter(map(predicate, table), bool, n), n]
+        elif entry[1] < n:
+            done = entry[1]
+            _extend(entry, np.fromiter(map(predicate, table[done:n]), bool, n - done))
+        return entry[0][:n]
+
+    def values(self, key: Hashable, table: Sequence, function) -> list:
+        """``function`` of every entry of ``table``, as a list (do not mutate it)."""
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = [list(map(function, table))]
+        elif len(entry[0]) < len(table):
+            entry[0].extend(map(function, table[len(entry[0]) :]))
+        return entry[0]
+
+    def url_paths(self, paths: Sequence[str]) -> tuple[np.ndarray, list[str]]:
+        """The URL-path code of each entry of a path table, and the URL-path table."""
+        n = len(paths)
+        cached = self._url_paths
+        if cached is None:
+            dictionary = Dictionary()
+            self._url_paths = cached = [dictionary.encode(split_url_paths(paths)), n, dictionary]
+        elif cached[1] < n:
+            _extend(cached, cached[2].encode(split_url_paths(paths[cached[1] : n])))
+        return cached[0][:n], cached[2].values
+
+
+def epoch_microseconds(moment: datetime) -> int:
+    """Microseconds since the epoch; a naive moment is read as UTC, as ``LogRecord`` does.
+
+    Divided by ``1e6`` it is exactly ``moment.timestamp()`` of an aware
+    moment: both divide the same integer microseconds by a million,
+    rounding once.
+    """
+    if moment.tzinfo is None:
+        moment = moment.replace(tzinfo=timezone.utc)
+    return (moment - _EPOCH) // _ONE_US
+
+
+def utc_offset_microseconds(moment: datetime) -> int:
+    """The moment's UTC offset in microseconds (0 for a naive moment)."""
+    offset = moment.utcoffset()
+    return 0 if offset is None else offset // _ONE_US
 
 
 def _timestamp_columns(moments: Sequence[datetime], n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -153,7 +283,7 @@ class RecordFrame:
         self.metadata = metadata or DatasetMetadata()
         self._time_ordered = time_ordered
         self._derived: dict[str, np.ndarray] = {}
-        self._url_path_encoding_cache: tuple[np.ndarray, list[str]] | None = None
+        self._table_cache = TableCache()
         self._row_index: dict[str, int] | None = None
 
         lengths = {
@@ -360,39 +490,37 @@ class RecordFrame:
     # ------------------------------------------------------------------
     # Derived columns (computed once per distinct value, then gathered)
     # ------------------------------------------------------------------
-    def _table_flags(self, key: str, table: Sequence[str], predicate) -> np.ndarray:
-        """Per-entry boolean flags of ``predicate`` over ``table``, cached under ``key``."""
-        cached = self._derived.get(key)
-        if cached is None:
-            cached = np.fromiter(map(predicate, table), dtype=bool, count=len(table))
-            self._derived[key] = cached
-        return cached
+    def table_flags(self, key: Hashable, table: Sequence[str], predicate) -> np.ndarray:
+        """Per-entry boolean flags of ``predicate`` over one of the frame's tables.
+
+        Cached per table under ``key`` (see :class:`TableCache`), which
+        must name the table and the predicate.
+        """
+        return self._table_cache.flags(key, table, predicate)
+
+    def table_values(self, key: Hashable, table: Sequence[str], function) -> list:
+        """Per-entry values of ``function`` over one of the frame's tables, cached under ``key``."""
+        return self._table_cache.values(key, table, function)
 
     def url_paths(self) -> list[str]:
         """The query-stripped URL path behind each entry of the path table."""
-        return [split_url_path(value) for value in self.tables["path"]]
-
-    def _url_path_encoding(self) -> tuple[np.ndarray, list[str]]:
-        """The URL-path code of each path-table entry, and the URL-path table."""
-        if self._url_path_encoding_cache is None:
-            self._url_path_encoding_cache = encode_column(self.url_paths())
-        return self._url_path_encoding_cache
+        return split_url_paths(self.tables["path"])
 
     def url_path_table(self) -> list[str]:
         """The distinct query-stripped URL paths; :meth:`url_path_codes` index it."""
-        return self._url_path_encoding()[1]
+        return self._table_cache.url_paths(self.tables["path"])[1]
 
     def url_path_codes(self) -> np.ndarray:
         """Per-record codes into :meth:`url_path_table`."""
         cached = self._derived.get("url_path_codes")
         if cached is None:
-            cached = self._url_path_encoding()[0][self.codes["path"]]
+            cached = self._table_cache.url_paths(self.tables["path"])[0][self.codes["path"]]
             self._derived["url_path_codes"] = cached
         return cached
 
     @property
     def n_url_paths(self) -> int:
-        """Number of distinct query-stripped URL paths in the frame."""
+        """Number of distinct query-stripped URL paths in the frame's path table."""
         return len(self.url_path_table())
 
     def path_is_asset(self) -> np.ndarray:
@@ -402,28 +530,26 @@ class RecordFrame:
         -- far fewer than the distinct raw paths, which differ in their
         query strings -- and is gathered through :meth:`url_path_codes`.
         """
-        flags = self._table_flags(
+        flags = self.table_flags(
             "asset", self.url_path_table(), lambda path: path.lower().endswith(ASSET_SUFFIXES)
         )
         return flags[self.url_path_codes()]
 
     def path_is_robots(self) -> np.ndarray:
         """Per-record flags: is the URL path exactly ``/robots.txt``?"""
-        flags = self._table_flags(
-            "robots", self.url_path_table(), lambda path: path == "/robots.txt"
-        )
+        flags = self.table_flags("robots", self.url_path_table(), lambda path: path == "/robots.txt")
         return flags[self.url_path_codes()]
 
     def has_referrer(self) -> np.ndarray:
         """Per-record flags: a non-empty, non-``-`` Referer header."""
-        flags = self._table_flags(
+        flags = self.table_flags(
             "referrer_present", self.tables["referrer"], lambda value: bool(value) and value != "-"
         )
         return flags[self.codes["referrer"]]
 
     def method_is(self, method: str) -> np.ndarray:
         """Per-record flags: method equals ``method`` (e.g. ``"HEAD"``)."""
-        flags = self._table_flags(
+        flags = self.table_flags(
             f"method_{method}", self.tables["method"], lambda value: value == method
         )
         return flags[self.codes["method"]]
@@ -439,45 +565,83 @@ class RecordFrame:
         return cached
 
     # ------------------------------------------------------------------
-    # Row-subset views (the multi-process shard substrate)
+    # Frames over existing tables (row subsets, stream sessions)
     # ------------------------------------------------------------------
+    @classmethod
+    def over_tables(
+        cls,
+        *,
+        request_ids: list[str],
+        timestamps_us: np.ndarray,
+        tz_offsets_us: np.ndarray,
+        statuses: np.ndarray,
+        sizes: np.ndarray,
+        codes: dict[str, np.ndarray],
+        tables: dict[str, list],
+        table_cache: TableCache,
+        labels: np.ndarray | None = None,
+        actor_codes: np.ndarray | None = None,
+        actor_table: list[str] | None = None,
+        extras: list[Mapping] | None = None,
+        metadata: DatasetMetadata | None = None,
+        time_ordered: bool | None = None,
+    ) -> "RecordFrame":
+        """A frame whose codes index existing ``tables``, sharing them and their derived values.
+
+        Nothing is copied or checked: the caller hands over int64
+        columns of one length, and ``table_cache`` holds the tables'
+        derived values.  :meth:`take` builds its row subsets this way,
+        and the stream engine builds its session frames over its own
+        growing tables.
+        """
+        frame = object.__new__(cls)
+        frame.request_ids = request_ids
+        frame.timestamps_us = timestamps_us
+        frame.tz_offsets_us = tz_offsets_us
+        frame.statuses = statuses
+        frame.sizes = sizes
+        frame.codes = codes
+        frame.tables = tables
+        frame.labels = labels
+        frame.actor_codes = actor_codes
+        frame.actor_table = [] if actor_table is None else actor_table
+        frame.extras = extras
+        frame.metadata = metadata or DatasetMetadata()
+        frame._time_ordered = time_ordered
+        frame._derived = {}
+        frame._table_cache = table_cache
+        frame._row_index = None
+        return frame
+
     def take(self, rows: np.ndarray) -> "RecordFrame":
         """A row-subset frame **sharing** this frame's dictionary tables.
 
-        The string tables (and the table-level derived flags computed so
-        far) are shared, not copied -- frames are immutable by
-        convention, so a shard worker forked from this process reads the
-        parent's tables zero-copy.  Only the per-row arrays are gathered.
-        Row order follows ``rows``; the time-ordered marker survives only
+        The string tables and their derived values (:class:`TableCache`)
+        are shared, not copied -- frames are immutable by convention, so
+        a shard worker forked from this process reads the parent's
+        tables zero-copy.  Only the per-row arrays are gathered.  Row
+        order follows ``rows``; the time-ordered marker survives only
         when ``rows`` is ascending.
         """
         rows = np.asarray(rows, dtype=np.int64)
         ascending = len(rows) < 2 or bool(np.all(rows[1:] >= rows[:-1]))
-        sub = object.__new__(RecordFrame)
         ids = self.request_ids
-        sub.request_ids = [ids[i] for i in rows.tolist()]
-        sub.timestamps_us = self.timestamps_us[rows]
-        sub.tz_offsets_us = self.tz_offsets_us[rows]
-        sub.statuses = self.statuses[rows]
-        sub.sizes = self.sizes[rows]
-        sub.codes = {name: array[rows] for name, array in self.codes.items()}
-        sub.tables = self.tables
-        sub.labels = None if self.labels is None else self.labels[rows]
-        sub.actor_codes = None if self.actor_codes is None else self.actor_codes[rows]
-        sub.actor_table = self.actor_table
-        sub.extras = None if self.extras is None else [self.extras[i] for i in rows.tolist()]
-        sub.metadata = self.metadata
-        sub._time_ordered = self._time_ordered if ascending else None
-        sub._url_path_encoding_cache = self._url_path_encoding_cache
-        # Table-level derived flags transfer (they index the shared
-        # tables); row-level caches (night, url path codes) do not.
-        sub._derived = {
-            key: flags
-            for key, flags in self._derived.items()
-            if key in ("asset", "robots", "referrer_present") or key.startswith("method_")
-        }
-        sub._row_index = None
-        return sub
+        return RecordFrame.over_tables(
+            request_ids=[ids[i] for i in rows.tolist()],
+            timestamps_us=self.timestamps_us[rows],
+            tz_offsets_us=self.tz_offsets_us[rows],
+            statuses=self.statuses[rows],
+            sizes=self.sizes[rows],
+            codes={name: array[rows] for name, array in self.codes.items()},
+            tables=self.tables,
+            table_cache=self._table_cache,
+            labels=None if self.labels is None else self.labels[rows],
+            actor_codes=None if self.actor_codes is None else self.actor_codes[rows],
+            actor_table=self.actor_table,
+            extras=None if self.extras is None else [self.extras[i] for i in rows.tolist()],
+            metadata=self.metadata,
+            time_ordered=self._time_ordered if ascending else None,
+        )
 
     # ------------------------------------------------------------------
     # Compatibility layer: back to record objects

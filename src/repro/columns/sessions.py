@@ -98,8 +98,12 @@ class FrameSessions:
 
         The frame holds the sessions' records back to back, each session's
         records in its own order, so ``order`` is the identity and the
-        session ids and visitor keys are the sessions' own.  This is how
-        the stream engine hands live sessions to the batch kernels.
+        session ids and visitor keys are the sessions' own.  It is built
+        from the record objects (:meth:`RecordFrame.from_records`): the
+        record-path reference that tests judge sessions with.  The
+        stream engine gathers its live sessions from the records it
+        encoded at ingest instead
+        (:class:`~repro.stream.columnar.SessionColumns`).
         """
         counts = [len(session.records) for session in sessions]
         if not all(counts):

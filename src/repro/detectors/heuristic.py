@@ -93,15 +93,17 @@ class ScriptedAgentRule(Rule):
     ) -> list[str | None]:
         # The verdict depends only on the user-agent string: evaluate it
         # once per distinct agent and gather per session.
-        per_agent: list[str | None] = []
-        for agent in frame.tables["user_agent"]:
-            if is_scripted_agent(agent):
-                per_agent.append(f"{self.name}: {agent.split('/')[0]}")
-            elif not agent.strip():
-                per_agent.append(f"{self.name}: empty user agent")
-            else:
-                per_agent.append(None)
+        per_agent = frame.table_values(
+            ("scripted_agent_reason", self.name), frame.tables["user_agent"], self._reason
+        )
         return [per_agent[code] for code in sessions.agent_codes.tolist()]
+
+    def _reason(self, agent: str) -> str | None:
+        if is_scripted_agent(agent):
+            return f"{self.name}: {agent.split('/')[0]}"
+        if not agent.strip():
+            return f"{self.name}: empty user agent"
+        return None
 
 
 class ErrorProbeRule(Rule):
@@ -148,9 +150,10 @@ class ErrorProbeRule(Rule):
 
         # 204 fraction over non-tracking paths: tracking status is a
         # property of the (distinct) URL path, counted per session.
-        url_paths = frame.url_path_table()
-        tracking_table = np.fromiter(
-            map(self._is_tracking_path, url_paths), bool, len(url_paths)
+        tracking_table = frame.table_flags(
+            ("tracking_path", self.tracking_path_markers),
+            frame.url_path_table(),
+            self._is_tracking_path,
         )
         relevant = ~tracking_table[frame.url_path_codes()]
         session_of = sessions.record_session_index()
@@ -272,10 +275,9 @@ class HeuristicRuleDetector(Detector):
         flags = np.zeros(n, dtype=bool)
         if not self.whitelist_verified_crawlers:
             return flags
-        agents = frame.tables["user_agent"]
         ips = frame.tables["client_ip"]
-        crawler_table = np.fromiter(
-            (is_known_crawler_agent(agent) for agent in agents), bool, len(agents)
+        crawler_table = frame.table_flags(
+            "crawler_agent", frame.tables["user_agent"], is_known_crawler_agent
         )
         pool_cache: dict[int, bool] = {}
         for index in np.flatnonzero(crawler_table[sessions.agent_codes]).tolist():

@@ -11,7 +11,8 @@ the original batch-facing surface as thin adapters over that engine:
   ``observe`` / ``observe_stream`` / ``reset`` API as before).
 * :class:`StreamingDetector` -- wraps any online detector into the batch
   :class:`~repro.detectors.base.Detector` interface by replaying the
-  frame's records through a :class:`~repro.stream.engine.StreamEngine`, so
+  frame's records through a :class:`~repro.stream.engine.StreamEngine`
+  and mapping the replay's alert columns onto the frame's rows, so
   online detection can participate in the same diversity/adjudication
   analyses as the offline tools.
 * :data:`StreamingVerdict` -- re-export of
@@ -23,6 +24,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable
 
 from repro.columns.alertframe import DetectorAlerts
+from repro.core.alerts import AlertSet
 from repro.detectors.base import Detector
 from repro.logs.record import LogRecord
 from repro.stream.detectors import OnlineDetector, OnlineRequestRateLimiter
@@ -79,10 +81,10 @@ class StreamingDetector(Detector):
 
     The frame's records are replayed in timestamp order (as the requests
     would have arrived) through a single-detector
-    :class:`~repro.stream.engine.StreamEngine` and the engine's final
-    alert set becomes the detector's alerts, so online detection can
-    participate in the same diversity/adjudication analyses as the
-    offline tools.
+    :class:`~repro.stream.engine.StreamEngine`, and the engine's final
+    alert columns, matched to frame rows by request id, become the
+    detector's alerts (:meth:`~repro.stream.alerts.AlertColumns.to_detector_alerts`;
+    no ``Alert`` object is built).
     """
 
     def __init__(
@@ -110,6 +112,10 @@ class StreamingDetector(Detector):
         finally:
             if forced_recording:
                 self.limiter.record_alerts = False
-        alerts = DetectorAlerts.from_alert_set(frame, result.alert_sets[0])
+        (final,) = result.final_alerts
+        if isinstance(final, AlertSet):
+            alerts = DetectorAlerts.from_alert_set(frame, final)
+        else:
+            alerts = final.to_detector_alerts(frame)
         alerts.detector_name = self.name
         return alerts

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 from urllib.parse import parse_qsl, urlsplit
 
 
@@ -39,7 +39,7 @@ def split_url_path(path: str) -> str:
     """The path component of a request target, without query or fragment.
 
     Exactly ``urlsplit(path).path`` -- the single definition behind both
-    :attr:`LogRecord.url_path` and
+    :attr:`LogRecord.url_path` and (through :func:`split_url_paths`)
     :meth:`repro.columns.frame.RecordFrame.url_paths`.  Origin-form
     targets (a single leading ``/``, the overwhelming majority in access
     logs) take a fast path.  Anything that could carry a scheme or
@@ -61,6 +61,30 @@ def split_url_path(path: str) -> str:
             cut = fragment
         return path[:cut]
     return urlsplit(path).path
+
+
+def split_url_paths(targets: Sequence[str]) -> list[str]:
+    """:func:`split_url_path` of every target in a table, in table order.
+
+    When the whole table is in origin form -- every entry starts with
+    ``/`` but not ``//``, and none holds a tab, CR or LF, checked in one
+    pass over the joined table -- each path is the text before the
+    first ``?`` or ``#``.  Any other table falls back to
+    :func:`split_url_path` per entry, which stays the definition.
+    """
+    joined = "\n".join(targets)
+    separators = len(targets) - 1
+    if not targets or (
+        joined.startswith("/")
+        and not joined.startswith("//")
+        and joined.count("\n") == separators
+        and joined.count("\n/") == separators
+        and "\n//" not in joined
+        and "\t" not in joined
+        and "\r" not in joined
+    ):
+        return [target.partition("?")[0].partition("#")[0] for target in targets]
+    return [split_url_path(target) for target in targets]
 
 
 class RequestMethod(str, enum.Enum):

@@ -35,6 +35,10 @@ class Session:
     columns: tuple[int, Any, int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: The stream's encoding of :attr:`records`, in the same order (a
+    #: :class:`repro.stream.columnar.EncodedRecords`); the engine fills
+    #: it at ingest and drops it when the session closes.
+    encoded: Any = field(default=None, init=False, repr=False, compare=False)
     #: The stream rows (ingest sequence numbers) of :attr:`records`, in
     #: the same order; kept by the stream's incremental sessionizer and
     #: empty for sessions built any other way.
@@ -75,13 +79,6 @@ class Session:
     def request_count(self) -> int:
         """Number of requests in the session."""
         return len(self.records)
-
-    def requests_per_minute(self) -> float:
-        """Average request rate; single-request sessions count as 1 req/min."""
-        if self.request_count <= 1:
-            return float(self.request_count)
-        minutes = max(self.duration_seconds / 60.0, 1.0 / 60.0)
-        return self.request_count / minutes
 
     def request_ids(self) -> list[str]:
         """The request ids of the session, in order."""

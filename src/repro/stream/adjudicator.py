@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Deque, Mapping, Sequence
+from typing import Deque, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,9 +73,8 @@ class AdjudicationResult:
         return request_id in self.alerted_ids
 
 
-@dataclass(frozen=True)
-class AdjudicatedVerdict:
-    """The ensemble decision for one request."""
+class AdjudicatedVerdict(NamedTuple):
+    """The ensemble decision for one request (an immutable named tuple)."""
 
     request_id: str
     alerted: bool
@@ -136,35 +135,29 @@ class WindowedAdjudicator:
             self.name = f"{mode}({self.detector_names[0]}->{rest})"
         self.bind(StreamRows())
         self._processed = 0
+        #: Requests whose later tools were consulted (the serial modes).
+        self._consulted = 0
         self._window: Deque[tuple[float, bool]] = deque()
-        self._workload: dict[str, int] = {name: 0 for name in self.detector_names}
 
     # ------------------------------------------------------------------
     def observe(self, record: LogRecord, votes: Mapping[str, OnlineVerdict]) -> AdjudicatedVerdict:
         """Combine one request's votes into the ensemble decision."""
-        missing = [name for name in self.detector_names if name not in votes]
-        if missing:
-            raise AdjudicationError(f"missing votes from {missing}")
-        flags = [votes[name].alerted for name in self.detector_names]
-        first, rest = flags[0], flags[1:]
-
-        if self.mode == "parallel":
-            alerted = sum(flags) >= self.k
-            for name in self.detector_names:
-                self._workload[name] += 1
-        elif self.mode == "serial-confirm":
+        try:
+            flags = [votes[name].alerted for name in self.detector_names]
+        except KeyError:
+            missing = [name for name in self.detector_names if name not in votes]
+            raise AdjudicationError(f"missing votes from {missing}") from None
+        count = sum(flags)
+        mode = self.mode
+        if mode == "parallel":
+            alerted = count >= self.k
+        elif mode == "serial-confirm":
             # Later tools only need consulting when the first tool alerts.
-            self._workload[self.detector_names[0]] += 1
-            if first:
-                for name in self.detector_names[1:]:
-                    self._workload[name] += 1
-            alerted = first and any(rest)
+            alerted = flags[0] and count > 1
+            self._consulted += flags[0]
         else:  # serial-escalate
-            self._workload[self.detector_names[0]] += 1
-            if not first:
-                for name in self.detector_names[1:]:
-                    self._workload[name] += 1
-            alerted = first or any(rest)
+            alerted = flags[0] or count > 0
+            self._consulted += not flags[0]
 
         self._processed += 1
         row = self._rows.row(record.request_id)
@@ -174,18 +167,13 @@ class WindowedAdjudicator:
         else:
             column.extend(bytes(row - len(column)))
             column.append(alerted)
-        now = record.timestamp.timestamp()
-        self._window.append((now, alerted))
+        now = self._rows.timestamp_us(record) / 1e6
+        window = self._window
+        window.append((now, alerted))
         cutoff = now - self.window_seconds
-        while self._window and self._window[0][0] < cutoff:
-            self._window.popleft()
-        return AdjudicatedVerdict(
-            request_id=record.request_id,
-            alerted=alerted,
-            votes=sum(flags),
-            detectors=len(flags),
-            scheme=self.name,
-        )
+        while window and window[0][0] < cutoff:
+            window.popleft()
+        return AdjudicatedVerdict(record.request_id, alerted, count, len(flags), self.name)
 
     # ------------------------------------------------------------------
     # Live statistics
@@ -211,8 +199,15 @@ class WindowedAdjudicator:
         return self._processed
 
     def workload(self) -> dict[str, int]:
-        """Requests that needed each tool's decision (serial-mode savings)."""
-        return dict(self._workload)
+        """Requests that needed each tool's decision (serial-mode savings).
+
+        In parallel mode every tool decides every request; in the serial
+        modes the first tool does, and the later tools only decide the
+        requests the first one passes on.
+        """
+        first, *later = self.detector_names
+        consulted = self._processed if self.mode == "parallel" else self._consulted
+        return {first: self._processed, **{name: consulted for name in later}}
 
     # ------------------------------------------------------------------
     def to_result(self, total_requests: int | None = None) -> AdjudicationResult:
@@ -249,8 +244,8 @@ class WindowedAdjudicator:
         """Drop all state (start of a new stream)."""
         self.bind(StreamRows())
         self._processed = 0
+        self._consulted = 0
         self._window.clear()
-        self._workload = {name: 0 for name in self.detector_names}
 
 
 def _alerted_ids(flags: bytes | bytearray, request_ids: Sequence[str]) -> frozenset[str]:

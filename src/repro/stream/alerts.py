@@ -18,12 +18,18 @@ then any row may still be alerted.
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from repro.columns.alertframe import ReasonEncoder
+from repro.columns.alertframe import DetectorAlerts, ReasonEncoder
+from repro.columns.frame import epoch_microseconds
 from repro.core.alerts import AlertSet
+from repro.exceptions import AnalysisError
+from repro.logs.record import LogRecord
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.columns.frame import RecordFrame
 
 
 class StreamRows:
@@ -31,21 +37,25 @@ class StreamRows:
 
     The engine numbers each record as it ingests it (:meth:`ingest`) and
     points :attr:`current` at it, so its detectors and adjudicator file
-    their verdicts on the record under that row.  A detector or
-    adjudicator used on its own, outside an engine, has a private
-    instance whose :attr:`current` stays ``-1``; :meth:`row` then numbers
-    each request it is asked about as a new row.
+    their verdicts on the record under that row; it also converts the
+    record's timestamp to epoch microseconds there, once, for all of
+    them (:meth:`timestamp_us`).  A detector or adjudicator used on its
+    own, outside an engine, has a private instance whose :attr:`current`
+    stays ``-1``; :meth:`row` then numbers each request it is asked
+    about as a new row, and :meth:`timestamp_us` converts each record.
     """
 
-    __slots__ = ("request_ids", "current")
+    __slots__ = ("request_ids", "current", "current_us")
 
     def __init__(self) -> None:
         self.request_ids: list[str] = []
         self.current = -1
+        self.current_us = 0
 
-    def ingest(self, request_id: str) -> int:
+    def ingest(self, request_id: str, timestamp_us: int) -> int:
         """Number the next ingested record; it becomes :attr:`current`."""
         self.current = len(self.request_ids)
+        self.current_us = timestamp_us
         self.request_ids.append(request_id)
         return self.current
 
@@ -55,6 +65,12 @@ class StreamRows:
             return self.current
         self.request_ids.append(request_id)
         return len(self.request_ids) - 1
+
+    def timestamp_us(self, record: LogRecord) -> int:
+        """The epoch microseconds of the request being judged."""
+        if self.current >= 0:
+            return self.current_us
+        return epoch_microseconds(record.timestamp)
 
     def __len__(self) -> int:
         return len(self.request_ids)
@@ -127,6 +143,50 @@ class AlertColumns:
         for row, score, code in zip(self.rows, self.scores, self.codes):
             alert_set.add(ids[row], score, table[code])
         return alert_set
+
+    def to_detector_alerts(self, frame: "RecordFrame") -> DetectorAlerts:
+        """The alerts over ``frame``'s rows, matched by request id, without building an ``Alert``.
+
+        A row alerted twice merges as :meth:`AlertSet.add
+        <repro.core.alerts.AlertSet.add>` merges it: the highest score,
+        and the reasons in first-seen order.  A request id the frame
+        lacks is an error, as in :meth:`DetectorAlerts.from_alert_set`.
+        """
+        alerts = DetectorAlerts.empty(self.detector_name, len(frame))
+        if not len(self.rows):
+            return alerts
+        row_of = frame.row_index()
+        ids = self.stream_rows.request_ids
+        try:
+            targets = np.fromiter((row_of[ids[row]] for row in self.rows), np.int64, len(self.rows))
+        except KeyError as exc:
+            raise AnalysisError(
+                f"detector {self.detector_name!r} alerted on unknown request id {exc.args[0]!r}"
+            ) from None
+        if len(np.unique(targets)) == len(targets):
+            alerts.flags[targets] = True
+            alerts.scores[targets] = np.frombuffer(self.scores, dtype=np.float64)
+            alerts.reason_codes[targets] = np.frombuffer(self.codes, dtype=np.intc)
+            alerts.reason_table = list(self.reasons.table)
+            return alerts
+        table = self.reasons.table
+        merged: dict[int, tuple[float, tuple[str, ...]]] = {}
+        for target, score, code in zip(targets.tolist(), self.scores, self.codes):
+            earlier = merged.get(target)
+            if earlier is None:
+                merged[target] = (score, table[code])
+            else:
+                merged[target] = (
+                    max(earlier[0], score),
+                    tuple(dict.fromkeys(earlier[1] + table[code])),
+                )
+        encoder = ReasonEncoder()
+        for target, (score, reasons) in merged.items():
+            alerts.flags[target] = True
+            alerts.scores[target] = score
+            alerts.reason_codes[target] = encoder.code(reasons)
+        alerts.reason_table = encoder.table
+        return alerts
 
     # ------------------------------------------------------------------
     # Sharded runs: a shard exports its columns, the join appends them at

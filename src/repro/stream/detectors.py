@@ -26,15 +26,16 @@ Session-level judgements -- the provisional re-judgement when a live
 session's request count doubles, and the judgement at session close --
 run the batch frame kernels, not per-record Python: the session becomes
 a :class:`~repro.stream.columnar.SessionColumns` view (a
-:class:`~repro.columns.frame.RecordFrame`, its
+:class:`~repro.columns.frame.RecordFrame` gathered from the session's
+records as the engine encoded them at ingest, its
 :class:`~repro.columns.sessions.FrameSessions` spans and a
 :class:`~repro.columns.features.FeatureMatrix`), and the rate-limit and
 rule ports read their verdicts from the batch detectors'
 ``alert_columns`` while the anomaly port reads its feature row.  The
 view is built at most once per session and request count and memoised
 on the live session, so every detector judging the session at that
-count shares it; the engine columnarises all the sessions one record
-closes as a single frame.
+count shares it; the engine gathers all the sessions one record closes
+into a single frame.
 
 Ports
 -----
@@ -270,7 +271,7 @@ class OnlineRequestRateLimiter(OnlineDetector):
         window = self._state.get(key)
         if window is None:
             window = self._state[key] = _VisitorWindow()
-        now = record.timestamp.timestamp()
+        now = self._rows.timestamp_us(record) / 1e6
 
         if now < window.alerted_until:
             return OnlineVerdict(
@@ -353,21 +354,47 @@ def _alert_closed_session(detector: OnlineDetector, kernel: Detector, session: S
 
 
 class _SessionRateState:
-    """Incremental per-session rate counters (peak window + averages)."""
+    """Incremental counters of one session's requests: count, first and last time, peak window."""
 
-    __slots__ = ("window", "peak")
+    __slots__ = ("window", "peak", "count", "first_us", "last_us")
 
     def __init__(self) -> None:
         self.window: Deque[float] = deque()
         self.peak = 1
+        self.count = 0
+        self.first_us = 0
+        self.last_us = 0
 
-    def update(self, timestamp: float, window_seconds: float) -> None:
-        self.window.append(timestamp)
+    def update(self, timestamp_us: int, window_seconds: float) -> None:
+        """Count one request at epoch microseconds ``timestamp_us`` (late arrivals too)."""
+        if not self.count:
+            self.first_us = self.last_us = timestamp_us
+        elif timestamp_us < self.first_us:
+            self.first_us = timestamp_us
+        elif timestamp_us > self.last_us:
+            self.last_us = timestamp_us
+        self.count += 1
+        timestamp = timestamp_us / 1e6
+        window = self.window
+        window.append(timestamp)
         cutoff = timestamp - window_seconds
-        while self.window and self.window[0] < cutoff:
-            self.window.popleft()
-        if len(self.window) > self.peak:
-            self.peak = len(self.window)
+        while window and window[0] < cutoff:
+            window.popleft()
+        if len(window) > self.peak:
+            self.peak = len(window)
+
+    def requests_per_minute(self) -> float:
+        """The session's average rate; a single-request session counts as 1 req/min.
+
+        The batch ``requests_per_minute`` feature, bit for bit: the
+        duration is the integer microseconds between the first and the
+        last request divided by ``1e6``, as ``timedelta.total_seconds``
+        computes it.
+        """
+        if self.count <= 1:
+            return float(self.count)
+        minutes = max((self.last_us - self.first_us) / 1e6 / 60.0, 1.0 / 60.0)
+        return self.count / minutes
 
 
 class OnlineRateLimitDetector(OnlineDetector):
@@ -376,7 +403,8 @@ class OnlineRateLimitDetector(OnlineDetector):
     Per request, the visitor's session *so far* is judged with the same
     average/peak-rate rule as the batch
     :class:`~repro.detectors.ratelimit.RateLimitDetector`, using O(1)
-    incremental counters.  At session close the full session is judged
+    incremental counters of the session's observed requests (every
+    request of it, inside an engine).  At session close the full session is judged
     once more with the batch detector's frame kernel and every request
     of a flagged session is alerted -- which makes the final alert set
     identical to the batch detector's.  Because the peak one-minute window can only grow as a
@@ -411,15 +439,15 @@ class OnlineRateLimitDetector(OnlineDetector):
         state = self._state.get(session.session_id)
         if state is None:
             state = self._state[session.session_id] = _SessionRateState()
-        state.update(record.timestamp.timestamp(), 60.0)
+        state.update(self._rows.timestamp_us(record), 60.0)
 
-        count = session.request_count
-        if count < self.batch.min_requests:
+        batch = self.batch
+        if state.count < batch.min_requests:
             return OnlineVerdict(request_id=record.request_id, alerted=False)
-        rate = session.requests_per_minute()
-        if self.batch.use_peak_rate:
+        rate = state.requests_per_minute()
+        if batch.use_peak_rate:
             rate = max(rate, float(state.peak))
-        threshold = self.batch.threshold_rpm
+        threshold = batch.threshold_rpm
         if rate <= threshold:
             return OnlineVerdict(request_id=record.request_id, alerted=False)
         score = min(1.0, 0.5 + 0.5 * (rate - threshold) / threshold)
@@ -467,7 +495,7 @@ class OnlineInHouseDetector(OnlineDetector):
     def observe(self, record: LogRecord, session: Session | None = None) -> OnlineVerdict:
         if session is None:
             return OnlineVerdict(request_id=record.request_id, alerted=False)
-        count = session.request_count
+        count = len(session.records)
         cached = self._provisional.get(session.session_id)
         if cached is None or count >= 2 * cached[0]:
             verdict = session_verdict(self.batch, session)
@@ -546,7 +574,7 @@ class OnlineAnomalyDetector(OnlineDetector):
     def observe(self, record: LogRecord, session: Session | None = None) -> OnlineVerdict:
         if session is None or self._live_model is None:
             return OnlineVerdict(request_id=record.request_id, alerted=False)
-        count = session.request_count
+        count = len(session.records)
         cached = self._provisional.get(session.session_id)
         if cached is None or count >= 2 * cached[0]:
             columns, index = session_columns(session)

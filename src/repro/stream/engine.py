@@ -6,11 +6,13 @@ feed or a tailed access log (see :mod:`repro.stream.sources`) -- and for
 each record:
 
 1. attributes it to its visitor session via the
-   :class:`~repro.stream.sessionizer.IncrementalSessionizer` (closing any
-   sessions whose inactivity timeout passed -- all the sessions one
-   record closes are columnarised as one
+   :class:`~repro.stream.sessionizer.IncrementalSessionizer` and encodes
+   it, once, into that session's columns against the engine's own
+   string tables (a :class:`~repro.stream.columnar.StreamEncoder`),
+   closing any sessions whose inactivity timeout passed -- all the
+   sessions one record closes are gathered into one
    :class:`~repro.stream.columnar.SessionColumns` frame, then handed to
-   each detector's ``on_session_close``),
+   each detector's ``on_session_close``, and their encoded rows freed,
 2. collects an immediate :class:`~repro.stream.events.OnlineVerdict`
    from every :class:`~repro.stream.detectors.OnlineDetector`,
 3. combines the votes through the optional
@@ -44,6 +46,7 @@ from datetime import timedelta
 from functools import cached_property
 from typing import Iterable, Sequence
 
+from repro.columns.frame import epoch_microseconds
 from repro.core.alerts import AlertMatrix, AlertSet
 from repro.exceptions import DetectorError
 from repro.logs.record import LogRecord
@@ -52,7 +55,7 @@ from repro.obs import names as metric_names
 from repro.obs.metrics import MetricsRegistry, resolve_registry
 from repro.stream.adjudicator import AdjudicationResult, WindowedAdjudicator
 from repro.stream.alerts import AlertColumns, StreamRows
-from repro.stream.columnar import SessionColumns
+from repro.stream.columnar import SessionColumns, StreamEncoder
 from repro.stream.detectors import OnlineDetector
 from repro.stream.events import EngineStats, OnlineVerdict, RequestVerdict
 from repro.stream.sessionizer import IncrementalSessionizer
@@ -175,9 +178,11 @@ class StreamEngine:
         self.max_skew_seconds = max_skew_seconds
         self.track_latency = track_latency
         self.sessionizer = IncrementalSessionizer(timeout)
+        #: The string tables every ingested record is encoded against.
+        self.encoder = StreamEncoder()
         self.stats = EngineStats(online_alerts={name: 0 for name in names})
         self.bind(StreamRows())
-        self._buffer: list[tuple[float, int, LogRecord]] = []
+        self._buffer: list[tuple[float, int, int, LogRecord]] = []
         self._sequence = 0
         self._latencies: list[float] = []
         self._finished = False
@@ -202,6 +207,7 @@ class StreamEngine:
             self.adjudicator.reset()
         self.bind(StreamRows())
         self.sessionizer.reset()
+        self.encoder = StreamEncoder()
         self.stats = EngineStats(online_alerts={d.name: 0 for d in self.detectors})
         self._buffer = []
         self._sequence = 0
@@ -226,17 +232,17 @@ class StreamEngine:
         """
         if self._finished:
             raise DetectorError("engine already finished; call reset() to start a new stream")
+        timestamp_us = epoch_microseconds(record.timestamp)
         if self.max_skew_seconds == 0.0:
-            return [self._ingest(record)]
+            return [self._ingest(record, timestamp_us)]
 
-        heapq.heappush(
-            self._buffer, (record.timestamp.timestamp(), self._sequence, record)
-        )
+        seconds = timestamp_us / 1e6
+        heapq.heappush(self._buffer, (seconds, self._sequence, timestamp_us, record))
         self._sequence += 1
-        horizon = record.timestamp.timestamp() - self.max_skew_seconds
+        horizon = seconds - self.max_skew_seconds
         released: list[RequestVerdict] = []
         while self._buffer and self._buffer[0][0] <= horizon:
-            released.append(self._ingest(heapq.heappop(self._buffer)[2]))
+            released.append(self._release())
         return released
 
     def run(self, records: Iterable[LogRecord]) -> StreamResult:
@@ -251,7 +257,7 @@ class StreamEngine:
         if self._finished:
             raise DetectorError("engine already finished")
         while self._buffer:
-            self._ingest(heapq.heappop(self._buffer)[2])
+            self._release()
         self._close_sessions(self.sessionizer.flush())
         for detector in self.detectors:
             detector.finalize()
@@ -281,7 +287,7 @@ class StreamEngine:
         if self._finished:
             raise DetectorError("engine already finished")
         while self._buffer:
-            self._ingest(heapq.heappop(self._buffer)[2])
+            self._release()
         self._close_sessions(self.sessionizer.flush())
         self._finished = True
         return {
@@ -343,59 +349,64 @@ class StreamEngine:
             alerts.inc(len(final), detector=final.detector_name)
 
     # ------------------------------------------------------------------
-    def _ingest(self, record: LogRecord) -> RequestVerdict:
+    def _release(self) -> RequestVerdict:
+        """Ingest the oldest record of the reorder buffer."""
+        _, _, timestamp_us, record = heapq.heappop(self._buffer)
+        return self._ingest(record, timestamp_us)
+
+    def _ingest(self, record: LogRecord, timestamp_us: int) -> RequestVerdict:
         started = time.perf_counter()
-        update = self.sessionizer.observe(record, self.rows.ingest(record.request_id))
+        update = self.sessionizer.observe(record, self.rows.ingest(record.request_id, timestamp_us))
+        session = update.session
+        self.encoder.add(session, record, update.index, timestamp_us)
         if update.opened:
             self.stats.sessions_opened += 1
         self._close_sessions(update.closed)
 
         votes: dict[str, OnlineVerdict] = {}
+        online_alerts = self.stats.online_alerts
         timed = self._timed
         for detector in self.detectors:
             if timed:
                 detector_started = time.perf_counter()
-                verdict = detector.observe(record, update.session)
+                verdict = detector.observe(record, session)
                 self._detector_hist.observe(
                     time.perf_counter() - detector_started, detector=detector.name
                 )
             else:
-                verdict = detector.observe(record, update.session)
+                verdict = detector.observe(record, session)
             votes[detector.name] = verdict
             if verdict.alerted:
-                self.stats.online_alerts[detector.name] += 1
+                online_alerts[detector.name] += 1
 
         if self.adjudicator is not None:
             alerted = self.adjudicator.observe(record, votes).alerted
         else:
             alerted = any(verdict.alerted for verdict in votes.values())
+        stats = self.stats
         if alerted:
-            self.stats.ensemble_alerts += 1
-        self.stats.records += 1
+            stats.ensemble_alerts += 1
+        stats.records += 1
 
         elapsed = time.perf_counter() - started
-        self.stats.busy_seconds += elapsed
+        stats.busy_seconds += elapsed
         if timed:
             self._verdict_hist.observe(elapsed)
         if self.track_latency:
             self._latencies.append(elapsed)
-        return RequestVerdict(
-            request_id=record.request_id,
-            timestamp=record.timestamp,
-            alerted=alerted,
-            votes=votes,
-            session_id=update.session.session_id,
-        )
+        return RequestVerdict(record.request_id, record.timestamp, alerted, votes, session.session_id)
 
     def _close_sessions(self, sessions: list[Session]) -> None:
-        """Columnarise the closed sessions as one frame, then close each."""
+        """Gather the closed sessions into one frame, close each, then free its encoded rows."""
         if not sessions:
             return
-        SessionColumns(sessions)
+        SessionColumns(sessions, self.encoder)
         self.stats.sessions_closed += len(sessions)
         for session in sessions:
             for detector in self.detectors:
                 detector.on_session_close(session)
+            session.encoded = None
+            session.columns = None
 
 
 def _final_alerts(detector: OnlineDetector) -> FinalAlerts:

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 
-@dataclass
+@dataclass(slots=True)
 class OnlineVerdict:
     """One online detector's decision for one request.
 
@@ -36,9 +36,11 @@ class OnlineVerdict:
     score: float = 0.0
 
 
-@dataclass(frozen=True)
-class RequestVerdict:
+class RequestVerdict(NamedTuple):
     """The engine's combined online decision for one request.
+
+    An immutable named tuple: the engine builds one per request, so it
+    is kept as cheap to build as a tuple.
 
     Parameters
     ----------

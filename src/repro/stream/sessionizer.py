@@ -44,6 +44,8 @@ class SessionUpdate:
     #: Sessions closed by this record (its visitor's previous session
     #: when the inactivity gap was exceeded, plus any evicted sessions).
     closed: list[Session] = field(default_factory=list)
+    #: The record's position in :attr:`session`'s records (``None``: the end).
+    index: int | None = None
 
 
 def _timestamp(record: LogRecord) -> datetime:
@@ -135,7 +137,9 @@ class IncrementalSessionizer:
             self._open[key] = current
             current.records.append(record)
             current.rows.append(row)
+            index = 0
         elif record.timestamp >= current.end:
+            index = len(current.records)
             current.records.append(record)
             current.rows.append(row)
         else:
@@ -147,7 +151,7 @@ class IncrementalSessionizer:
 
         if self._observed % self.eviction_interval == 0:
             closed.extend(self.evict_idle())
-        return SessionUpdate(session=current, opened=opened, closed=closed)
+        return SessionUpdate(session=current, opened=opened, closed=closed, index=index)
 
     def evict_idle(self, now: datetime | None = None) -> list[Session]:
         """Close every open session idle for longer than the timeout.
