@@ -86,9 +86,6 @@ class Dictionary:
         self.index: dict = {}
         self.values: list = []
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     def code(self, value) -> int:
         """The code of one value, added to the table when it is new."""
         code = self.index.get(value)
@@ -227,8 +224,7 @@ def _timestamp_columns(moments: Sequence[datetime], n: int) -> tuple[np.ndarray,
                 cached = moment.utcoffset() // one_us
                 tz_cache[tzinfo] = cached
             return cached
-        offset = moment.utcoffset()
-        return 0 if offset is None else offset // one_us
+        return utc_offset_microseconds(moment)
 
     try:
         timestamps = np.fromiter(((moment - epoch) // one_us for moment in moments), np.int64, n)
