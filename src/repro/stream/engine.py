@@ -378,6 +378,8 @@ class StreamEngine:
             votes[detector.name] = verdict
             if verdict.alerted:
                 online_alerts[detector.name] += 1
+        # A judgement made for this record is stale at the next one.
+        session.columns = None
 
         if self.adjudicator is not None:
             alerted = self.adjudicator.observe(record, votes).alerted
