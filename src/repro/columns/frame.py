@@ -63,6 +63,7 @@ LABEL_NAMES = ("benign", "malicious")
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _ONE_US = timedelta(microseconds=1)
 
+
 class Dictionary:
     """A growable dictionary encoder: each distinct value gets the next code.
 

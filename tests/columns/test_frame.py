@@ -297,4 +297,9 @@ class TestTableCache:
         asset = frame.path_is_asset()
         subset = frame.take(np.arange(0, len(frame), 3))
         assert np.array_equal(subset.path_is_asset(), asset[::3])
-        assert subset.table_flags("asset", subset.url_path_table(), None) is not None
+
+        def never(value: str) -> bool:
+            raise AssertionError(f"recomputed a shared table flag for {value!r}")
+
+        shared = subset.table_flags("asset", subset.url_path_table(), never)
+        assert np.array_equal(shared, frame.table_flags("asset", frame.url_path_table(), never))
