@@ -65,6 +65,7 @@ import numpy as np
 
 from repro.anomaly.base import AnomalyModel
 from repro.anomaly.zscore import RobustZScoreModel
+from repro.columns.frame import epoch_microseconds
 from repro.core.alerts import AlertSet
 from repro.detectors.anomaly_detector import alert_anomalous_groups
 from repro.detectors.base import Detector
@@ -439,6 +440,16 @@ class OnlineRateLimitDetector(OnlineDetector):
         state = self._state.get(session.session_id)
         if state is None:
             state = self._state[session.session_id] = _SessionRateState()
+            records = session.records
+            if len(records) > 1:
+                # A session first seen holding several records was already
+                # closed: a record more than the timeout late landed in it
+                # and the eviction sweep it ran closed it before this
+                # call.  Count every record it holds, as the batch rate
+                # does; the peak window starts at this record.
+                state.count = len(records) - 1
+                state.first_us = epoch_microseconds(records[0].timestamp)
+                state.last_us = epoch_microseconds(records[-1].timestamp)
         state.update(self._rows.timestamp_us(record), 60.0)
 
         batch = self.batch

@@ -15,6 +15,8 @@ from repro.stream.detectors import (
     _SessionRateState,
     default_online_detectors,
 )
+from repro.stream.engine import StreamEngine
+from repro.stream.sessionizer import IncrementalSessionizer
 from tests.helpers import (
     BROWSER_UA,
     SCRIPTED_UA,
@@ -141,6 +143,26 @@ class TestOnlineRateLimitDetector:
         detector.on_session_close(session)
         assert not any(verdict.alerted for verdict in verdicts)
         assert len(detector.final_alert_set()) == 0
+
+    def test_late_record_closed_by_its_own_sweep_counts_the_whole_session(self):
+        # A record more than the timeout behind the watermark lands in its
+        # visitor's lingering session, and the eviction sweep it runs
+        # closes that session before the detectors observe the record.
+        # The vote still judges every record the session holds.
+        engine = StreamEngine([OnlineRateLimitDetector()])
+        engine.sessionizer = IncrementalSessionizer(eviction_interval=13)
+        early = make_records(11, gap_seconds=0.5)
+        late = make_record("late", seconds=6.0)
+        for record in early + [make_record("other", seconds=40 * 60, ip="10.16.0.2")]:
+            engine.process(record)
+        (verdict,) = engine.process(late)
+        assert engine.sessionizer.open_sessions == 1  # only the other visitor's
+        assert verdict.session_id == "s0"
+        rate = _reference_rate(early + [late])
+        vote = verdict.votes["rate-limit"]
+        assert vote.alerted
+        assert vote.reason == f"session rate {rate:.0f} req/min exceeds 60"
+        assert vote.score == min(1.0, 0.5 + 0.5 * (rate - 60.0) / 60.0)
 
 
 class TestOnlineFingerprintDetector:
