@@ -153,25 +153,17 @@ class AlertColumns:
         lacks is an error, as in :meth:`DetectorAlerts.from_alert_set`.
         """
         alerts = DetectorAlerts.empty(self.detector_name, len(frame))
-        if not len(self.rows):
-            return alerts
         row_of = frame.row_index()
         ids = self.stream_rows.request_ids
         try:
-            targets = np.fromiter((row_of[ids[row]] for row in self.rows), np.int64, len(self.rows))
+            targets = [row_of[ids[row]] for row in self.rows]
         except KeyError as exc:
             raise AnalysisError(
                 f"detector {self.detector_name!r} alerted on unknown request id {exc.args[0]!r}"
             ) from None
-        if len(np.unique(targets)) == len(targets):
-            alerts.flags[targets] = True
-            alerts.scores[targets] = np.frombuffer(self.scores, dtype=np.float64)
-            alerts.reason_codes[targets] = np.frombuffer(self.codes, dtype=np.intc)
-            alerts.reason_table = list(self.reasons.table)
-            return alerts
         table = self.reasons.table
         merged: dict[int, tuple[float, tuple[str, ...]]] = {}
-        for target, score, code in zip(targets.tolist(), self.scores, self.codes):
+        for target, score, code in zip(targets, self.scores, self.codes):
             earlier = merged.get(target)
             if earlier is None:
                 merged[target] = (score, table[code])
