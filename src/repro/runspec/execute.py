@@ -478,8 +478,11 @@ def _stream_source(
     the live sessions plus its result, which grows by about 64 bytes
     per record and 20 bytes per final alert (146 bytes per record on the
     scale-0.05 trace, 727 when each final alert was an ``Alert``
-    object), so a trace larger than memory replays as long as its result
-    fits.  Every other source materialises a :class:`Dataset` as before.
+    object), and the engine's string tables, which grow by about 80
+    bytes plus the string per distinct value (about 46 bytes per record
+    on the scale-0.05 trace), so a trace larger than memory replays as
+    long as the result and the tables fit.  Every other source
+    materialises a :class:`Dataset` as before.
     """
     if dataset is None and spec.traffic.resolved_source() == "trace":
         path = spec.traffic.path

@@ -19,8 +19,12 @@ objects.  This module provides the three sources named by the roadmap:
   byte, and 20 bytes of columns per final alert.  A finished replay of
   the scale-0.05 trace (72,049 records, 220,341 final alerts) holds
   10.5 MB, 146 bytes per record; with one ``Alert`` object per final
-  alert it held 52.4 MB (727 bytes per record, ~216 per alert).  A
-  trace larger than memory replays as long as that result fits.
+  alert it held 52.4 MB (727 bytes per record, ~216 per alert).  The
+  engine's string tables grow too, with each distinct value: about 80
+  bytes per table entry plus the string itself (3.3 MB for the 41,090
+  entries of the scale-0.05 trace, most of them distinct raw paths;
+  about 46 bytes per record there).  A trace larger than memory
+  replays as long as the result and the tables fit.
 """
 
 from __future__ import annotations
