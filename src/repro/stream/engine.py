@@ -361,7 +361,7 @@ class StreamEngine:
         self.encoder.add(session, record, update.index, timestamp_us)
         if update.opened:
             self.stats.sessions_opened += 1
-        self._close_sessions(update.closed)
+        self._close_sessions(update.closed, session)
 
         votes: dict[str, OnlineVerdict] = {}
         online_alerts = self.stats.online_alerts
@@ -398,8 +398,13 @@ class StreamEngine:
             self._latencies.append(elapsed)
         return RequestVerdict(record.request_id, record.timestamp, alerted, votes, session.session_id)
 
-    def _close_sessions(self, sessions: list[Session]) -> None:
-        """Gather the closed sessions into one frame, close each, then free its encoded rows."""
+    def _close_sessions(self, sessions: list[Session], live: Session | None = None) -> None:
+        """Gather the closed sessions into one frame, close each, then free its encoded rows.
+
+        ``live`` is the session of the record being ingested.  When the
+        eviction sweep that record ran closed it, its detectors still
+        observe the record in it, so it keeps its rows and judgement.
+        """
         if not sessions:
             return
         SessionColumns(sessions, self.encoder)
@@ -407,8 +412,9 @@ class StreamEngine:
         for session in sessions:
             for detector in self.detectors:
                 detector.on_session_close(session)
-            session.encoded = None
-            session.columns = None
+            if session is not live:
+                session.encoded = None
+                session.columns = None
 
 
 def _final_alerts(detector: OnlineDetector) -> FinalAlerts:

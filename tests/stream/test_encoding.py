@@ -69,7 +69,8 @@ def test_replay_builds_no_frame_from_record_objects(balanced_records, monkeypatc
     assert result.stats.sessions_closed > 100
 
 
-def test_each_record_is_encoded_exactly_once(balanced_records, monkeypatch):
+def _count_encodings(monkeypatch) -> Counter[str]:
+    """Count each request id's encodings, at the encoder."""
     encoded: Counter[str] = Counter()
     original = StreamEncoder.add
 
@@ -78,8 +79,32 @@ def test_each_record_is_encoded_exactly_once(balanced_records, monkeypatch):
         return original(self, session, record, *args, **kwargs)
 
     monkeypatch.setattr(StreamEncoder, "add", counting)
+    return encoded
+
+
+def test_each_record_is_encoded_exactly_once(balanced_records, monkeypatch):
+    encoded = _count_encodings(monkeypatch)
     _engine().run(iter(balanced_records))
     assert set(encoded) == {record.request_id for record in balanced_records}
+    assert set(encoded.values()) == {1}
+
+
+def test_a_late_record_closed_by_its_own_sweep_is_encoded_once(monkeypatch):
+    # The late record lands in its visitor's lingering session, and the
+    # eviction sweep it runs closes that session before the detectors
+    # observe the record: they judge it from the close's build.
+    encoded = _count_encodings(monkeypatch)
+    engine = _engine()
+    engine.sessionizer = IncrementalSessionizer(eviction_interval=13)
+    records = [make_record(f"r{i}", seconds=i * 0.5, user_agent=SCRIPTED_UA) for i in range(11)]
+    records.append(make_record("other", seconds=40 * 60, ip="10.0.0.2"))
+    records.append(make_record("late", seconds=6.0, user_agent=SCRIPTED_UA))
+    for record in records:
+        (verdict,) = engine.process(record)
+    assert engine.stats.sessions_closed == 1
+    assert verdict.votes["inhouse"].alerted
+    engine.finish()
+    assert set(encoded) == {record.request_id for record in records}
     assert set(encoded.values()) == {1}
 
 
