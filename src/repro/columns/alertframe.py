@@ -37,7 +37,7 @@ join step of the multi-process frame pipeline.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,6 +73,27 @@ class ReasonEncoder:
         shared table.
         """
         return np.fromiter((self.code(reasons) for reasons in table), np.int64, len(table))
+
+
+class SessionVerdicts(NamedTuple):
+    """A session detector's verdicts, one per session, in session order.
+
+    ``scores`` is 0 and ``codes`` is -1 where a session is not flagged;
+    ``codes`` index ``reason_table``.  :meth:`DetectorAlerts.from_sessions`
+    broadcasts them onto the frame's rows; the stream reads a live
+    session's verdict straight from here (:meth:`of`).
+    """
+
+    flags: np.ndarray
+    scores: np.ndarray
+    codes: np.ndarray
+    reason_table: list[tuple[str, ...]]
+
+    def of(self, index: int) -> tuple[float, tuple[str, ...]] | None:
+        """Session ``index``'s ``(score, reasons)``, or ``None`` when it is not flagged."""
+        if not self.flags[index]:
+            return None
+        return float(self.scores[index]), self.reason_table[self.codes[index]]
 
 
 class DetectorAlerts:
@@ -126,21 +147,17 @@ class DetectorAlerts:
     ) -> "DetectorAlerts":
         """Broadcast per-session verdict arrays onto the frame's rows.
 
-        One scatter per array: ``rows[order] = repeat(per_session,
-        counts)`` -- the vectorized counterpart of a session detector
-        applying its verdict to every request id in the session.
+        Each array goes through :meth:`FrameSessions.to_rows` -- the
+        vectorized counterpart of a session detector applying its verdict
+        to every request id in the session.
         """
-        n = len(frame)
-        flags = np.zeros(n, dtype=bool)
-        scores = np.zeros(n, dtype=np.float64)
-        codes = np.full(n, -1, dtype=np.int64)
-        if len(sessions.starts) > 1:
-            counts = sessions.counts
-            order = sessions.order
-            flags[order] = np.repeat(np.asarray(session_flags, dtype=bool), counts)
-            scores[order] = np.repeat(np.asarray(session_scores, dtype=np.float64), counts)
-            codes[order] = np.repeat(np.asarray(session_codes, dtype=np.int64), counts)
-        return cls(detector_name, flags, scores, codes, reason_table)
+        return cls(
+            detector_name,
+            sessions.to_rows(np.asarray(session_flags, dtype=bool)),
+            sessions.to_rows(np.asarray(session_scores, dtype=np.float64)),
+            sessions.to_rows(np.asarray(session_codes, dtype=np.int64)),
+            reason_table,
+        )
 
     @classmethod
     def from_alert_set(
@@ -272,13 +289,9 @@ def whitelist_row_mask(
     """Rows whose session's ``(user agent, client ip)`` pair is whitelisted.
 
     ``is_whitelisted_pair(agent, ip)`` is evaluated once per distinct
-    pair (cached), then broadcast session -> rows by scatter.
+    pair (cached), then broadcast onto the rows.
     """
-    n = len(frame)
-    mask = np.zeros(n, dtype=bool)
-    n_sessions = len(sessions.starts) - 1
-    if n_sessions <= 0:
-        return mask
+    n_sessions = len(sessions)
     agents = frame.tables["user_agent"]
     ips = frame.tables["client_ip"]
     pair_cache: dict[tuple[int, int], bool] = {}
@@ -292,8 +305,7 @@ def whitelist_row_mask(
             verdict = bool(is_whitelisted_pair(agents[pair[0]], ips[pair[1]]))
             pair_cache[pair] = verdict
         session_flags[index] = verdict
-    mask[sessions.order] = np.repeat(session_flags, sessions.counts)
-    return mask
+    return sessions.to_rows(session_flags)
 
 
 def threshold_session_alerts(

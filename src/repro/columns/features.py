@@ -95,37 +95,28 @@ class SessionFeatures:
 
 
 # ----------------------------------------------------------------------
-# Guarded segment reductions
+# Segment reductions
 # ----------------------------------------------------------------------
-def _segment_reduce(ufunc, values: np.ndarray, starts: np.ndarray, counts: np.ndarray, fill):
-    """Per-segment ``ufunc`` reduction that tolerates empty segments.
+def _segment_sum(
+    values: np.ndarray, firsts: np.ndarray, counts: np.ndarray, nonempty: bool
+) -> np.ndarray:
+    """Per-segment sums: segment ``j`` is ``values[firsts[j]:firsts[j] + counts[j]]``.
 
-    ``np.ufunc.reduceat`` mishandles zero-length segments (it returns the
-    element at the segment start), so the reduction runs over non-empty
-    segments only and empty ones receive ``fill``.  Because consecutive
-    non-empty segments are contiguous in ``values``, dropping the empty
-    starts does not change any non-empty segment's boundaries.  Segments
-    run along the last axis, so several stacked columns reduce in one call.
+    Segments are back to back.  ``np.add.reduceat`` gives each non-empty
+    segment the sum of exactly its own values, with the bits of
+    ``ndarray.sum`` over that segment, but mishandles an empty one (it
+    returns the element at the segment start).  Unless every segment is
+    known to be ``nonempty``, the reduction runs over the non-empty
+    segments only -- dropping the empty starts does not move any other
+    segment's boundaries -- and the empty ones get 0.
     """
-    if values.shape[-1] and counts.all():
-        return ufunc.reduceat(values, starts[:-1], axis=-1)
-    result = np.full(
-        values.shape[:-1] + (len(counts),),
-        fill,
-        dtype=values.dtype if values.size else np.float64,
-    )
-    nonempty = counts > 0
-    if values.size and np.any(nonempty):
-        result[..., nonempty] = ufunc.reduceat(values, starts[:-1][nonempty], axis=-1)
+    if nonempty:
+        return np.add.reduceat(values, firsts)
+    result = np.zeros(len(counts), dtype=np.float64)
+    filled = counts > 0
+    if len(values):
+        result[filled] = np.add.reduceat(values, firsts[filled])
     return result
-
-
-def _segment_sum(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    return _segment_reduce(np.add, values, starts, counts, 0)
-
-
-def _segment_count(flags: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    return _segment_sum(flags.astype(np.int64), starts, counts)
 
 
 def _min_delta_exceeding(window_seconds: float) -> int:
@@ -167,27 +158,44 @@ class SessionArrays:
     # ------------------------------------------------------------------
     @classmethod
     def from_frame(cls, frame: "RecordFrame", sessions: "FrameSessions") -> "SessionArrays":
-        """Gather a frame's columns into session-grouped order."""
-        order = sessions.order
+        """Arrange a frame's columns session by session.
+
+        A frame whose rows are already session by session (the stream's
+        session frames) hands its columns over uncopied.
+        """
+        columns = [
+            frame.timestamps_us,
+            frame.night_flags(),
+            frame.statuses,
+            frame.path_is_asset(),
+            frame.has_referrer(),
+            frame.method_is("HEAD"),
+            frame.path_is_robots(),
+            frame.url_path_codes(),
+        ]
+        if not sessions.identity_order:
+            order = sessions.order
+            columns = [column[order] for column in columns]
+        ts_us, night, statuses, is_asset, has_referrer, is_head, is_robots, url_path_codes = columns
         agents = frame.tables["user_agent"]
-        scripted_table = frame.table_flags("scripted_agent", agents, is_scripted_agent)
-        headless_table = frame.table_flags("headless_agent", agents, is_headless_agent)
-        crawler_table = frame.table_flags("crawler_agent", agents, is_known_crawler_agent)
+        agent_codes = sessions.agent_codes
         return cls(
             starts=sessions.starts,
-            ts_us=frame.timestamps_us[order],
-            night=frame.night_flags()[order],
-            statuses=frame.statuses[order],
-            is_asset=frame.path_is_asset()[order],
-            has_referrer=frame.has_referrer()[order],
-            is_head=frame.method_is("HEAD")[order],
-            is_robots=frame.path_is_robots()[order],
-            url_path_codes=frame.url_path_codes()[order],
+            ts_us=ts_us,
+            night=night,
+            statuses=statuses,
+            is_asset=is_asset,
+            has_referrer=has_referrer,
+            is_head=is_head,
+            is_robots=is_robots,
+            url_path_codes=url_path_codes,
             n_url_paths=frame.n_url_paths,
-            scripted=scripted_table[sessions.agent_codes],
-            headless=headless_table[sessions.agent_codes],
-            crawler_claim=crawler_table[sessions.agent_codes],
-            session_ids=list(sessions.session_ids),
+            scripted=frame.table_flags("scripted_agent", agents, is_scripted_agent)[agent_codes],
+            headless=frame.table_flags("headless_agent", agents, is_headless_agent)[agent_codes],
+            crawler_claim=frame.table_flags("crawler_agent", agents, is_known_crawler_agent)[
+                agent_codes
+            ],
+            session_ids=sessions.session_ids,
         )
 
     @classmethod
@@ -231,6 +239,10 @@ class SessionArrays:
 # ----------------------------------------------------------------------
 # The matrix
 # ----------------------------------------------------------------------
+#: Feature name -> column of the matrix.
+_COLUMN = {name: j for j, name in enumerate(FEATURE_NAMES)}
+
+
 class FeatureMatrix:
     """Sessions x :data:`FEATURE_NAMES` feature values, plus extras.
 
@@ -263,10 +275,11 @@ class FeatureMatrix:
         self.counts = counts
         self.unique_paths = unique_paths
         self.duration_seconds = duration_seconds
+        #: The most requests any session holds (0 without sessions).
+        self.max_count = int(counts.max()) if len(counts) > 1 else sum(counts.tolist())
         self._ts_grouped = ts_grouped
         self._starts = starts
         self._peak_cache: dict[float, np.ndarray] = {}
-        self._column_index = {name: j for j, name in enumerate(FEATURE_NAMES)}
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -279,37 +292,39 @@ class FeatureMatrix:
     def column(self, name: str) -> np.ndarray:
         """One feature column, by name."""
         try:
-            return self.values[:, self._column_index[name]]
+            return self.values[:, _COLUMN[name]]
         except KeyError as exc:
             raise ColumnsError(f"unknown feature {name!r}; have {FEATURE_NAMES}") from exc
 
     def row(self, index: int) -> SessionFeatures:
         """One session's features as a :class:`SessionFeatures` record."""
-        vector = self.values[index]
-        get = self._column_index.__getitem__
+        vector = self.values[index].tolist()
+        get = _COLUMN.__getitem__
         return SessionFeatures(
             session_id=self.session_ids[index],
             request_count=int(vector[get("request_count")]),
-            requests_per_minute=float(vector[get("requests_per_minute")]),
-            mean_interarrival=float(vector[get("mean_interarrival")]),
-            interarrival_cv=float(vector[get("interarrival_cv")]),
-            error_rate=float(vector[get("error_rate")]),
-            no_content_fraction=float(vector[get("no_content_fraction")]),
-            not_modified_fraction=float(vector[get("not_modified_fraction")]),
-            asset_fraction=float(vector[get("asset_fraction")]),
-            referrer_fraction=float(vector[get("referrer_fraction")]),
-            unique_path_ratio=float(vector[get("unique_path_ratio")]),
-            head_fraction=float(vector[get("head_fraction")]),
+            requests_per_minute=vector[get("requests_per_minute")],
+            mean_interarrival=vector[get("mean_interarrival")],
+            interarrival_cv=vector[get("interarrival_cv")],
+            error_rate=vector[get("error_rate")],
+            no_content_fraction=vector[get("no_content_fraction")],
+            not_modified_fraction=vector[get("not_modified_fraction")],
+            asset_fraction=vector[get("asset_fraction")],
+            referrer_fraction=vector[get("referrer_fraction")],
+            unique_path_ratio=vector[get("unique_path_ratio")],
+            head_fraction=vector[get("head_fraction")],
             robots_hits=int(vector[get("robots_hits")]),
-            night_fraction=float(vector[get("night_fraction")]),
-            scripted_agent=bool(vector[get("scripted_agent")] != 0.0),
-            headless_agent=bool(vector[get("headless_agent")] != 0.0),
-            crawler_claim=bool(vector[get("crawler_claim")] != 0.0),
+            night_fraction=vector[get("night_fraction")],
+            scripted_agent=vector[get("scripted_agent")] != 0.0,
+            headless_agent=vector[get("headless_agent")] != 0.0,
+            crawler_claim=vector[get("crawler_claim")] != 0.0,
         )
 
-    def to_features(self) -> list[SessionFeatures]:
-        """All sessions as :class:`SessionFeatures` records (compat layer)."""
-        return [self.row(index) for index in range(len(self))]
+    def sessions_with(self, min_requests: int) -> list[int]:
+        """Indices of the sessions holding at least ``min_requests`` requests."""
+        if self.max_count < min_requests:
+            return []
+        return (self.counts >= min_requests).nonzero()[0].tolist()
 
     # ------------------------------------------------------------------
     def peak_rpm(self, window_seconds: float = 60.0) -> np.ndarray:
@@ -326,7 +341,9 @@ class FeatureMatrix:
             raise ValueError("window_seconds must be positive")
         cached = self._peak_cache.get(window_seconds)
         if cached is None:
-            cached = _peak_rpm(self._ts_grouped, self._starts, self.counts, window_seconds)
+            cached = _peak_rpm(
+                self._ts_grouped, self._starts, self.counts, self.max_count, window_seconds
+            )
             self._peak_cache[window_seconds] = cached
         return cached
 
@@ -347,121 +364,100 @@ class FeatureMatrix:
 
     @classmethod
     def from_arrays(cls, arrays: SessionArrays) -> "FeatureMatrix":
-        """Run the shared kernels over session-grouped arrays."""
+        """Run the shared kernels over session-grouped arrays.
+
+        Every session must hold at least one record.  Each reduction is
+        one numpy call over all sessions at once, whatever their number,
+        so a one-session frame costs a fixed number of calls.
+        """
         starts = np.asarray(arrays.starts, dtype=np.int64)
-        counts = np.diff(starts)
+        firsts = starts[:-1]
+        counts = starts[1:] - firsts
         n_sessions = len(counts)
         ts = arrays.ts_us
         total = len(ts)
-        safe_counts = np.maximum(counts, 1)
+        shortest = int(counts.min()) if n_sessions > 1 else total
+        if n_sessions and shortest < 1:
+            raise ColumnsError("cannot compute the features of a session without records")
 
-        if total:
-            clamp = np.minimum(starts[:-1], total - 1)
-            first_ts = ts[clamp]
-            last_ts = ts[np.minimum(np.maximum(starts[1:] - 1, 0), total - 1)]
-        else:
-            first_ts = np.zeros(n_sessions, dtype=np.int64)
-            last_ts = np.zeros(n_sessions, dtype=np.int64)
-        duration_s = np.where(counts > 0, (last_ts - first_ts) / 1e6, 0.0)
-
-        # Average rate; single-request sessions count as their size.
+        # Duration and average rate; single-request sessions count as their size.
+        duration_s = (ts[starts[1:] - 1] - ts[firsts]) / 1e6
         minutes = np.maximum(duration_s / 60.0, 1.0 / 60.0)
-        rpm = np.where(counts <= 1, counts.astype(np.float64), counts / minutes)
+        rpm = np.where(counts <= 1, counts, counts / minutes)
 
-        # Inter-arrival gaps (seconds), segmented per session.
-        if total > 1:
-            diffs = np.diff(ts)
-            valid = np.ones(total - 1, dtype=bool)
-            boundaries = starts[1:-1]
-            boundaries = boundaries[(boundaries > 0) & (boundaries < total)]
-            valid[boundaries - 1] = False
-            gaps_s = diffs[valid] / 1e6
-        else:
-            gaps_s = np.empty(0, dtype=np.float64)
-        gap_counts = np.maximum(counts - 1, 0)
-        gap_starts = np.empty(n_sessions + 1, dtype=np.int64)
-        gap_starts[0] = 0
-        np.cumsum(gap_counts, out=gap_starts[1:])
+        # Inter-arrival gaps (seconds), without the gaps between sessions.
+        gaps_s = (ts[1:] - ts[:-1]) / 1e6
+        gap_firsts = firsts
+        if n_sessions > 1:
+            keep = np.ones(len(gaps_s), dtype=bool)
+            keep[firsts[1:] - 1] = False
+            gaps_s = gaps_s[keep]
+            gap_firsts = firsts - np.arange(n_sessions)
+        gap_counts = counts - 1
         safe_gap_counts = np.maximum(gap_counts, 1)
-
-        gap_sums = _segment_sum(gaps_s, gap_starts, gap_counts)
-        mean_gap = gap_sums / safe_gap_counts
-        mean_interarrival = np.where(counts <= 1, 0.0, mean_gap)
-
-        deviations = (gaps_s - np.repeat(mean_gap, gap_counts)) ** 2
-        variance = _segment_sum(deviations, gap_starts, gap_counts) / safe_gap_counts
-        cv_raw = np.sqrt(variance) / np.where(mean_gap > 0, mean_gap, 1.0)
-        interarrival_cv = np.where(
-            gap_counts < 2, 1.0, np.where(mean_gap <= 0, 0.0, cv_raw)
+        # A single-request session has no gaps: an empty sum, a mean of 0.
+        mean_gap = _segment_sum(gaps_s, gap_firsts, gap_counts, shortest > 1) / safe_gap_counts
+        spread = mean_gap if n_sessions == 1 else mean_gap.repeat(gap_counts)
+        deviations = (gaps_s - spread) ** 2
+        variance = _segment_sum(deviations, gap_firsts, gap_counts, shortest > 1) / safe_gap_counts
+        cv = np.divide(
+            np.sqrt(variance), mean_gap, out=np.zeros(n_sessions), where=mean_gap > 0
         )
+        interarrival_cv = np.where(gap_counts < 2, 1.0, cv)
 
-        # Every per-record flag counted in one stacked segment reduction.
-        statuses = arrays.statuses
-        flags = np.array(
-            [
-                statuses >= 400,
-                statuses == 204,
-                statuses == 304,
-                arrays.is_asset,
-                arrays.has_referrer,
-                arrays.is_head,
-                arrays.night,
-                arrays.is_robots,
-            ]
-        )
-        flag_counts = _segment_count(flags, starts, counts)
-        (
-            error_rate,
-            no_content,
-            not_modified,
-            asset_fraction,
-            referrer_fraction,
-            head_fraction,
-            night_fraction,
-        ) = flag_counts[:-1] / safe_counts
-        robots_hits = flag_counts[-1]
-
-        # Distinct URL paths per session: unique (session, path) pairs.
-        if total:
-            base = np.int64(arrays.n_url_paths + 1)
-            session_of_record = np.repeat(np.arange(n_sessions, dtype=np.int64), counts)
-            pairs = session_of_record * base + arrays.url_path_codes
-            unique_pairs = np.unique(pairs)
-            unique_paths = np.bincount(
-                (unique_pairs // base).astype(np.intp), minlength=n_sessions
-            ).astype(np.int64)
+        # Distinct URL paths: sorted within each session (codes offset
+        # per session), a path counts where it differs from the previous.
+        paths = arrays.url_path_codes
+        if n_sessions > 1:
+            offsets = np.arange(n_sessions, dtype=np.int64) * np.int64(arrays.n_url_paths + 1)
+            paths = paths + offsets.repeat(counts)
         else:
-            unique_paths = np.zeros(n_sessions, dtype=np.int64)
-        unique_ratio = np.where(counts > 0, unique_paths / safe_counts, 0.0)
+            paths = paths.copy()
+        paths.sort()
+        new_path = np.empty(total, dtype=bool)
+        new_path[:1] = True
+        np.not_equal(paths[1:], paths[:-1], out=new_path[1:])
 
-        # Stacked row-wise then transposed: one C-contiguous copy, cheaper
-        # than column_stack for the one-session matrices the stream builds.
-        values = np.array(
-            [
-                counts.astype(np.float64),
-                rpm,
-                mean_interarrival,
-                interarrival_cv,
-                error_rate,
-                no_content,
-                not_modified,
-                asset_fraction,
-                referrer_fraction,
-                unique_ratio,
-                head_fraction,
-                robots_hits.astype(np.float64),
-                night_fraction,
-                arrays.scripted.astype(np.float64),
-                arrays.headless.astype(np.float64),
-                arrays.crawler_claim.astype(np.float64),
-            ],
-            dtype=np.float64,
-        ).T.copy()
+        # Every per-record flag counted in one stacked segment reduction,
+        # in feature order from error_rate to night_fraction.
+        statuses = arrays.statuses
+        flag_counts = np.add.reduceat(
+            np.array(
+                [
+                    statuses >= 400,
+                    statuses == 204,
+                    statuses == 304,
+                    arrays.is_asset,
+                    arrays.has_referrer,
+                    new_path,
+                    arrays.is_head,
+                    arrays.is_robots,
+                    arrays.night,
+                ]
+            ),
+            firsts,
+            axis=1,
+            dtype=np.int64,
+        )
+
+        # Filled row by row, then transposed: one C-contiguous copy.
+        rows = np.empty((len(FEATURE_NAMES), n_sessions))
+        rows[_COLUMN["request_count"]] = counts
+        rows[_COLUMN["requests_per_minute"]] = rpm
+        rows[_COLUMN["mean_interarrival"]] = mean_gap
+        rows[_COLUMN["interarrival_cv"]] = interarrival_cv
+        fractions = rows[_COLUMN["error_rate"] : _COLUMN["night_fraction"] + 1]
+        np.divide(flag_counts, counts, out=fractions)
+        rows[_COLUMN["robots_hits"]] = flag_counts[7]
+        rows[_COLUMN["scripted_agent"]] = arrays.scripted
+        rows[_COLUMN["headless_agent"]] = arrays.headless
+        rows[_COLUMN["crawler_claim"]] = arrays.crawler_claim
+        values = rows.T.copy()
         return cls(
             values,
             list(arrays.session_ids),
             counts=counts,
-            unique_paths=unique_paths,
+            unique_paths=flag_counts[5],
             duration_seconds=duration_s,
             ts_grouped=ts,
             starts=starts,
@@ -472,34 +468,40 @@ class FeatureMatrix:
 # Peak sliding-window rate
 # ----------------------------------------------------------------------
 def _peak_rpm(
-    ts: np.ndarray, starts: np.ndarray, counts: np.ndarray, window_seconds: float
+    ts: np.ndarray,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    max_count: int,
+    window_seconds: float,
 ) -> np.ndarray:
-    result = counts.astype(np.float64)
-    multi = counts > 1
-    if not np.any(multi):
-        return result
-    total = len(ts)
+    if max_count <= 1:
+        return counts.astype(np.float64)
     threshold = _min_delta_exceeding(window_seconds)
-    span = int(ts.max() - ts.min())
-    offset_step = span + threshold + 2
     n_sessions = len(counts)
-
-    if n_sessions * offset_step < 2**62:
+    if n_sessions == 1:
+        shifted = ts
+    else:
+        low = int(ts.min())
+        offset_step = int(ts.max()) - low + threshold + 2
+        if n_sessions * offset_step >= 2**62:  # pragma: no cover - astronomically large frames
+            return _peak_rpm_by_session(ts, starts, counts, threshold, window_seconds)
         # Offset every session into its own disjoint time band so one
         # global searchsorted finds, for every record, the earliest
         # same-session record within the window.
-        session_of_record = np.repeat(np.arange(n_sessions, dtype=np.int64), counts)
-        shifted = (ts - ts.min()) + session_of_record * np.int64(offset_step)
-        earliest = np.searchsorted(shifted, shifted - (threshold - 1), side="left")
-        window_counts = np.arange(total, dtype=np.int64) - earliest + 1
-        best = _segment_reduce(np.maximum, window_counts, starts, counts, 1)
-    else:  # pragma: no cover - astronomically large frames only
-        best = np.ones(n_sessions, dtype=np.int64)
-        for index in np.flatnonzero(multi):
-            segment = ts[starts[index] : starts[index + 1]]
-            earliest = np.searchsorted(segment, segment - (threshold - 1), side="left")
-            best[index] = int(
-                (np.arange(len(segment), dtype=np.int64) - earliest).max()
-            ) + 1
-    result[multi] = best[multi] * (60.0 / window_seconds)
+        bands = np.arange(n_sessions, dtype=np.int64) * np.int64(offset_step)
+        shifted = (ts - low) + bands.repeat(counts)
+    earliest = shifted.searchsorted(shifted - (threshold - 1), side="left")
+    best = np.maximum.reduceat(np.arange(len(ts), dtype=np.int64) - earliest, starts[:-1]) + 1
+    return np.where(counts > 1, best * (60.0 / window_seconds), counts)
+
+
+def _peak_rpm_by_session(  # pragma: no cover - astronomically large frames only
+    ts: np.ndarray, starts: np.ndarray, counts: np.ndarray, threshold: int, window_seconds: float
+) -> np.ndarray:
+    result = counts.astype(np.float64)
+    for index in np.flatnonzero(counts > 1):
+        segment = ts[starts[index] : starts[index + 1]]
+        earliest = np.searchsorted(segment, segment - (threshold - 1), side="left")
+        best = int((np.arange(len(segment), dtype=np.int64) - earliest).max()) + 1
+        result[index] = best * (60.0 / window_seconds)
     return result

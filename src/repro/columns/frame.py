@@ -63,6 +63,10 @@ LABEL_NAMES = ("benign", "malicious")
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _ONE_US = timedelta(microseconds=1)
 
+#: The metadata of a frame built over existing tables without any; it
+#: is frozen, so such frames share it.
+_NO_METADATA = DatasetMetadata()
+
 
 class Dictionary:
     """A growable dictionary encoder: each distinct value gets the next code.
@@ -150,13 +154,16 @@ class TableCache:
 
     Each derived value has a caller-chosen key, unique within the cache.
     A table may only grow at its end, as a :class:`Dictionary` table does.
+    A value too costly to derive for a whole table is memoised per entry
+    instead, only for the entries asked about (:meth:`memo`).
     """
 
-    __slots__ = ("_entries", "_url_paths")
+    __slots__ = ("_entries", "_url_paths", "_memos")
 
     def __init__(self) -> None:
         self._entries: dict[Hashable, list] = {}
         self._url_paths: list | None = None
+        self._memos: dict[Hashable, dict] = {}
 
     def flags(self, key: Hashable, table: Sequence, predicate) -> np.ndarray:
         """Boolean ``predicate`` of every entry of ``table``."""
@@ -177,6 +184,13 @@ class TableCache:
         elif len(entry[0]) < len(table):
             entry[0].extend(map(function, table[len(entry[0]) :]))
         return entry[0]
+
+    def memo(self, key: Hashable) -> dict:
+        """The dictionary that memoises one derived value per table entry (code -> value)."""
+        memo = self._memos.get(key)
+        if memo is None:
+            memo = self._memos[key] = {}
+        return memo
 
     def url_paths(self, paths: Sequence[str]) -> tuple[np.ndarray, list[str]]:
         """The URL-path code of each entry of a path table, and the URL-path table."""
@@ -281,6 +295,7 @@ class RecordFrame:
         self._time_ordered = time_ordered
         self._derived: dict[str, np.ndarray] = {}
         self._table_cache = TableCache()
+        self._url_paths: tuple[np.ndarray, list[str]] | None = None
         self._row_index: dict[str, int] | None = None
 
         lengths = {
@@ -499,20 +514,33 @@ class RecordFrame:
         """Per-entry values of ``function`` over one of the frame's tables, cached under ``key``."""
         return self._table_cache.values(key, table, function)
 
+    def table_memo(self, key: Hashable) -> dict:
+        """A per-entry memo (code -> value) kept with the frame's tables under ``key``.
+
+        For a value computed only for the entries a caller asks about;
+        it lasts as long as the tables (a stream engine's, across its
+        session frames).
+        """
+        return self._table_cache.memo(key)
+
     def url_paths(self) -> list[str]:
         """The query-stripped URL path behind each entry of the path table."""
         return split_url_paths(self.tables["path"])
 
     def url_path_table(self) -> list[str]:
         """The distinct query-stripped URL paths; :meth:`url_path_codes` index it."""
-        return self._table_cache.url_paths(self.tables["path"])[1]
+        return self._url_path_encoding()[1]
 
     def url_path_codes(self) -> np.ndarray:
         """Per-record codes into :meth:`url_path_table`."""
-        cached = self._derived.get("url_path_codes")
+        return self._url_path_encoding()[0]
+
+    def _url_path_encoding(self) -> tuple[np.ndarray, list[str]]:
+        """Per-record URL-path codes and the URL-path table, looked up once per frame."""
+        cached = self._url_paths
         if cached is None:
-            cached = self._table_cache.url_paths(self.tables["path"])[0][self.codes["path"]]
-            self._derived["url_path_codes"] = cached
+            codes, table = self._table_cache.url_paths(self.tables["path"])
+            cached = self._url_paths = (codes[self.codes["path"]], table)
         return cached
 
     @property
@@ -555,9 +583,10 @@ class RecordFrame:
         """Per-record flags: local wall-clock hour before 06:00."""
         cached = self._derived.get("night")
         if cached is None:
+            # Microseconds into the local day (a floor modulo, also
+            # before 1970) fall before 06:00 exactly when the hour does.
             local_us = self.timestamps_us + self.tz_offsets_us
-            hours = (local_us // 3_600_000_000) % 24
-            cached = hours < 6
+            cached = local_us % 86_400_000_000 < 21_600_000_000
             self._derived["night"] = cached
         return cached
 
@@ -568,7 +597,7 @@ class RecordFrame:
     def over_tables(
         cls,
         *,
-        request_ids: list[str],
+        request_ids: Sequence[str],
         timestamps_us: np.ndarray,
         tz_offsets_us: np.ndarray,
         statuses: np.ndarray,
@@ -586,8 +615,9 @@ class RecordFrame:
         """A frame whose codes index existing ``tables``, sharing them and their derived values.
 
         Nothing is copied or checked: the caller hands over int64
-        columns of one length, and ``table_cache`` holds the tables'
-        derived values.  :meth:`take` builds its row subsets this way,
+        columns of one length, any sequence of request ids (the stream
+        hands one that lists them only when read), and ``table_cache``
+        holds the tables' derived values.  :meth:`take` builds its row subsets this way,
         and the stream engine builds its session frames over its own
         growing tables.
         """
@@ -603,10 +633,11 @@ class RecordFrame:
         frame.actor_codes = actor_codes
         frame.actor_table = [] if actor_table is None else actor_table
         frame.extras = extras
-        frame.metadata = metadata or DatasetMetadata()
+        frame.metadata = metadata or _NO_METADATA
         frame._time_ordered = time_ordered
         frame._derived = {}
         frame._table_cache = table_cache
+        frame._url_paths = None
         frame._row_index = None
         return frame
 

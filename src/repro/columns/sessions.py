@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import timedelta
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +43,7 @@ class FrameSessions:
     session by session (sessions in final output order, records within a
     session in time order); ``starts`` holds ``n_sessions + 1`` offsets
     into it, so session ``j`` covers ``order[starts[j]:starts[j+1]]``.
+    The spans cover every row of the frame, and no session is empty.
     """
 
     frame: RecordFrame
@@ -50,7 +52,27 @@ class FrameSessions:
     session_ids: list[str]
     ip_codes: np.ndarray
     agent_codes: np.ndarray
-    _record_session: np.ndarray | None = field(default=None, repr=False)
+    _identity: bool | None = field(default=None, repr=False)
+
+    @classmethod
+    def back_to_back(
+        cls,
+        frame: RecordFrame,
+        starts: np.ndarray,
+        session_ids: list[str],
+        ip_codes: np.ndarray,
+        agent_codes: np.ndarray,
+    ) -> "FrameSessions":
+        """Spans over a frame that holds its sessions back to back: ``order`` is the identity."""
+        return cls(
+            frame=frame,
+            order=np.arange(len(frame), dtype=np.int64),
+            starts=starts,
+            session_ids=session_ids,
+            ip_codes=ip_codes,
+            agent_codes=agent_codes,
+            _identity=True,
+        )
 
     def __len__(self) -> int:
         return len(self.session_ids)
@@ -58,21 +80,35 @@ class FrameSessions:
     @property
     def counts(self) -> np.ndarray:
         """Requests per session."""
-        return np.diff(self.starts)
+        return self.starts[1:] - self.starts[:-1]
+
+    @property
+    def identity_order(self) -> bool:
+        """True when ``order`` is the identity: the frame's rows are already session by session."""
+        if self._identity is None:
+            self._identity = bool(np.array_equal(self.order, np.arange(len(self.order))))
+        return self._identity
+
+    def grouped(self, values: np.ndarray) -> np.ndarray:
+        """Per-row ``values`` arranged session by session, as ``values[order]``.
+
+        When the order is the identity the values come back uncopied, so
+        do not mutate the result.
+        """
+        return values if self.identity_order else values[self.order]
+
+    def to_rows(self, per_session: np.ndarray) -> np.ndarray:
+        """Per-session values broadcast onto every row of the session, in frame row order."""
+        grouped = per_session.repeat(self.counts)
+        if self.identity_order:
+            return grouped
+        rows = np.empty_like(grouped)
+        rows[self.order] = grouped
+        return rows
 
     def span(self, index: int) -> np.ndarray:
         """The frame row indices of one session, in session-record order."""
         return self.order[self.starts[index] : self.starts[index + 1]]
-
-    def record_session_index(self) -> np.ndarray:
-        """Per frame row: the index of the session the record belongs to."""
-        if self._record_session is None:
-            mapping = np.empty(len(self.order), dtype=np.int64)
-            mapping[self.order] = np.repeat(
-                np.arange(len(self), dtype=np.int64), self.counts
-            )
-            self._record_session = mapping
-        return self._record_session
 
     def user_agent(self, index: int) -> str:
         """The session's user-agent string."""
@@ -111,16 +147,14 @@ class FrameSessions:
         frame = RecordFrame.from_records(
             [record for session in sessions for record in session.records]
         )
-        starts = np.zeros(len(sessions) + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
+        starts = np.array([0, *accumulate(counts)], dtype=np.int64)
         first_rows = starts[:-1]
-        return cls(
-            frame=frame,
-            order=np.arange(len(frame), dtype=np.int64),
-            starts=starts,
-            session_ids=[session.session_id for session in sessions],
-            ip_codes=frame.codes["client_ip"][first_rows],
-            agent_codes=frame.codes["user_agent"][first_rows],
+        return cls.back_to_back(
+            frame,
+            starts,
+            [session.session_id for session in sessions],
+            frame.codes["client_ip"][first_rows],
+            frame.codes["user_agent"][first_rows],
         )
 
     def to_sessions(self, records: Sequence[LogRecord] | None = None) -> list[Session]:

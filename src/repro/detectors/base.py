@@ -15,6 +15,12 @@ once and hands it to every detector.
 judges it; :meth:`Detector.analyze` is the record-set convenience
 wrapper around it, returning the verdicts as an
 :class:`~repro.core.alerts.AlertSet`.
+
+A :class:`SessionDetector` judges whole sessions: its one judgement,
+:meth:`SessionDetector.session_verdicts`, gives one verdict per session,
+and its ``alert_columns`` broadcasts them onto the rows.  The stream
+engine reads a live session's verdict from ``session_verdicts``
+directly.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from repro.logs.dataset import Dataset
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.columns import FeatureMatrix, FrameSessions, RecordFrame
-    from repro.columns.alertframe import DetectorAlerts
+    from repro.columns.alertframe import DetectorAlerts, SessionVerdicts
 
 
 class Detector(abc.ABC):
@@ -84,3 +90,29 @@ class Detector(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{self.__class__.__name__}(name={self.name!r})"
+
+
+class SessionDetector(Detector):
+    """A detector whose verdict is per session and covers every request of it."""
+
+    @abc.abstractmethod
+    def session_verdicts(
+        self,
+        frame: "RecordFrame",
+        sessions: "FrameSessions",
+        features: "FeatureMatrix",
+    ) -> "SessionVerdicts":
+        """Judge every session of a frame: flags, scores and reasons, in session order."""
+
+    def alert_columns(
+        self,
+        frame: "RecordFrame",
+        sessions: "FrameSessions",
+        features: "FeatureMatrix",
+    ) -> "DetectorAlerts":
+        """The :meth:`session_verdicts`, broadcast to every row of each session."""
+        from repro.columns.alertframe import DetectorAlerts
+
+        return DetectorAlerts.from_sessions(
+            self.name, frame, sessions, *self.session_verdicts(frame, sessions, features)
+        )

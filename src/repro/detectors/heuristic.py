@@ -16,13 +16,13 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.detectors.base import Detector
+from repro.detectors.base import SessionDetector
 from repro.traffic.ipspace import IPPool, IPSpace
 from repro.traffic.useragents import is_known_crawler_agent, is_scripted_agent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.columns import FeatureMatrix, FrameSessions, RecordFrame
-    from repro.columns.alertframe import DetectorAlerts
+    from repro.columns.alertframe import SessionVerdicts
 
 
 class Rule(abc.ABC):
@@ -65,21 +65,20 @@ class RateRule(Rule):
         self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
     ) -> list[str | None]:
         out: list[str | None] = [None] * len(features)
-        eligible = features.counts >= self.min_requests
-        if not eligible.any():
+        eligible = features.sessions_with(self.min_requests)
+        if not eligible:
             return out
         rates = features.column("requests_per_minute")
-        average_fired = eligible & (rates > self.threshold_rpm)
         peaks = features.peak_rpm()
-        peak_fired = eligible & ~average_fired & (peaks > self.threshold_rpm)
-        for index in np.flatnonzero(average_fired).tolist():
-            out[index] = (
-                f"{self.name}: {float(rates[index]):.0f} req/min > {self.threshold_rpm:.0f}"
-            )
-        for index in np.flatnonzero(peak_fired).tolist():
-            out[index] = (
-                f"{self.name}: peak {float(peaks[index]):.0f} req/min > {self.threshold_rpm:.0f}"
-            )
+        threshold = self.threshold_rpm
+        for index in eligible:
+            rate = float(rates[index])
+            if rate > threshold:
+                out[index] = f"{self.name}: {rate:.0f} req/min > {threshold:.0f}"
+                continue
+            peak = float(peaks[index])
+            if peak > threshold:
+                out[index] = f"{self.name}: peak {peak:.0f} req/min > {threshold:.0f}"
         return out
 
 
@@ -141,42 +140,40 @@ class ErrorProbeRule(Rule):
     def matches_frame(
         self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
     ) -> list[str | None]:
-        n = len(features)
-        eligible = features.counts >= self.min_requests
-        if not eligible.any():
-            return [None] * n
+        out: list[str | None] = [None] * len(features)
+        eligible = features.sessions_with(self.min_requests)
+        if not eligible:
+            return out
         error_rate = features.column("error_rate")
         head_fraction = features.column("head_fraction")
 
         # 204 fraction over non-tracking paths: tracking status is a
-        # property of the (distinct) URL path, counted per session.
+        # property of the (distinct) URL path; both counts are one
+        # stacked segment sum over the rows in session order.
         tracking_table = frame.table_flags(
             ("tracking_path", self.tracking_path_markers),
             frame.url_path_table(),
             self._is_tracking_path,
         )
-        relevant = ~tracking_table[frame.url_path_codes()]
-        session_of = sessions.record_session_index()
-        relevant_counts = np.bincount(session_of[relevant].astype(np.intp), minlength=n)
-        no_content_counts = np.bincount(
-            session_of[relevant & (frame.statuses == 204)].astype(np.intp), minlength=n
-        )
-        no_content = np.where(
-            relevant_counts > 0, no_content_counts / np.maximum(relevant_counts, 1), 0.0
-        )
+        relevant = ~tracking_table[sessions.grouped(frame.url_path_codes())]
+        no_content_hits = relevant & (sessions.grouped(frame.statuses) == 204)
+        relevant_counts, no_content_counts = np.add.reduceat(
+            np.array([relevant, no_content_hits]), sessions.starts[:-1], axis=1, dtype=np.int64
+        ).tolist()
 
-        error_fired = eligible & (error_rate >= self.error_rate_threshold)
-        no_content_fired = eligible & ~error_fired & (no_content >= self.no_content_threshold)
-        head_fired = (
-            eligible & ~error_fired & ~no_content_fired & (head_fraction >= self.head_threshold)
-        )
-        out: list[str | None] = [None] * n
-        for index in np.flatnonzero(error_fired).tolist():
-            out[index] = f"{self.name}: error rate {float(error_rate[index]):.1%}"
-        for index in np.flatnonzero(no_content_fired).tolist():
-            out[index] = f"{self.name}: 204 fraction {float(no_content[index]):.1%}"
-        for index in np.flatnonzero(head_fired).tolist():
-            out[index] = f"{self.name}: HEAD fraction {float(head_fraction[index]):.1%}"
+        for index in eligible:
+            rate = float(error_rate[index])
+            if rate >= self.error_rate_threshold:
+                out[index] = f"{self.name}: error rate {rate:.1%}"
+                continue
+            relevant_count = relevant_counts[index]
+            no_content = no_content_counts[index] / relevant_count if relevant_count else 0.0
+            if no_content >= self.no_content_threshold:
+                out[index] = f"{self.name}: 204 fraction {no_content:.1%}"
+                continue
+            head = float(head_fraction[index])
+            if head >= self.head_threshold:
+                out[index] = f"{self.name}: HEAD fraction {head:.1%}"
         return out
 
 
@@ -198,19 +195,12 @@ class RobotsNoAssetRule(Rule):
         self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
     ) -> list[str | None]:
         out: list[str | None] = [None] * len(features)
-        eligible = features.counts >= self.min_requests
-        if not eligible.any():
-            return out
+        robots_hits = features.column("robots_hits")
         asset_fraction = features.column("asset_fraction")
-        fired = (
-            eligible
-            & (features.column("robots_hits") > 0)
-            & (asset_fraction <= self.asset_threshold)
-        )
-        for index in np.flatnonzero(fired).tolist():
-            out[index] = (
-                f"{self.name}: robots.txt fetched, {float(asset_fraction[index]):.1%} assets"
-            )
+        for index in features.sessions_with(self.min_requests):
+            assets = float(asset_fraction[index])
+            if robots_hits[index] > 0 and assets <= self.asset_threshold:
+                out[index] = f"{self.name}: robots.txt fetched, {assets:.1%} assets"
         return out
 
 
@@ -227,20 +217,16 @@ class PathRepetitionRule(Rule):
         self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
     ) -> list[str | None]:
         out: list[str | None] = [None] * len(features)
-        eligible = features.counts >= self.min_requests
-        if not eligible.any():
-            return out
+        counts = features.counts
         unique = features.unique_paths
-        repetition = np.where(
-            unique > 0, features.counts / np.maximum(unique, 1), 0.0
-        )
-        fired = eligible & (repetition >= self.repetition_threshold)
-        for index in np.flatnonzero(fired).tolist():
-            out[index] = f"{self.name}: {float(repetition[index]):.1f} requests per distinct path"
+        for index in features.sessions_with(self.min_requests):
+            repetition = float(counts[index] / unique[index])
+            if repetition >= self.repetition_threshold:
+                out[index] = f"{self.name}: {repetition:.1f} requests per distinct path"
         return out
 
 
-class HeuristicRuleDetector(Detector):
+class HeuristicRuleDetector(SessionDetector):
     """A rule engine: a session is alerted when any rule fires.
 
     Verified crawlers (well-known crawler user agent from the operator's
@@ -270,57 +256,56 @@ class HeuristicRuleDetector(Detector):
     def whitelisted_sessions(
         self, frame: "RecordFrame", sessions: "FrameSessions"
     ) -> np.ndarray:
-        """Per-session flags: verified, well-known crawler sessions."""
-        n = len(sessions)
-        flags = np.zeros(n, dtype=bool)
+        """Per-session flags: verified, well-known crawler sessions.
+
+        Only sessions whose agent claims a crawler have their client IP
+        checked against the pool; each IP's answer is memoised with the
+        frame's tables, so a stream engine checks an IP once.
+        """
+        flags = np.zeros(len(sessions), dtype=bool)
         if not self.whitelist_verified_crawlers:
             return flags
-        ips = frame.tables["client_ip"]
         crawler_table = frame.table_flags(
             "crawler_agent", frame.tables["user_agent"], is_known_crawler_agent
         )
-        pool_cache: dict[int, bool] = {}
-        for index in np.flatnonzero(crawler_table[sessions.agent_codes]).tolist():
-            ip_code = int(sessions.ip_codes[index])
-            verified = pool_cache.get(ip_code)
-            if verified is None:
-                verified = self.crawler_pool.contains(ips[ip_code])
-                pool_cache[ip_code] = verified
-            flags[index] = verified
+        claimed = crawler_table[sessions.agent_codes].nonzero()[0].tolist()
+        if claimed:
+            pool = self.crawler_pool
+            ips = frame.tables["client_ip"]
+            verified = frame.table_memo(("verified_crawler", tuple(pool.cidrs)))
+            ip_codes = sessions.ip_codes
+            for index in claimed:
+                ip_code = int(ip_codes[index])
+                flag = verified.get(ip_code)
+                if flag is None:
+                    flag = verified[ip_code] = pool.contains(ips[ip_code])
+                flags[index] = flag
         return flags
 
-    def alert_columns(
+    def session_verdicts(
         self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
-    ) -> "DetectorAlerts":
-        """Per-session rule verdicts, scattered to every row of the session.
+    ) -> "SessionVerdicts":
+        """Per-session rule verdicts.
 
         More independent rules firing means higher confidence: one rule
         scores 0.6, each further rule adds 0.2 (capped at 1.0).
         """
-        from repro.columns.alertframe import DetectorAlerts, ReasonEncoder
+        from repro.columns.alertframe import ReasonEncoder, SessionVerdicts
 
         per_rule = [rule.matches_frame(frame, sessions, features) for rule in self.rules]
-        whitelisted = self.whitelisted_sessions(frame, sessions)
+        whitelisted = self.whitelisted_sessions(frame, sessions).tolist()
         n_sessions = len(sessions)
-        session_flags = np.zeros(n_sessions, dtype=bool)
-        session_scores = np.zeros(n_sessions, dtype=np.float64)
-        session_codes = np.full(n_sessions, -1, dtype=np.int64)
+        flags = np.zeros(n_sessions, dtype=bool)
+        scores = np.zeros(n_sessions, dtype=np.float64)
+        codes = np.full(n_sessions, -1, dtype=np.int64)
         encoder = ReasonEncoder()
-        for index in range(n_sessions):
+        for index, fired in enumerate(zip(*per_rule)):
             if whitelisted[index]:
                 continue
-            reasons = [rule[index] for rule in per_rule if rule[index] is not None]
+            reasons = tuple(reason for reason in fired if reason is not None)
             if not reasons:
                 continue
-            session_flags[index] = True
-            session_scores[index] = min(1.0, 0.6 + 0.2 * (len(reasons) - 1))
-            session_codes[index] = encoder.code(tuple(reasons))
-        return DetectorAlerts.from_sessions(
-            self.name,
-            frame,
-            sessions,
-            session_flags,
-            session_scores,
-            session_codes,
-            encoder.table,
-        )
+            flags[index] = True
+            scores[index] = min(1.0, 0.6 + 0.2 * (len(reasons) - 1))
+            codes[index] = encoder.code(reasons)
+        return SessionVerdicts(flags, scores, codes, encoder.table)

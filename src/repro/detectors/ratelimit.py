@@ -12,14 +12,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.detectors.base import Detector
+from repro.detectors.base import SessionDetector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.columns import FeatureMatrix, FrameSessions, RecordFrame
-    from repro.columns.alertframe import DetectorAlerts
+    from repro.columns.alertframe import SessionVerdicts
 
 
-class RateLimitDetector(Detector):
+class RateLimitDetector(SessionDetector):
     """Flag sessions whose sustained or peak request rate exceeds a threshold.
 
     Both the session's average rate and its busiest one-minute window are
@@ -46,36 +46,26 @@ class RateLimitDetector(Detector):
         self.min_requests = min_requests
         self.use_peak_rate = use_peak_rate
 
-    def alert_columns(
+    def session_verdicts(
         self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
-    ) -> "DetectorAlerts":
-        """Per-session rate verdicts, scattered to every row of the session.
+    ) -> "SessionVerdicts":
+        """Per-session rate verdicts.
 
         The score grows with how far above the threshold the session's
         rate is.
         """
-        from repro.columns.alertframe import DetectorAlerts, ReasonEncoder
+        from repro.columns.alertframe import ReasonEncoder, SessionVerdicts
 
         rates = features.column("requests_per_minute")
         if self.use_peak_rate:
             rates = np.maximum(rates, features.peak_rpm())
-        eligible = (features.counts >= self.min_requests) & (rates > self.threshold_rpm)
-        scores = np.minimum(
-            1.0, 0.5 + 0.5 * (rates - self.threshold_rpm) / self.threshold_rpm
-        )
-        session_codes = np.full(len(features), -1, dtype=np.int64)
+        flags = (features.counts >= self.min_requests) & (rates > self.threshold_rpm)
+        scores = np.zeros(len(features), dtype=np.float64)
+        codes = np.full(len(features), -1, dtype=np.int64)
         encoder = ReasonEncoder()
-        for index in np.flatnonzero(eligible).tolist():
+        threshold = self.threshold_rpm
+        for index in flags.nonzero()[0].tolist():
             rate = float(rates[index])
-            session_codes[index] = encoder.code(
-                (f"rate {rate:.0f} req/min exceeds {self.threshold_rpm:.0f}",)
-            )
-        return DetectorAlerts.from_sessions(
-            self.name,
-            frame,
-            sessions,
-            eligible,
-            np.where(eligible, scores, 0.0),
-            session_codes,
-            encoder.table,
-        )
+            scores[index] = min(1.0, 0.5 + 0.5 * (rate - threshold) / threshold)
+            codes[index] = encoder.code((f"rate {rate:.0f} req/min exceeds {threshold:.0f}",))
+        return SessionVerdicts(flags, scores, codes, encoder.table)

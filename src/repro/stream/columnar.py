@@ -43,11 +43,12 @@ from __future__ import annotations
 
 from array import array
 from datetime import timezone
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
-from repro.columns.alertframe import DetectorAlerts
+from repro.columns.alertframe import SessionVerdicts
 from repro.columns.features import FeatureMatrix
 from repro.columns.frame import (
     STRING_COLUMNS,
@@ -58,7 +59,7 @@ from repro.columns.frame import (
     utc_offset_microseconds,
 )
 from repro.columns.sessions import FrameSessions
-from repro.detectors.base import Detector
+from repro.detectors.base import SessionDetector
 from repro.exceptions import ColumnsError
 from repro.logs.record import LogRecord, RequestMethod
 from repro.logs.sessionization import Session
@@ -189,19 +190,47 @@ class StreamEncoder:
         return session.encoded
 
 
+class _RequestIds(Sequence[str]):
+    """A session frame's request ids, listed from the sessions' records on first read.
+
+    The kernels read only how many there are; the records are the
+    sessions' own at the build, so a live session that grows later does
+    not change them.
+    """
+
+    __slots__ = ("_records", "_ids", "_count")
+
+    def __init__(self, records: list[list[LogRecord]], count: int) -> None:
+        self._records: list[list[LogRecord]] | None = records
+        self._ids: list[str] | None = None
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        ids = self._ids
+        if ids is None:
+            ids = [record.request_id for records in self._records for record in records]
+            self._ids = ids
+            self._records = None
+        return ids[index]
+
+
 class SessionColumns:
     """Frame, session spans and feature rows over a group of live sessions.
 
     The frame gathers the sessions' encoded rows over the encoder's
-    tables.  ``encoder`` defaults to the first session's; a session
-    without complete rows from it is encoded first (a session built
-    outside an engine gets a private encoder this way).  Building one
-    stores ``(request count, self, index)`` on each session's
-    :attr:`~repro.logs.sessionization.Session.columns`; the build keeps
-    no reference to the sessions themselves.
+    tables, back to back, so its spans' order is the identity and the
+    kernels read its columns uncopied.  ``encoder`` defaults to the
+    first session's; a session without complete rows from it is encoded
+    first (a session built outside an engine gets a private encoder this
+    way).  Building one stores ``(request count, self, index)`` on each
+    session's :attr:`~repro.logs.sessionization.Session.columns`; the
+    build keeps no reference to the sessions themselves.
     """
 
-    __slots__ = ("spans", "features", "_alerts")
+    __slots__ = ("spans", "features", "_verdicts")
 
     def __init__(self, sessions: Sequence[Session], encoder: StreamEncoder | None = None) -> None:
         counts = [len(session.records) for session in sessions]
@@ -219,17 +248,19 @@ class SessionColumns:
 
         if len(encoded) == 1:
             values = encoded[0].rows
+            repeats = counts[0]
         else:
             values = b"".join([rows.rows for rows in encoded])
+            repeats = counts
         columns = np.frombuffer(values, dtype=np.int64).reshape(-1, STRIDE).T.copy()
         timestamps_us, tz_offsets_us, statuses, sizes, *codes = columns
         ip_codes = np.array([rows.ip_code for rows in encoded], dtype=np.int64)
         agent_codes = np.array([rows.agent_code for rows in encoded], dtype=np.int64)
         frame_codes = dict(zip(ROW_FIELDS[4:], codes))
-        frame_codes["client_ip"] = np.repeat(ip_codes, counts)
-        frame_codes["user_agent"] = np.repeat(agent_codes, counts)
+        frame_codes["client_ip"] = ip_codes.repeat(repeats)
+        frame_codes["user_agent"] = agent_codes.repeat(repeats)
         frame = RecordFrame.over_tables(
-            request_ids=[record.request_id for session in sessions for record in session.records],
+            request_ids=_RequestIds([session.records[:] for session in sessions], len(statuses)),
             timestamps_us=timestamps_us,
             tz_offsets_us=tz_offsets_us,
             statuses=statuses,
@@ -238,51 +269,70 @@ class SessionColumns:
             tables=encoder.tables,
             table_cache=encoder.table_cache,
         )
-        starts = np.zeros(len(sessions) + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        self.spans = FrameSessions(
-            frame=frame,
-            order=np.arange(len(frame), dtype=np.int64),
-            starts=starts,
-            session_ids=[session.session_id for session in sessions],
-            ip_codes=ip_codes,
-            agent_codes=agent_codes,
+        self.spans = FrameSessions.back_to_back(
+            frame,
+            np.array([0, *accumulate(counts)], dtype=np.int64),
+            [session.session_id for session in sessions],
+            ip_codes,
+            agent_codes,
         )
         self.features = FeatureMatrix.from_frame(frame, self.spans)
-        self._alerts: dict[Detector, DetectorAlerts] = {}
+        self._verdicts: dict[SessionDetector, SessionVerdicts] = {}
         for index, session in enumerate(sessions):
             session.columns = (counts[index], self, index)
 
-    def verdict(self, kernel: Detector, index: int) -> tuple[float, tuple[str, ...]] | None:
+    def verdict(self, kernel: SessionDetector, index: int) -> tuple[float, tuple[str, ...]] | None:
         """``kernel``'s ``(score, reasons)`` for session ``index``, or ``None``.
 
-        The kernel runs once per build, over every session in it.
+        The kernel judges every session of the build once, on the first
+        call; no verdict is broadcast onto rows.
         """
-        alerts = self._alerts.get(kernel)
-        if alerts is None:
-            alerts = kernel.alert_columns(self.spans.frame, self.spans, self.features)
-            self._alerts[kernel] = alerts
-        row = int(self.spans.starts[index])
-        if not alerts.flags[row]:
-            return None
-        return float(alerts.scores[row]), alerts.reasons_of(row)
+        verdicts = self._verdicts.get(kernel)
+        if verdicts is None:
+            spans = self.spans
+            verdicts = self._verdicts[kernel] = kernel.session_verdicts(
+                spans.frame, spans, self.features
+            )
+        return verdicts.of(index)
+
+
+class ClosingSessions:
+    """The sessions one record closes, built into one :class:`SessionColumns` on the first ask.
+
+    The engine memoises it on each closing session as a build would be;
+    :func:`session_columns` builds the group when a detector first asks
+    for any of its sessions, and the build replaces the memos.  An
+    engine whose detectors read no session columns builds nothing.
+    """
+
+    __slots__ = ("sessions", "encoder")
+
+    def __init__(self, sessions: Sequence[Session], encoder: StreamEncoder) -> None:
+        self.sessions = sessions
+        self.encoder = encoder
+        for index, session in enumerate(sessions):
+            session.columns = (len(session.records), self, index)
 
 
 def session_columns(session: Session) -> tuple[SessionColumns, int]:
     """The columnar view of ``session`` at its current request count.
 
     Returns the memoised build (and the session's index in it) when one
-    exists for this count -- e.g. the engine's batch over the sessions a
-    record closed -- and otherwise builds one for this session alone.
+    exists for this count -- e.g. the engine's group of the sessions a
+    record closed, built now if no detector asked before -- and
+    otherwise builds one for this session alone.
     """
     memo = session.columns
     if memo is None or memo[0] != len(session.records):
         return SessionColumns((session,)), 0
-    return memo[1], memo[2]
+    columns = memo[1]
+    if type(columns) is ClosingSessions:
+        columns = SessionColumns(columns.sessions, columns.encoder)
+    return columns, memo[2]
 
 
 def session_verdict(
-    kernel: Detector, session: Session
+    kernel: SessionDetector, session: Session
 ) -> tuple[float, tuple[str, ...]] | None:
     """``kernel``'s ``(score, reasons)`` for ``session`` as it stands, or ``None``."""
     columns, index = session_columns(session)

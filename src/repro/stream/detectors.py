@@ -68,7 +68,7 @@ from repro.anomaly.zscore import RobustZScoreModel
 from repro.columns.frame import epoch_microseconds
 from repro.core.alerts import AlertSet
 from repro.detectors.anomaly_detector import alert_anomalous_groups
-from repro.detectors.base import Detector
+from repro.detectors.base import SessionDetector
 from repro.detectors.fingerprint import UserAgentFingerprintDetector
 from repro.detectors.heuristic import HeuristicRuleDetector
 from repro.detectors.inhouse import InHouseHeuristicDetector
@@ -347,7 +347,9 @@ class OnlineFingerprintDetector(OnlineDetector):
 # ----------------------------------------------------------------------
 # Session-level ports
 # ----------------------------------------------------------------------
-def _alert_closed_session(detector: OnlineDetector, kernel: Detector, session: Session) -> None:
+def _alert_closed_session(
+    detector: OnlineDetector, kernel: SessionDetector, session: Session
+) -> None:
     """Alert every request of a closed session that ``kernel`` flags."""
     verdict = session_verdict(kernel, session)
     if verdict is not None:

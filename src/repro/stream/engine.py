@@ -55,7 +55,7 @@ from repro.obs import names as metric_names
 from repro.obs.metrics import MetricsRegistry, resolve_registry
 from repro.stream.adjudicator import AdjudicationResult, WindowedAdjudicator
 from repro.stream.alerts import AlertColumns, StreamRows
-from repro.stream.columnar import SessionColumns, StreamEncoder
+from repro.stream.columnar import ClosingSessions, StreamEncoder
 from repro.stream.detectors import OnlineDetector
 from repro.stream.events import EngineStats, OnlineVerdict, RequestVerdict
 from repro.stream.sessionizer import IncrementalSessionizer
@@ -399,19 +399,23 @@ class StreamEngine:
         return RequestVerdict(record.request_id, record.timestamp, alerted, votes, session.session_id)
 
     def _close_sessions(self, sessions: list[Session], live: Session | None = None) -> None:
-        """Gather the closed sessions into one frame, close each, then free its encoded rows.
+        """Close the sessions one record closed, then free their encoded rows.
 
+        They are gathered into one frame when a detector first asks for
+        the columns of any of them (:class:`~repro.stream.columnar.ClosingSessions`),
+        so every session's rows stay until the last of them is closed.
         ``live`` is the session of the record being ingested.  When the
         eviction sweep that record ran closed it, its detectors still
         observe the record in it, so it keeps its rows and judgement.
         """
         if not sessions:
             return
-        SessionColumns(sessions, self.encoder)
+        ClosingSessions(sessions, self.encoder)
         self.stats.sessions_closed += len(sessions)
         for session in sessions:
             for detector in self.detectors:
                 detector.on_session_close(session)
+        for session in sessions:
             if session is not live:
                 session.encoded = None
                 session.columns = None

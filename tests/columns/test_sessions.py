@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from datetime import timedelta
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,10 +28,6 @@ def assert_equivalent(records, timeout=None):
         assert spans.user_agent(index) == session.user_agent
         got = [records[row].request_id for row in spans.span(index)]
         assert got == session.request_ids()
-    # The record -> session mapping inverts the spans.
-    mapping = spans.record_session_index()
-    for index in range(len(spans)):
-        assert set(np.flatnonzero(mapping == index)) == set(spans.span(index).tolist())
     # Materialised Session objects are the legacy ones.
     rebuilt = spans.to_sessions(records)
     assert [s.session_id for s in rebuilt] == [s.session_id for s in legacy]

@@ -15,9 +15,14 @@ from repro.exceptions import ColumnsError
 from repro.logs.sessionization import Session, Sessionizer
 from repro.stream import StreamEngine
 from repro.stream.columnar import SessionColumns, session_columns
-from repro.stream.detectors import OnlineDetector
+from repro.stream.detectors import (
+    OnlineDetector,
+    OnlineFingerprintDetector,
+    OnlineRequestRateLimiter,
+)
 from repro.stream.events import OnlineVerdict
 from repro.stream.sessionizer import IncrementalSessionizer
+from repro.stream.sources import dataset_replay
 from repro.traffic.generator import generate_dataset
 from repro.traffic.scenarios import balanced_small
 from tests.helpers import make_record, make_records, make_session
@@ -115,3 +120,19 @@ def test_sessions_closed_together_share_one_frame():
     assert sorted(closed) == ["s0", "s1", "s2"]
     assert len(set(closed.values())) == 1
     engine.finish()
+
+
+def test_an_engine_whose_detectors_read_no_session_columns_builds_none(dataset, monkeypatch):
+    # A closing record's sessions are gathered only when a detector asks.
+    builds = []
+    build = SessionColumns.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(args)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(SessionColumns, "__init__", counting)
+    engine = StreamEngine([OnlineRequestRateLimiter(), OnlineFingerprintDetector()])
+    result = engine.run(dataset_replay(dataset))
+    assert result.stats.sessions_closed > 50
+    assert builds == []
