@@ -381,7 +381,10 @@ class FeatureMatrix:
             raise ColumnsError("cannot compute the features of a session without records")
 
         # Duration and average rate; single-request sessions count as their size.
-        duration_s = (ts[starts[1:] - 1] - ts[firsts]) / 1e6
+        if n_sessions == 1:
+            duration_s = (ts[-1:] - ts[:1]) / 1e6
+        else:
+            duration_s = (ts[starts[1:] - 1] - ts[firsts]) / 1e6
         minutes = np.maximum(duration_s / 60.0, 1.0 / 60.0)
         rpm = np.where(counts <= 1, counts, counts / minutes)
 
