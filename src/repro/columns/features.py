@@ -163,20 +163,18 @@ class SessionArrays:
         A frame whose rows are already session by session (the stream's
         session frames) hands its columns over uncopied.
         """
-        columns = [
-            frame.timestamps_us,
-            frame.night_flags(),
-            frame.statuses,
-            frame.path_is_asset(),
-            frame.has_referrer(),
-            frame.method_is("HEAD"),
-            frame.path_is_robots(),
-            frame.url_path_codes(),
-        ]
-        if not sessions.identity_order:
-            order = sessions.order
-            columns = [column[order] for column in columns]
-        ts_us, night, statuses, is_asset, has_referrer, is_head, is_robots, url_path_codes = columns
+        ts_us, night, statuses, is_asset, has_referrer, is_head, is_robots, url_path_codes = (
+            sessions.grouped(
+                frame.timestamps_us,
+                frame.night_flags(),
+                frame.statuses,
+                frame.path_is_asset(),
+                frame.has_referrer(),
+                frame.method_is("HEAD"),
+                frame.path_is_robots(),
+                frame.url_path_codes(),
+            )
+        )
         agents = frame.tables["user_agent"]
         agent_codes = sessions.agent_codes
         return cls(

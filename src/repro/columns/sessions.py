@@ -89,13 +89,16 @@ class FrameSessions:
             self._identity = bool(np.array_equal(self.order, np.arange(len(self.order))))
         return self._identity
 
-    def grouped(self, values: np.ndarray) -> np.ndarray:
-        """Per-row ``values`` arranged session by session, as ``values[order]``.
+    def grouped(self, *columns: np.ndarray) -> list[np.ndarray]:
+        """Per-row columns arranged session by session, each as ``column[order]``.
 
-        When the order is the identity the values come back uncopied, so
-        do not mutate the result.
+        When the order is the identity the columns come back uncopied,
+        so do not mutate them.
         """
-        return values if self.identity_order else values[self.order]
+        if self.identity_order:
+            return list(columns)
+        order = self.order
+        return [column[order] for column in columns]
 
     def to_rows(self, per_session: np.ndarray) -> np.ndarray:
         """Per-session values broadcast onto every row of the session, in frame row order."""

@@ -155,8 +155,9 @@ class ErrorProbeRule(Rule):
             frame.url_path_table(),
             self._is_tracking_path,
         )
-        relevant = ~tracking_table[sessions.grouped(frame.url_path_codes())]
-        no_content_hits = relevant & (sessions.grouped(frame.statuses) == 204)
+        url_path_codes, statuses = sessions.grouped(frame.url_path_codes(), frame.statuses)
+        relevant = ~tracking_table[url_path_codes]
+        no_content_hits = relevant & (statuses == 204)
         relevant_counts, no_content_counts = np.add.reduceat(
             np.array([relevant, no_content_hits]), sessions.starts[:-1], axis=1, dtype=np.int64
         ).tolist()

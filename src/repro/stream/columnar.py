@@ -17,17 +17,29 @@ dictionary-encoded once, when the engine ingests it:
   growable array, inserted mid-session for a late arrival.
 
 A judgement is a :class:`SessionColumns`: it gathers the sessions'
-encoded rows into a :class:`~repro.columns.frame.RecordFrame` over the
-encoder's tables (:meth:`RecordFrame.over_tables`), with
-:class:`~repro.columns.sessions.FrameSessions` spans, and runs the
-unchanged :meth:`FeatureMatrix.from_frame` and each batch detector's
-``alert_columns`` on it.  A build covers one session (a provisional
-re-judgement) or every session one ``process()`` call closes (the engine
-batches those).  It is memoised on each live
+encoded rows, back to back, into a
+:class:`~repro.columns.frame.RecordFrame` over the encoder's tables
+(:meth:`RecordFrame.over_tables`), with
+:class:`~repro.columns.sessions.FrameSessions` spans whose order is the
+identity, and runs the batch :meth:`FeatureMatrix.from_frame` on it.  A
+session detector's kernel
+(:meth:`~repro.detectors.base.SessionDetector.session_verdicts`, the
+same one batch ``alert_columns`` broadcasts onto rows) then judges every
+session of the build at once, and each session reads its own verdict;
+nothing is broadcast onto rows.  The kernels run a fixed number of numpy
+calls whatever the number of sessions and records, and skip the gathers
+an identity order makes copies, so a one-session build pays for its
+calls, not its records.  A build covers one session (a provisional
+re-judgement) or every session one ``process()`` call closes.  The
+engine memoises the latter on each closing session as a
+:class:`ClosingSessions` group, gathered into one build when a detector
+first asks for any of them, so an engine whose detectors read no session
+columns builds none.  A build is memoised on each live
 :class:`~repro.logs.sessionization.Session` under the session's request
 count, so every detector that judges the session at that count reads the
 same build; the engine drops the memo and the encoded rows when the
-session closes.
+session closes.  A build lists its request ids only when something reads
+one; the kernels read only their number.
 
 A session built outside an engine has no encoded rows; its first build
 encodes its records with a private encoder, which stays with the
