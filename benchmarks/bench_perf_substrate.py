@@ -8,6 +8,7 @@ and exist so regressions in the substrate show up in the benchmark run.
 
 from __future__ import annotations
 
+from repro.columns import sessionize_frame
 from repro.logs.parser import LogParser
 from repro.logs.writer import LogWriter
 from repro.traffic.generator import generate_dataset
@@ -45,11 +46,9 @@ def test_perf_generator_throughput(benchmark):
     print(f"\ngenerated {len(dataset):,} labelled requests per round")
 
 
-def test_perf_sessionization_throughput(benchmark, bench_dataset):
-    """Sessionize the benchmark data set."""
-    from repro.logs.sessionization import Sessionizer
-
-    sessions = benchmark(Sessionizer().sessionize, bench_dataset.records)
+def test_perf_sessionization_throughput(benchmark, bench_dataset, bench_frame):
+    """Sessionize the benchmark frame."""
+    sessions = benchmark(sessionize_frame, bench_frame[0])
 
     assert len(sessions) > 0
     print(f"\n{len(bench_dataset):,} requests -> {len(sessions):,} sessions per round")

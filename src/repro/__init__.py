@@ -32,11 +32,11 @@ mode, set by :class:`AdjudicationSpec`.
 The underlying subsystems remain directly usable:
 
 * :mod:`repro.logs` -- Apache access-log parsing, writing, data sets,
-  sessionization.
+  visitor sessions.
 * :mod:`repro.columns` -- the columnar in-memory substrate the batch
-  pipeline runs on by default: numpy record frames with
-  dictionary-encoded strings, vectorized sessionization and batched
-  feature extraction, bit-identical to the record-object path.
+  pipeline runs on: numpy record frames with dictionary-encoded
+  strings, vectorized sessionization and batched feature extraction
+  (the kernels the stream also judges live sessions with).
 * :mod:`repro.traffic` -- a synthetic e-commerce traffic generator with
   human visitors, legitimate crawlers and several scraper families,
   calibrated to the structure of the paper's data set.

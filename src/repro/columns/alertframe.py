@@ -266,15 +266,6 @@ class AlertFrame:
     def detector_names(self) -> list[str]:
         return [alerts.detector_name for alerts in self.detectors]
 
-    def alerts_for(self, name: str) -> DetectorAlerts:
-        """The alert columns of one detector by name."""
-        for alerts in self.detectors:
-            if alerts.detector_name == name:
-                return alerts
-        raise AnalysisError(
-            f"unknown detector {name!r}; alert frame has {self.detector_names}"
-        )
-
     def to_alert_sets(self) -> list[AlertSet]:
         """Dict-path views of every detector's alerts."""
         ids = self.frame.request_ids

@@ -1,28 +1,25 @@
 """Batched session-feature extraction: the :class:`FeatureMatrix`.
 
 This module is the single source of truth for the session feature
-schema: :data:`FEATURE_NAMES` defines the column order, the
-:class:`SessionFeatures` record mirrors it field for field, and
-:meth:`FeatureMatrix.row` converts between the two.  A property test
-pins the three against each other so they can never drift.
+schema: :data:`FEATURE_NAMES` defines the column order of every
+:class:`FeatureMatrix`, and :meth:`FeatureMatrix.column` reads a
+feature by name.
 
 Every feature is computed as a numpy segment reduction over records
 arranged session by session (a :class:`~repro.columns.sessions.FrameSessions`
-index).  Crucially, the *same kernels* back both the batched path and
-the one-session record path
-(:func:`repro.detectors.features.extract_features` builds a one-segment
-:class:`SessionArrays` and calls into here), so the two paths produce
+index).  Batch runs compute the whole data set's sessions in one call;
+the stream judges a live session with the same kernels over a frame
+that holds only that session (:mod:`repro.stream.columnar`).  Both get
 bit-identical floats: ``np.add.reduceat`` results depend only on the
-segment contents, which makes "columnar run == record-object run" an
-exact equality rather than a tolerance.
+segment contents, so a session's features do not depend on which other
+sessions share its frame (``tests/property/test_segment_independence.py``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,11 +29,9 @@ from repro.traffic.useragents import is_headless_agent, is_known_crawler_agent, 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.columns.frame import RecordFrame
     from repro.columns.sessions import FrameSessions
-    from repro.logs.record import LogRecord
 
-#: Order of the numeric feature vector produced by
-#: :meth:`SessionFeatures.vector` and of the :class:`FeatureMatrix`
-#: columns.  THE single definition -- everything else derives from it.
+#: Order of the :class:`FeatureMatrix` columns.  THE single
+#: definition -- everything else derives from it.
 FEATURE_NAMES: tuple[str, ...] = (
     "request_count",
     "requests_per_minute",
@@ -55,43 +50,6 @@ FEATURE_NAMES: tuple[str, ...] = (
     "headless_agent",
     "crawler_claim",
 )
-
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_ONE_US = timedelta(microseconds=1)
-
-
-@dataclass(frozen=True)
-class SessionFeatures:
-    """Numeric description of one session."""
-
-    session_id: str
-    request_count: int
-    requests_per_minute: float
-    mean_interarrival: float
-    interarrival_cv: float
-    error_rate: float
-    no_content_fraction: float
-    not_modified_fraction: float
-    asset_fraction: float
-    referrer_fraction: float
-    unique_path_ratio: float
-    head_fraction: float
-    robots_hits: int
-    night_fraction: float
-    scripted_agent: bool
-    headless_agent: bool
-    crawler_claim: bool
-
-    def vector(self) -> np.ndarray:
-        """The features as a float vector in :data:`FEATURE_NAMES` order."""
-        return np.array(
-            [float(getattr(self, name)) for name in FEATURE_NAMES],
-            dtype=float,
-        )
-
-    def as_dict(self) -> dict[str, float]:
-        """The features keyed by name."""
-        return dict(zip(FEATURE_NAMES, self.vector().tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -196,43 +154,6 @@ class SessionArrays:
             session_ids=sessions.session_ids,
         )
 
-    @classmethod
-    def from_session_records(
-        cls, records: Sequence["LogRecord"], *, user_agent: str, session_id: str
-    ) -> "SessionArrays":
-        """One-segment arrays for a single session's records.
-
-        This is the record-object path: it feeds the same kernels as the
-        batched path, so a session's features come out bit-identical
-        either way.
-        """
-        from repro.columns.frame import encode_column
-
-        n = len(records)
-        url_codes, url_path_table = encode_column([record.url_path for record in records])
-        return cls(
-            starts=np.array([0, n], dtype=np.int64),
-            ts_us=np.fromiter(
-                ((record.timestamp - _EPOCH) // _ONE_US for record in records), np.int64, n
-            ),
-            night=np.fromiter((record.timestamp.hour < 6 for record in records), bool, n),
-            statuses=np.fromiter((record.status for record in records), np.int64, n),
-            is_asset=np.fromiter((record.is_asset_request for record in records), bool, n),
-            has_referrer=np.fromiter((record.has_referrer for record in records), bool, n),
-            is_head=np.fromiter(
-                (record.method.value == "HEAD" for record in records), bool, n
-            ),
-            is_robots=np.fromiter(
-                (record.url_path == "/robots.txt" for record in records), bool, n
-            ),
-            url_path_codes=url_codes,
-            n_url_paths=len(url_path_table),
-            scripted=np.array([is_scripted_agent(user_agent)]),
-            headless=np.array([is_headless_agent(user_agent)]),
-            crawler_claim=np.array([is_known_crawler_agent(user_agent)]),
-            session_ids=[session_id],
-        )
-
 
 # ----------------------------------------------------------------------
 # The matrix
@@ -293,30 +214,6 @@ class FeatureMatrix:
             return self.values[:, _COLUMN[name]]
         except KeyError as exc:
             raise ColumnsError(f"unknown feature {name!r}; have {FEATURE_NAMES}") from exc
-
-    def row(self, index: int) -> SessionFeatures:
-        """One session's features as a :class:`SessionFeatures` record."""
-        vector = self.values[index].tolist()
-        get = _COLUMN.__getitem__
-        return SessionFeatures(
-            session_id=self.session_ids[index],
-            request_count=int(vector[get("request_count")]),
-            requests_per_minute=vector[get("requests_per_minute")],
-            mean_interarrival=vector[get("mean_interarrival")],
-            interarrival_cv=vector[get("interarrival_cv")],
-            error_rate=vector[get("error_rate")],
-            no_content_fraction=vector[get("no_content_fraction")],
-            not_modified_fraction=vector[get("not_modified_fraction")],
-            asset_fraction=vector[get("asset_fraction")],
-            referrer_fraction=vector[get("referrer_fraction")],
-            unique_path_ratio=vector[get("unique_path_ratio")],
-            head_fraction=vector[get("head_fraction")],
-            robots_hits=int(vector[get("robots_hits")]),
-            night_fraction=vector[get("night_fraction")],
-            scripted_agent=vector[get("scripted_agent")] != 0.0,
-            headless_agent=vector[get("headless_agent")] != 0.0,
-            crawler_claim=vector[get("crawler_claim")] != 0.0,
-        )
 
     def sessions_with(self, min_requests: int) -> list[int]:
         """Indices of the sessions holding at least ``min_requests`` requests."""

@@ -1,35 +1,41 @@
 """Vectorized sessionization over a :class:`~repro.columns.frame.RecordFrame`.
 
-:func:`sessionize_frame` reproduces, record for record and id for id,
-what :meth:`repro.logs.sessionization.Sessionizer.sessionize` computes
-from record objects -- the same visitor grouping, the same timeout
-splits, the same ``s{counter}`` naming and the same final ordering
-(including the tie-breaking that falls out of the legacy scan order) --
-but as a handful of numpy sorts and scans instead of a per-record Python
+:func:`sessionize_frame` groups a frame's rows into visitor sessions
+with a handful of numpy sorts and scans instead of a per-record Python
 loop.  The result is a :class:`FrameSessions` index: a permutation of
 the frame's rows grouped session by session plus span offsets, rather
 than materialised :class:`~repro.logs.sessionization.Session` objects.
 
-The equivalence is pinned by tests (including a hypothesis suite over
-adversarial timestamp ties), because downstream analyses depend on the
-exact session order: the anomaly models are seeded RNG consumers of the
-feature-matrix rows, so "the same sessions in a different order" would
-not reproduce the legacy alert sets.
+The sessions are those of one scan over the records in stable timestamp
+order (records sharing a timestamp keep their frame order): a record
+joins its visitor's open session unless the gap to that session's last
+record exceeds the timeout, in which case it opens a new one.  Each
+session's id is ``s{n}``, where ``n`` counts the sessions opened before
+it in that scan.  The sessions come out ordered by start time; sessions
+starting at the same microsecond keep the order in which the scan
+finished them -- a session is finished when its visitor opens the next
+one, and every visitor's last session is finished at the end of the
+scan, in the order the visitors first appeared.  The stream's
+:class:`~repro.stream.sessionizer.IncrementalSessionizer` is that scan,
+record by record, so a time-ordered replay opens the same sessions
+under the same ids.
+
+``tests/columns/test_sessions.py`` pins the rule against a reference
+scan and the stream sessionizer, over adversarial timestamp ties,
+because downstream analyses depend on the exact session order: the
+anomaly models are seeded RNG consumers of the feature-matrix rows, so
+"the same sessions in a different order" would change their alert sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import timedelta
-from itertools import accumulate
-from typing import Sequence
 
 import numpy as np
 
 from repro.columns.frame import RecordFrame
-from repro.exceptions import ColumnsError
-from repro.logs.record import LogRecord
-from repro.logs.sessionization import DEFAULT_TIMEOUT, Session
+from repro.logs.sessionization import DEFAULT_TIMEOUT
 from repro.obs.names import FRAME_SESSIONS
 
 _ONE_US = timedelta(microseconds=1)
@@ -131,57 +137,6 @@ class FrameSessions:
             for j in range(len(self))
         ]
 
-    @classmethod
-    def from_sessions(cls, sessions: Sequence[Session]) -> "FrameSessions":
-        """Columnarise materialised sessions (the inverse of :meth:`to_sessions`).
-
-        The frame holds the sessions' records back to back, each session's
-        records in its own order, so ``order`` is the identity and the
-        session ids and visitor keys are the sessions' own.  It is built
-        from the record objects (:meth:`RecordFrame.from_records`): the
-        record-path reference that tests judge sessions with.  The
-        stream engine gathers its live sessions from the records it
-        encoded at ingest instead
-        (:class:`~repro.stream.columnar.SessionColumns`).
-        """
-        counts = [len(session.records) for session in sessions]
-        if not all(counts):
-            raise ColumnsError("cannot columnarise a session without records")
-        frame = RecordFrame.from_records(
-            [record for session in sessions for record in session.records]
-        )
-        starts = np.array([0, *accumulate(counts)], dtype=np.int64)
-        first_rows = starts[:-1]
-        return cls.back_to_back(
-            frame,
-            starts,
-            [session.session_id for session in sessions],
-            frame.codes["client_ip"][first_rows],
-            frame.codes["user_agent"][first_rows],
-        )
-
-    def to_sessions(self, records: Sequence[LogRecord] | None = None) -> list[Session]:
-        """Materialise legacy :class:`Session` objects (compatibility layer).
-
-        ``records`` must be the frame's records in frame order (e.g.
-        ``dataset.records``); when omitted they are rebuilt from the
-        frame itself.
-        """
-        if records is None:
-            records = list(self.frame.iter_records())
-        starts = self.starts
-        order = self.order
-        sessions: list[Session] = []
-        for j, session_id in enumerate(self.session_ids):
-            session = Session(
-                session_id=session_id,
-                client_ip=self.client_ip(j),
-                user_agent=self.user_agent(j),
-            )
-            session.records = [records[row] for row in order[starts[j] : starts[j + 1]]]
-            sessions.append(session)
-        return sessions
-
 
 def timeout_microseconds(timeout: timedelta = DEFAULT_TIMEOUT) -> int:
     """A session timeout as exact integer microseconds."""
@@ -193,9 +148,8 @@ def sessionize_frame(
 ) -> FrameSessions:
     """Group a frame's rows into visitor sessions (vectorized).
 
-    Exactly equivalent to sorting the records by timestamp and scanning
-    them through :class:`~repro.logs.sessionization.Sessionizer`: same
-    sessions, same ``s{counter}`` ids, same output order.
+    The sessions, their ``s{n}`` ids and their order are those of the
+    time-ordered scan the module docstring describes.
     """
     if timeout.total_seconds() <= 0:
         raise ValueError("session timeout must be positive")
@@ -222,13 +176,13 @@ def sessionize_frame(
     key = ip_codes * np.int64(len(frame.tables["user_agent"]) + 1) + agent_codes
 
     # Arrange records by (visitor, time); both sorts are stable, so ties
-    # keep original record order -- exactly the legacy scan's ordering.
+    # keep original record order -- exactly the scan's ordering.
     perm = np.lexsort((ts, key))
     key_sorted = key[perm]
     ts_sorted = ts[perm]
 
     # A session starts where the visitor changes or the gap exceeds the
-    # timeout (strictly greater, like the legacy comparison).
+    # timeout (strictly greater, as in the scan).
     new_session = np.empty(n, dtype=bool)
     new_session[0] = True
     new_session[1:] = (key_sorted[1:] != key_sorted[:-1]) | (
@@ -239,7 +193,7 @@ def sessionize_frame(
     session_of_sorted = np.cumsum(new_session) - 1
 
     # Rank every record in the stable time order; a session's *creation
-    # rank* (the legacy ``s{counter}``) is the time rank of its first
+    # rank* (the ``n`` of ``s{n}``) is the time rank of its first
     # record, because the scan creates each session when it first meets
     # that record.
     time_rank = np.empty(n, dtype=np.int64)
@@ -248,7 +202,7 @@ def sessionize_frame(
     creation_rank = np.empty(n_sessions, dtype=np.int64)
     creation_rank[np.argsort(first_time_rank)] = np.arange(n_sessions, dtype=np.int64)
 
-    # The legacy scan appends a session to its output list either when a
+    # The scan appends a session to its output list either when a
     # later session of the same visitor supersedes it (at the successor's
     # creation) or, for each visitor's last session, at the end in
     # visitor-first-seen order.  The final ordering then sorts by start

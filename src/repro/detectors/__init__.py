@@ -20,11 +20,11 @@ classifier and several unsupervised anomaly detectors) so the extension
 experiments can study ensembles with more than two members.
 """
 
+from repro.columns.features import FEATURE_NAMES
 from repro.detectors.base import Detector
 from repro.detectors.behavioral import BehavioralSessionDetector, BehaviouralScoreConfig
 from repro.detectors.commercial import CommercialBotDefenceDetector
 from repro.detectors.crawler_ml import CrawlerDecisionTreeDetector
-from repro.detectors.features import FEATURE_NAMES, SessionFeatures, extract_features, feature_matrix
 from repro.detectors.fingerprint import UserAgentFingerprintDetector
 from repro.detectors.heuristic import (
     ErrorProbeRule,
@@ -63,12 +63,9 @@ __all__ = [
     "RobotsNoAssetRule",
     "Rule",
     "ScriptedAgentRule",
-    "SessionFeatures",
     "UserAgentFingerprintDetector",
     "available_detectors",
     "create_detector",
-    "extract_features",
-    "feature_matrix",
     "register_detector",
     "run_detectors",
 ]

@@ -8,32 +8,16 @@ the way the paper's data set is consumed:
 * :mod:`repro.logs.writer` -- serialisation back to log lines/files.
 * :mod:`repro.logs.dataset` -- the :class:`Dataset` container that binds
   records to optional ground-truth labels and metadata.
-* :mod:`repro.logs.sessionization` -- grouping of requests into visitor
-  sessions (the unit most detectors reason about).
+* :mod:`repro.logs.sessionization` -- the visitor :class:`Session` (the
+  unit most detectors reason about) and the default inactivity timeout.
 * :mod:`repro.logs.statuses` -- the HTTP status registry used for the
   paper's Tables 3 and 4.
-* :mod:`repro.logs.filters` -- composable record predicates.
-* :mod:`repro.logs.rotation` -- day-by-day splitting of a data set, as an
-  8-day log collection would be stored on disk.
 """
 
 from repro.logs.dataset import Dataset, DatasetMetadata, GroundTruth
-from repro.logs.filters import (
-    and_filter,
-    by_day,
-    by_ip,
-    by_method,
-    by_path_prefix,
-    by_status,
-    by_status_class,
-    by_user_agent_substring,
-    not_filter,
-    or_filter,
-)
 from repro.logs.parser import LogParser, parse_line, parse_lines
 from repro.logs.record import LogRecord, RequestMethod
-from repro.logs.rotation import iter_days, split_by_day
-from repro.logs.sessionization import Session, Sessionizer
+from repro.logs.sessionization import Session
 from repro.logs.statuses import STATUS_REGISTRY, describe_status, status_class
 from repro.logs.writer import LogWriter, format_record, write_records
 
@@ -47,23 +31,10 @@ __all__ = [
     "RequestMethod",
     "STATUS_REGISTRY",
     "Session",
-    "Sessionizer",
-    "and_filter",
-    "by_day",
-    "by_ip",
-    "by_method",
-    "by_path_prefix",
-    "by_status",
-    "by_status_class",
-    "by_user_agent_substring",
     "describe_status",
     "format_record",
-    "iter_days",
-    "not_filter",
-    "or_filter",
     "parse_line",
     "parse_lines",
-    "split_by_day",
     "status_class",
     "write_records",
 ]

@@ -88,26 +88,6 @@ class EnforcementLog:
         """Response bytes never served because the request was denied."""
         return sum(record.response_size for record in self.records if record.denied)
 
-    def delay_imposed_seconds(self) -> float:
-        """Total delay enforced on served-but-paced and tarpitted requests."""
-        return sum(record.delay_seconds for record in self.records)
-
-    # ------------------------------------------------------------------
-    def by_visitor(self) -> dict[str, list[EnforcementRecord]]:
-        """The log grouped by visitor key, order preserved."""
-        grouped: dict[str, list[EnforcementRecord]] = {}
-        for record in self.records:
-            grouped.setdefault(record.visitor_key, []).append(record)
-        return grouped
-
-    def first_denial_time(self) -> dict[str, datetime]:
-        """Per visitor key: timestamp of the first denied request."""
-        first: dict[str, datetime] = {}
-        for record in self.records:
-            if record.denied and record.visitor_key not in first:
-                first[record.visitor_key] = record.timestamp
-        return first
-
     def summary(self) -> dict[str, object]:
         """A JSON-friendly aggregate snapshot (used by the CLI)."""
         passed, failed = self.challenge_counts()

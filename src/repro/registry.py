@@ -21,7 +21,8 @@ after which ``DetectorSpec(name="my-detector")`` resolves to it.
 from __future__ import annotations
 
 import difflib
-from typing import Any, Callable, Generic, Iterable, TypeVar
+import inspect
+from typing import Any, Callable, Generic, Iterable, Mapping, TypeVar
 
 from repro.exceptions import ReproError
 
@@ -96,3 +97,30 @@ class Registry(Generic[T]):
     def create(self, name: str, **kwargs: Any) -> T:
         """Instantiate the component registered under ``name``."""
         return self.get(name)(**kwargs)
+
+    def check(self, name: str, params: Mapping[str, Any]) -> None:
+        """Check that ``name`` is registered and its factory takes ``params``.
+
+        Resolves the name as :meth:`get` does and binds ``params`` to the
+        factory's signature without calling it, so a spec is checked
+        before any work starts.  A parameter the factory does not take
+        raises the registry's error type, naming the nearest valid one.
+        A factory without an introspectable signature is not checked.
+        """
+        factory = self.get(name)
+        try:
+            signature = inspect.signature(factory)
+        except (TypeError, ValueError):
+            return
+        try:
+            signature.bind_partial(**params)
+        except TypeError as exc:
+            accepted = [
+                parameter.name
+                for parameter in signature.parameters.values()
+                if parameter.kind in (parameter.POSITIONAL_OR_KEYWORD, parameter.KEYWORD_ONLY)
+            ]
+            rejected = next(key for key in params if key not in accepted)
+            raise self.error_type(
+                unknown_name_message(f"{self.kind} {name!r} parameter", rejected, accepted)
+            ) from exc

@@ -30,18 +30,20 @@ from repro.core.configurations import compare_configurations
 from repro.core.experiment import ExperimentResult, PaperExperiment
 from repro.core.framestats import per_actor_rates_from_frame
 from repro.core.reporting import render_evaluation_rows, render_table1
+from repro.detectors.registry import _REGISTRY as _DETECTORS
 from repro.detectors.registry import create_detector
 from repro.exceptions import SpecError
 from repro.logs.dataset import Dataset
 from repro.logs.parser import LogParser
 from repro.logs.record import LogRecord
 from repro.mitigation.metrics import MitigationReport, build_report, render_mitigation_report
-from repro.mitigation.policy import get_policy
+from repro.mitigation.policy import _POLICY_REGISTRY, get_policy
 from repro.mitigation.scenarios import run_defense
 from repro.obs import names as metric_names
 from repro.obs.metrics import MetricsRegistry, resolve_registry
 from repro.obs.spans import trace_span
 from repro.prof.profiler import ProfileOptions, Profiler
+from repro.registry import Registry
 from repro.runspec.result import RunResult
 from repro.runspec.spec import (
     DEFAULT_SCENARIO,
@@ -51,7 +53,11 @@ from repro.runspec.spec import (
     TrafficSpec,
 )
 from repro.stream.adjudicator import WindowedAdjudicator
-from repro.stream.detectors import create_online_detector, default_online_detectors
+from repro.stream.detectors import (
+    _ONLINE_REGISTRY,
+    create_online_detector,
+    default_online_detectors,
+)
 from repro.stream.engine import StreamEngine, StreamResult
 from repro.stream.runner import ShardedStreamRunner
 from repro.stream.sources import dataset_replay, trace_replay
@@ -122,13 +128,17 @@ def _build_dataset(traffic: TrafficSpec, source: str, registry: MetricsRegistry)
 
 
 def _validate_for_mode(spec: RunSpec) -> None:
-    """Reject spec fields the selected mode would silently ignore.
+    """Reject spec fields the selected mode would silently ignore or fail on.
 
     :meth:`RunSpec.from_dict` already rejects unknown keys; this is the
     execution-time counterpart for *known* fields that simply do not
     apply to the workload -- a defend run has no scenario to replay, a
     batch run has no reorder buffer -- so a misplaced setting fails
     loudly instead of executing a different run than the config describes.
+    Every detector and the policy are also looked up in the mode's
+    registry and their params bound to the factory
+    (:meth:`~repro.registry.Registry.check`), so a misspelled name or
+    parameter raises its family's error before any traffic is built.
     """
 
     def reject(condition: bool, message: str) -> None:
@@ -182,6 +192,15 @@ def _validate_for_mode(spec: RunSpec) -> None:
         reject(execution.max_skew_seconds != 0.0, "replays in order; max_skew_seconds is stream-only")
         reject(execution.track_latency, "has no per-request latency; track_latency is stream-only")
         reject(execution.progress_every != 0, "emits no live progress; progress_every is stream-only")
+        reject(
+            bool(spec.detectors),
+            "fields the standard online ensemble; custom detector lists are not supported",
+        )
+        policy = spec.policy or PolicySpec()
+        _POLICY_REGISTRY.check(policy.name, policy.params)
+    family: Registry[Any] = _ONLINE_REGISTRY if spec.mode == "stream" else _DETECTORS
+    for detector in spec.detectors:
+        family.check(detector.name, detector.params)
 
 
 def _spec_trace_fingerprint(spec: RunSpec) -> str | None:
@@ -613,11 +632,6 @@ def _stream_result(
 # Defend mode
 # ----------------------------------------------------------------------
 def _run_defend(spec: RunSpec, registry: MetricsRegistry | None = None) -> RunResult:
-    if spec.detectors:
-        raise SpecError(
-            "defend mode fields the standard online ensemble; "
-            "custom detector lists are not supported"
-        )
     registry = resolve_registry(registry)
     policy_spec = spec.policy or PolicySpec()
     policy = get_policy(policy_spec.name, **policy_spec.params)

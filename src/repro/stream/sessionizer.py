@@ -1,7 +1,8 @@
 """Incremental sessionization with timeout-based eviction.
 
-The batch :class:`~repro.logs.sessionization.Sessionizer` sorts the whole
-log and scans it once; a streaming deployment never sees "the whole log".
+Batch runs group the whole log at once
+(:func:`~repro.columns.sessions.sessionize_frame`); a streaming
+deployment never sees "the whole log".
 :class:`IncrementalSessionizer` maintains the open session of every
 visitor key and closes sessions in two ways:
 
@@ -15,8 +16,9 @@ visitor key and closes sessions in two ways:
   :mod:`repro.stream.alerts`).
 
 Fed the same records in timestamp order, the incremental sessionizer
-produces exactly the partition (and the same ``s<n>`` session ids) as the
-batch sessionizer -- the property the batch-equivalence bridge relies on.
+produces exactly the partition (and the same ``s<n>`` session ids) as
+:func:`~repro.columns.sessions.sessionize_frame` -- the property the
+batch-equivalence bridge relies on.
 Mildly out-of-order records (timestamps earlier than the visitor's
 current session end, e.g. from multi-worker log shipping) are inserted in
 timestamp order within the open session, so the session's derived metrics

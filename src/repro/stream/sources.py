@@ -43,8 +43,9 @@ def dataset_replay(dataset: Dataset) -> Iterator[LogRecord]:
     """Yield the data set's records in timestamp order.
 
     The sort is stable, so records sharing a timestamp keep their log
-    order -- exactly the order the batch :class:`~repro.logs.sessionization.Sessionizer`
-    processes them in, which is what makes batch/stream equivalence exact.
+    order -- exactly the order in which batch sessionization
+    (:func:`~repro.columns.sessions.sessionize_frame`) scans them, which
+    is what makes batch/stream equivalence exact.
 
     Data sets that are already timestamp-ordered (generated and
     trace-replayed data sets say so at construction; anything else is

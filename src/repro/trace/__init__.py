@@ -14,9 +14,9 @@ compressed on-disk format (:mod:`repro.trace.format`) with
 * a content-addressed generation cache keyed by the hash of the
   generation inputs, which makes ``execute()`` record on first run and
   replay thereafter (:mod:`repro.trace.cache`);
-* composition operators (concat, time-shift, sample, interleave an
-  attack onto a background) that stream traces into new traces
-  (:mod:`repro.trace.ops`); and
+* a composition operator that interleaves a recorded attack onto a
+  recorded background, time-shifted and sampled, streaming both traces
+  into a new one (:mod:`repro.trace.ops`); and
 * an importer for real Apache combined-log-format files, including
   gzipped and rotated sets (:mod:`repro.trace.importer`) -- the paper's
   actual data modality.
@@ -45,7 +45,7 @@ from repro.trace.cache import (
 )
 from repro.trace.format import DEFAULT_BLOCK_SIZE, FORMAT_VERSION
 from repro.trace.importer import ImportReport, expand_rotated, import_clf
-from repro.trace.ops import concat_traces, interleave_traces, sample_trace, shift_trace
+from repro.trace.ops import interleave_traces
 from repro.trace.store import (
     TraceInfo,
     TraceReader,
@@ -65,14 +65,11 @@ __all__ = [
     "TraceInfo",
     "TraceReader",
     "TraceWriter",
-    "concat_traces",
     "default_cache",
     "expand_rotated",
     "import_clf",
     "interleave_traces",
     "read_trace",
-    "sample_trace",
-    "shift_trace",
     "trace_info",
     "traffic_fingerprint",
     "write_trace",

@@ -2,17 +2,17 @@
 
 Real experiments are rarely "one scenario, one run": you want the
 recorded background week with a recorded attack dropped on top of day
-three, or a 10% sample of production traffic, or two campaigns back to
-back.  These operators compose *traces* -- they stream block-by-block
-through :class:`~repro.trace.store.TraceReader` /
+three, at a chosen time and intensity.  :func:`interleave_traces` does
+that *on traces* -- it streams block-by-block through
+:class:`~repro.trace.store.TraceReader` /
 :class:`~repro.trace.store.TraceWriter`, never materialising more than
 one block per input, so composing data sets larger than memory works.
 
-All operators carry ground-truth labels through when **every** input is
-labelled (a mix of labelled and unlabelled inputs yields an unlabelled
-trace -- a partially labelled data set would poison the labelled
-evaluation), and return the :class:`~repro.trace.store.TraceInfo` of the
-output.
+Ground-truth labels are carried through when **both** inputs are
+labelled (a labelled input mixed with an unlabelled one yields an
+unlabelled trace -- a partially labelled data set would poison the
+labelled evaluation), and the operator returns the
+:class:`~repro.trace.store.TraceInfo` of the output.
 """
 
 from __future__ import annotations
@@ -32,20 +32,10 @@ from repro.trace.store import TraceInfo, TraceReader, TraceWriter
 _LabelledStream = Iterator[tuple[LogRecord, str | None, str]]
 
 
-def _open_readers(paths: Sequence[str]) -> list[TraceReader]:
-    if not paths:
-        raise TraceError("at least one input trace is required")
-    return [TraceReader(path) for path in paths]
-
-
-def _combined_name(op: str, readers: Sequence[TraceReader]) -> str:
-    names = [reader.info.dataset.get("name") or "unnamed" for reader in readers]
-    return f"{op}({'+'.join(names)})"
-
-
 def _output_metadata(op: str, readers: Sequence[TraceReader]) -> DatasetMetadata:
+    names = [reader.info.dataset.get("name") or "unnamed" for reader in readers]
     return DatasetMetadata(
-        name=_combined_name(op, readers),
+        name=f"{op}({'+'.join(names)})",
         description=f"{op} of {len(readers)} trace(s)",
         source="repro.trace.ops",
     )
@@ -57,77 +47,13 @@ def _strip_labels_unless_all(readers: Sequence[TraceReader], stream: _LabelledSt
     return ((record, None, "") for record, _label, _actor in stream)
 
 
-def _write_stream(
-    output: str,
-    metadata: DatasetMetadata,
-    stream: _LabelledStream,
-    *,
-    reassign_ids: bool,
-) -> TraceInfo:
+def _write_stream(output: str, metadata: DatasetMetadata, stream: _LabelledStream) -> TraceInfo:
+    """Write the stream to ``output``, numbering the request ids afresh."""
     with TraceWriter(output, metadata=metadata) as writer:
-        if reassign_ids:
-            for index, (record, label, actor_class) in enumerate(stream):
-                record = replace(record, request_id=f"r{index}")
-                writer.write(record, label=label, actor_class=actor_class)
-        else:
-            for record, label, actor_class in stream:
-                writer.write(record, label=label, actor_class=actor_class)
+        for index, (record, label, actor_class) in enumerate(stream):
+            record = replace(record, request_id=f"r{index}")
+            writer.write(record, label=label, actor_class=actor_class)
         return writer.close()
-
-
-# ----------------------------------------------------------------------
-# Operators
-# ----------------------------------------------------------------------
-def concat_traces(inputs: Sequence[str], output: str) -> TraceInfo:
-    """Append traces end to end (request ids are reassigned to stay unique)."""
-    readers = _open_readers(inputs)
-
-    def stream() -> _LabelledStream:
-        for reader in readers:
-            yield from reader.iter_labelled()
-
-    return _write_stream(
-        output,
-        _output_metadata("concat", readers),
-        _strip_labels_unless_all(readers, stream()),
-        reassign_ids=True,
-    )
-
-
-def shift_trace(input_path: str, output: str, *, seconds: float) -> TraceInfo:
-    """Time-shift every record by ``seconds`` (ids and labels are kept)."""
-    reader = _open_readers([input_path])[0]
-    offset = timedelta(seconds=seconds)
-
-    def stream() -> _LabelledStream:
-        for record, label, actor_class in reader.iter_labelled():
-            yield replace(record, timestamp=record.timestamp + offset), label, actor_class
-
-    metadata = replace(reader.read_metadata(), name=_combined_name("shift", [reader]))
-    return _write_stream(output, metadata, stream(), reassign_ids=False)
-
-
-def sample_trace(
-    input_path: str, output: str, *, fraction: float, seed: int = 0
-) -> TraceInfo:
-    """Keep each record independently with probability ``fraction``.
-
-    The draw is seeded per call, so the same (trace, fraction, seed)
-    always yields the same sample -- a sampled trace is as reproducible
-    as the recording it came from.  Ids are kept (a subset cannot collide).
-    """
-    if not 0.0 < fraction <= 1.0:
-        raise TraceError(f"sample fraction must be in (0, 1], got {fraction}")
-    reader = _open_readers([input_path])[0]
-    rng = random.Random(seed)
-
-    def stream() -> _LabelledStream:
-        for item in reader.iter_labelled():
-            if rng.random() < fraction:
-                yield item
-
-    metadata = replace(reader.read_metadata(), name=_combined_name("sample", [reader]))
-    return _write_stream(output, metadata, stream(), reassign_ids=False)
 
 
 def interleave_traces(
@@ -148,12 +74,12 @@ def interleave_traces(
     be time-ordered, which the writer records in the footer.  Request ids
     are reassigned; the output is labelled only if both inputs are.
     """
-    readers = _open_readers([base, overlay])
+    readers = [TraceReader(base), TraceReader(overlay)]
     for reader in readers:
         if not reader.info.time_ordered:
             raise TraceError(
                 f"interleave needs time-ordered inputs; {reader.path!r} is not "
-                "(concat it through a sorted rewrite first)"
+                "(rewrite it in timestamp order first)"
             )
     base_reader, overlay_reader = readers
     offset = timedelta(seconds=shift_overlay_seconds)
@@ -179,5 +105,4 @@ def interleave_traces(
         output,
         _output_metadata("mix", readers),
         _strip_labels_unless_all(readers, merged),
-        reassign_ids=True,
     )

@@ -131,8 +131,8 @@ class TraceWriter:
     onto the trace-global string tables with numpy, so every string is
     encoded once, by :func:`~repro.columns.frame.encode_column`, when
     its frame is built.  :meth:`write` is a buffer in front of it for
-    callers that hold one record at a time (the log importer, the trace
-    operators): every ``block_size`` buffered records become one
+    callers that hold one record at a time (the log importer, the
+    interleave operator): every ``block_size`` buffered records become one
     ``RecordFrame.from_records`` block.
 
     Use as a context manager; the footer (string tables, meta section,

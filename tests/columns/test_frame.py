@@ -7,14 +7,22 @@ from datetime import datetime, timedelta, timezone, tzinfo
 import numpy as np
 import pytest
 
-from repro.columns import RecordFrame
+from repro.columns import RecordFrame, SessionArrays, sessionize_frame
 from repro.columns.frame import Dictionary, TableCache, encode_column
 from repro.exceptions import ColumnsError, LabelError
 from repro.logs.dataset import Dataset
+from repro.logs.record import RequestMethod
 from repro.trace.store import TraceReader, write_trace
 from repro.traffic.generator import generate_dataset
 from repro.traffic.scenarios import balanced_small
+from repro.traffic.useragents import is_headless_agent, is_known_crawler_agent, is_scripted_agent
 from tests.helpers import SCRIPTED_UA, make_record, make_records
+
+HEADLESS_UA = (
+    "Mozilla/5.0 (X11; Linux x86_64) AppleWebKit/537.36 (KHTML, like Gecko) "
+    "HeadlessChrome/64.0.3282.186 Safari/537.36"
+)
+CRAWLER_UA = "Mozilla/5.0 (compatible; Googlebot/2.1; +http://www.google.com/bot.html)"
 
 
 @pytest.fixture(scope="module")
@@ -50,16 +58,39 @@ class TestFromDataset:
         assert truth.malicious_ids() == scenario_dataset.ground_truth.malicious_ids()
 
     def test_derived_flags_match_record_properties(self, scenario_dataset):
-        frame = RecordFrame.from_dataset(scenario_dataset)
-        assets = frame.path_is_asset()
-        referrers = frame.has_referrer()
-        nights = frame.night_flags()
-        robots = frame.path_is_robots()
-        for index, record in enumerate(scenario_dataset.records):
-            assert bool(assets[index]) == record.is_asset_request
-            assert bool(referrers[index]) == record.has_referrer
-            assert bool(nights[index]) == (record.timestamp.hour < 6)
-            assert bool(robots[index]) == (record.url_path == "/robots.txt")
+        # The frame's per-row flags and the per-session agent flags the
+        # features read, against the records' own properties.  The extra
+        # visitors make sure every agent class occurs.
+        extras = [
+            make_record("x0", ip="10.9.0.1", user_agent=HEADLESS_UA),
+            make_record("x1", ip="10.9.0.2", user_agent=SCRIPTED_UA, method="HEAD"),
+            make_record("x2", ip="10.9.0.3", user_agent=CRAWLER_UA),
+        ]
+        records = scenario_dataset.records + extras
+        for frame, frame_records in (
+            (RecordFrame.from_dataset(scenario_dataset), scenario_dataset.records),
+            (RecordFrame.from_records(records), records),
+        ):
+            assets = frame.path_is_asset()
+            referrers = frame.has_referrer()
+            nights = frame.night_flags()
+            robots = frame.path_is_robots()
+            heads = frame.method_is("HEAD")
+            for index, record in enumerate(frame_records):
+                assert bool(assets[index]) == record.is_asset_request
+                assert bool(referrers[index]) == record.has_referrer
+                assert bool(nights[index]) == (record.timestamp.hour < 6)
+                assert bool(robots[index]) == (record.url_path == "/robots.txt")
+                assert bool(heads[index]) == (record.method is RequestMethod.HEAD)
+            sessions = sessionize_frame(frame)
+            arrays = SessionArrays.from_frame(frame, sessions)
+            for index in range(len(sessions)):
+                agent = sessions.user_agent(index)
+                assert bool(arrays.scripted[index]) == is_scripted_agent(agent)
+                assert bool(arrays.headless[index]) == is_headless_agent(agent)
+                assert bool(arrays.crawler_claim[index]) == is_known_crawler_agent(agent)
+        assert heads.any() and arrays.scripted.any()
+        assert arrays.headless.any() and arrays.crawler_claim.any()
 
     def test_url_path_codes_distinguish_query_strings(self):
         records = [

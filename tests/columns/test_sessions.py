@@ -1,43 +1,133 @@
-"""Vectorized sessionization must replicate the legacy scan exactly."""
+"""Vectorized sessionization: the rule it implements, and the stream's agreement with it."""
 
 from __future__ import annotations
 
 from datetime import timedelta
+from itertools import count
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.columns import RecordFrame, sessionize_frame
-from repro.logs.sessionization import Sessionizer
+from repro.logs.sessionization import DEFAULT_TIMEOUT
+from repro.stream.sessionizer import IncrementalSessionizer
 from repro.traffic.generator import generate_dataset
 from repro.traffic.scenarios import balanced_small
-from tests.helpers import make_record
+from tests.helpers import BROWSER_UA, make_record, make_records
 
 
-def assert_equivalent(records, timeout=None):
-    """Legacy and vectorized sessionization agree on everything visible."""
-    sessionizer = Sessionizer(timeout) if timeout is not None else Sessionizer()
-    legacy = sessionizer.sessionize(records)
-    frame = RecordFrame.from_records(records)
-    spans = sessionizer.sessionize_frame(frame)
+def reference_sessions(records, timeout=DEFAULT_TIMEOUT):
+    """The sessionization rule, as one scan over the records in stable timestamp order.
 
-    assert len(legacy) == len(spans)
-    for index, session in enumerate(legacy):
-        assert spans.session_ids[index] == session.session_id
-        assert spans.client_ip(index) == session.client_ip
-        assert spans.user_agent(index) == session.user_agent
+    A record joins its visitor's open session unless the gap to that
+    session's last record exceeds the timeout; a new session's id counts
+    the sessions opened before it.  A session is finished when its
+    visitor opens the next one, every visitor's last session at the end
+    in visitor-first-seen order, and the finished sessions are stably
+    sorted by start time.  Returns ``(session_id, records)`` pairs.
+    """
+    numbers = count()
+    open_sessions: dict = {}
+    finished = []
+    for record in sorted(records, key=lambda record: record.timestamp):
+        key = record.actor_key()
+        current = open_sessions.get(key)
+        if current is not None and record.timestamp - current[1][-1].timestamp > timeout:
+            finished.append(current)
+            current = None
+        if current is None:
+            current = open_sessions[key] = (f"s{next(numbers)}", [])
+        current[1].append(record)
+    finished.extend(open_sessions.values())
+    finished.sort(key=lambda session: session[1][0].timestamp)
+    return finished
+
+
+def assert_matches_reference(records, timeout=DEFAULT_TIMEOUT):
+    """``sessionize_frame`` gives the reference scan's sessions, ids and order."""
+    spans = sessionize_frame(RecordFrame.from_records(records), timeout=timeout)
+    expected = reference_sessions(records, timeout)
+    assert spans.session_ids == [session_id for session_id, _ in expected]
+    for index, (_session_id, members) in enumerate(expected):
+        assert spans.client_ip(index) == members[0].client_ip
+        assert spans.user_agent(index) == members[0].user_agent
         got = [records[row].request_id for row in spans.span(index)]
-        assert got == session.request_ids()
-    # Materialised Session objects are the legacy ones.
-    rebuilt = spans.to_sessions(records)
-    assert [s.session_id for s in rebuilt] == [s.session_id for s in legacy]
-    assert [s.request_ids() for s in rebuilt] == [s.request_ids() for s in legacy]
+        assert got == [record.request_id for record in members]
+
+
+def assert_stream_matches(records, timeout=DEFAULT_TIMEOUT, eviction_interval=256):
+    """The stream sessionizer, fed the records in time order, opens the batch sessions."""
+    spans = sessionize_frame(RecordFrame.from_records(records), timeout=timeout)
+    sessionizer = IncrementalSessionizer(timeout, eviction_interval=eviction_interval)
+    closed = []
+    for record in sorted(records, key=lambda record: record.timestamp):
+        closed.extend(sessionizer.observe(record).closed)
+    closed.extend(sessionizer.flush())
+    assert len(closed) == len(spans)
+    assert {session.session_id: session.request_ids() for session in closed} == {
+        session_id: [records[row].request_id for row in spans.span(index)]
+        for index, session_id in enumerate(spans.session_ids)
+    }
+
+
+def _frame_sessions(records, **kwargs):
+    spans = sessionize_frame(RecordFrame.from_records(records), **kwargs)
+    return [[records[row].request_id for row in spans.span(j)] for j in range(len(spans))]
+
+
+class TestSessionizeFrame:
+    def test_single_visitor_single_session(self):
+        assert _frame_sessions(make_records(5, gap_seconds=10)) == [["r0", "r1", "r2", "r3", "r4"]]
+
+    def test_gap_longer_than_timeout_splits_sessions(self):
+        records = make_records(2) + [make_record("r9", seconds=60 * 60)]
+        assert _frame_sessions(records) == [["r0", "r1"], ["r9"]]
+
+    def test_distinct_ips_get_distinct_sessions(self):
+        records = [make_record("a", ip="10.0.0.1"), make_record("b", ip="10.0.0.2", seconds=1)]
+        assert _frame_sessions(records) == [["a"], ["b"]]
+
+    def test_distinct_agents_get_distinct_sessions(self):
+        records = [
+            make_record("a", user_agent=BROWSER_UA),
+            make_record("b", user_agent="curl/7.58.0", seconds=1),
+        ]
+        assert _frame_sessions(records) == [["a"], ["b"]]
+
+    def test_unsorted_input_is_grouped_in_time_order(self):
+        records = [make_record("late", seconds=50), make_record("early", seconds=0)]
+        assert _frame_sessions(records) == [["early", "late"]]
+
+    def test_custom_timeout(self):
+        records = make_records(2, gap_seconds=120)
+        assert _frame_sessions(records, timeout=timedelta(minutes=1)) == [["r0"], ["r1"]]
+
+    @pytest.mark.parametrize("seconds", [0, -60])
+    def test_non_positive_timeout_rejected(self, seconds):
+        frame = RecordFrame.from_records(make_records(2))
+        with pytest.raises(ValueError, match="positive"):
+            sessionize_frame(frame, timeout=timedelta(seconds=seconds))
+
+    def test_sessions_ordered_by_start(self):
+        records = [
+            make_record("b0", ip="10.0.0.2", seconds=100),
+            make_record("a0", ip="10.0.0.1", seconds=0),
+        ]
+        spans = sessionize_frame(RecordFrame.from_records(records))
+        assert [spans.client_ip(j) for j in range(len(spans))] == ["10.0.0.1", "10.0.0.2"]
+
+    def test_session_ids_unique(self):
+        records = [make_record(f"r{i}", ip=f"10.0.0.{i}", seconds=i) for i in range(5)]
+        ids = sessionize_frame(RecordFrame.from_records(records)).session_ids
+        assert len(set(ids)) == len(ids) == 5
 
 
 class TestScenarioEquivalence:
     def test_generated_scenario(self):
-        dataset = generate_dataset(balanced_small(total_requests=4_000, seed=5))
-        assert_equivalent(dataset.records)
+        records = generate_dataset(balanced_small(total_requests=4_000, seed=5)).records
+        assert_matches_reference(records)
+        assert_stream_matches(records)
 
     def test_empty(self):
         frame = RecordFrame.from_records([])
@@ -46,7 +136,7 @@ class TestScenarioEquivalence:
         assert spans.request_id_groups() == []
 
     def test_single_record(self):
-        assert_equivalent([make_record("only")])
+        assert_matches_reference([make_record("only")])
 
 
 @settings(max_examples=120, deadline=None)
@@ -60,12 +150,14 @@ class TestScenarioEquivalence:
         max_size=40,
     ),
     timeout_minutes=st.integers(min_value=1, max_value=45),
+    eviction_interval=st.integers(min_value=1, max_value=20),
 )
-def test_hypothesis_adversarial_ties_and_timeouts(data, timeout_minutes):
+def test_hypothesis_adversarial_ties_and_timeouts(data, timeout_minutes, eviction_interval):
     # Duplicate timestamps across and within visitors, gaps straddling
-    # the timeout, interleaved visitors: the legacy scan's tie-breaking
-    # (stable time sort, dict iteration order, stable final sort) must
-    # survive vectorization.
+    # the timeout, interleaved visitors: the scan's tie-breaking (stable
+    # time sort, visitor-first-seen order, stable final sort) must
+    # survive vectorization, and the stream must open the same sessions
+    # under the same ids at any eviction cadence.
     visitors = [("10.0.0.1", "agent-a"), ("10.0.0.1", "agent-b"), ("10.0.0.2", "agent-a"), ("192.168.7.9", "other")]
     records = []
     for index, (visitor, offset) in enumerate(data):
@@ -73,7 +165,9 @@ def test_hypothesis_adversarial_ties_and_timeouts(data, timeout_minutes):
         records.append(
             make_record(f"r{index}", seconds=float(offset), ip=ip, user_agent=agent)
         )
-    assert_equivalent(records, timeout=timedelta(minutes=timeout_minutes))
+    timeout = timedelta(minutes=timeout_minutes)
+    assert_matches_reference(records, timeout)
+    assert_stream_matches(records, timeout, eviction_interval)
 
 
 @settings(max_examples=40, deadline=None)
@@ -86,4 +180,5 @@ def test_hypothesis_identical_timestamps_keep_arrival_order(offsets):
     records = [
         make_record(f"r{index}", seconds=float(offset // 10)) for index, offset in enumerate(offsets)
     ]
-    assert_equivalent(records)
+    assert_matches_reference(records)
+    assert_stream_matches(records)

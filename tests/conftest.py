@@ -23,7 +23,6 @@ from repro.core.experiment import PaperExperiment  # noqa: E402
 from repro.detectors.commercial import CommercialBotDefenceDetector  # noqa: E402
 from repro.detectors.inhouse import InHouseHeuristicDetector  # noqa: E402
 from repro.detectors.pipeline import DetectionPipeline  # noqa: E402
-from repro.logs.sessionization import Sessionizer  # noqa: E402
 from repro.traffic.generator import generate_dataset  # noqa: E402
 from repro.traffic.scenarios import amadeus_march_2018, balanced_small  # noqa: E402
 
@@ -38,12 +37,6 @@ def small_dataset():
 def calibrated_dataset():
     """A small-scale version of the calibrated March-2018 scenario."""
     return generate_dataset(amadeus_march_2018(scale=0.005, seed=2018))
-
-
-@pytest.fixture(scope="session")
-def small_sessions(small_dataset):
-    """Sessions of the small data set."""
-    return Sessionizer().sessionize(small_dataset.records)
 
 
 @pytest.fixture(scope="session")

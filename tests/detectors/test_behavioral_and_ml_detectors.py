@@ -9,7 +9,6 @@ from repro.anomaly import RobustZScoreModel
 from repro.detectors.anomaly_detector import AnomalySessionDetector
 from repro.detectors.behavioral import BehavioralSessionDetector, BehaviouralScoreConfig
 from repro.detectors.crawler_ml import CrawlerDecisionTreeDetector
-from repro.detectors.features import feature_matrix
 from repro.detectors.naive_bayes import INDICATOR_NAMES, NaiveBayesRobotDetector, binarize_matrix
 from repro.logs.dataset import Dataset
 from tests.helpers import (
@@ -17,7 +16,6 @@ from tests.helpers import (
     SCRIPTED_UA,
     make_record,
     make_records,
-    make_session,
     session_frame,
     session_verdict,
 )
@@ -128,11 +126,10 @@ class TestDecisionTreeDetector:
         assert not any(f"h{i}" in alerts for i in range(16))
 
     def test_supervised_mode_uses_fitted_model(self):
-        sessions = [
-            make_session(_stealth_like_records("s", "10.96.0.5")),
-            make_session(_human_like_records("h", "10.16.0.1")),
-        ]
-        X = feature_matrix(sessions)
+        _frame, _sessions, features = session_frame(
+            _stealth_like_records("s", "10.96.0.5"), _human_like_records("h", "10.16.0.1")
+        )
+        X = features.values
         y = np.array([1, 0])
         detector = CrawlerDecisionTreeDetector(min_leaf=1, alert_probability=0.5).fit(X, y)
         dataset = Dataset(_stealth_like_records("t", "10.96.0.7") + _human_like_records("u", "10.16.0.3"))

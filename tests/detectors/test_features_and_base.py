@@ -5,15 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.columns import FEATURE_NAMES, FeatureMatrix, FrameSessions, RecordFrame, sessionize_frame
 from repro.columns.alertframe import DetectorAlerts
 from repro.core.alerts import AlertSet
 from repro.detectors.base import Detector
-from repro.detectors.features import FEATURE_NAMES, extract_features, feature_matrix
 from repro.detectors.heuristic import Rule
 from repro.detectors.pseudolabels import PseudoLabelConfig, pseudo_label_matrix
+from repro.exceptions import ColumnsError
 from repro.logs.dataset import Dataset
-from repro.logs.sessionization import Sessionizer
-from tests.helpers import BROWSER_UA, SCRIPTED_UA, make_record, make_records, make_session, session_frame
+from tests.helpers import BROWSER_UA, SCRIPTED_UA, make_record, make_records, session_frame
 
 
 def pseudo_label(records, config=None):
@@ -67,9 +67,8 @@ class TestSessionDetectorBase:
         ]
         detector = _AlwaysAlertDetector()
         detector.analyze(Dataset(records))
-        assert detector.seen_sessions == [
-            session.request_ids() for session in Sessionizer().sessionize(records)
-        ]
+        expected = sessionize_frame(RecordFrame.from_records(records)).request_id_groups()
+        assert detector.seen_sessions == expected == [["r0", "r1", "r2"], ["other"], ["late"]]
 
     def test_describe_uses_docstring(self):
         assert "Toy detector" in _AlwaysAlertDetector().describe()
@@ -93,35 +92,42 @@ class TestSessionDetectorBase:
             RecordOnlyRule()  # type: ignore[abstract]
 
 
+def features_of(records):
+    """The feature matrix of the one session ``records`` form."""
+    return session_frame(records)[2]
+
+
+def feature(records, name):
+    """One feature of the one session ``records`` form."""
+    return features_of(records).column(name)[0]
+
+
 class TestFeatureExtraction:
-    def test_vector_matches_feature_names(self):
-        session = make_session(make_records(5))
-        features = extract_features(session)
-        assert features.vector().shape == (len(FEATURE_NAMES),)
-        assert set(features.as_dict()) == set(FEATURE_NAMES)
+    def test_row_matches_feature_names(self):
+        features = features_of(make_records(5))
+        assert features.values.shape == (1, len(FEATURE_NAMES))
+        assert features.names == FEATURE_NAMES
 
     def test_machine_timing_has_low_cv(self):
-        session = make_session(make_records(20, gap_seconds=1.0))
-        assert extract_features(session).interarrival_cv < 0.01
+        assert feature(make_records(20, gap_seconds=1.0), "interarrival_cv") < 0.01
 
     def test_irregular_timing_has_high_cv(self):
         records = [make_record(f"r{i}", seconds=s) for i, s in enumerate([0, 1, 30, 31, 120, 121, 400])]
-        assert extract_features(make_session(records)).interarrival_cv > 0.5
+        assert feature(records, "interarrival_cv") > 0.5
 
     def test_scripted_agent_flag(self):
-        session = make_session(make_records(3, user_agent=SCRIPTED_UA))
-        features = extract_features(session)
-        assert features.scripted_agent
-        assert not features.headless_agent
+        features = features_of(make_records(3, user_agent=SCRIPTED_UA))
+        assert features.column("scripted_agent")[0] == 1.0
+        assert features.column("headless_agent")[0] == 0.0
 
     def test_asset_and_referrer_fractions(self):
         records = [
             make_record("a", path="/static/css/app.css", referrer="https://shop.example.com/"),
             make_record("b", path="/search", seconds=1),
         ]
-        features = extract_features(make_session(records))
-        assert features.asset_fraction == pytest.approx(0.5)
-        assert features.referrer_fraction == pytest.approx(0.5)
+        features = features_of(records)
+        assert features.column("asset_fraction")[0] == pytest.approx(0.5)
+        assert features.column("referrer_fraction")[0] == pytest.approx(0.5)
 
     def test_error_and_probe_fractions(self):
         records = [
@@ -130,14 +136,18 @@ class TestFeatureExtraction:
             make_record("c", status=304, seconds=2),
             make_record("d", status=200, seconds=3),
         ]
-        features = extract_features(make_session(records))
-        assert features.error_rate == pytest.approx(0.25)
-        assert features.no_content_fraction == pytest.approx(0.25)
-        assert features.not_modified_fraction == pytest.approx(0.25)
+        features = features_of(records)
+        assert features.column("error_rate")[0] == pytest.approx(0.25)
+        assert features.column("no_content_fraction")[0] == pytest.approx(0.25)
+        assert features.column("not_modified_fraction")[0] == pytest.approx(0.25)
 
     def test_mean_interarrival(self):
-        features = extract_features(make_session(make_records(4, gap_seconds=5)))
-        assert features.mean_interarrival == pytest.approx(5.0)
+        assert feature(make_records(4, gap_seconds=5), "mean_interarrival") == pytest.approx(5.0)
+
+    def test_duration_and_request_count(self):
+        features = features_of(make_records(7, gap_seconds=10))
+        assert features.duration_seconds[0] == pytest.approx(60.0)
+        assert features.column("request_count")[0] == 7
 
     def test_path_coverage_head_and_robots(self):
         records = [
@@ -146,15 +156,14 @@ class TestFeatureExtraction:
             make_record("c", path="/offers/1", seconds=2),
             make_record("d", path="/offers/2", seconds=3),
         ]
-        features = extract_features(make_session(records))
-        assert features.unique_path_ratio == pytest.approx(0.75)
-        assert features.head_fraction == pytest.approx(0.25)
-        assert features.robots_hits == 1
+        features = features_of(records)
+        assert features.column("unique_path_ratio")[0] == pytest.approx(0.75)
+        assert features.column("head_fraction")[0] == pytest.approx(0.25)
+        assert features.column("robots_hits")[0] == 1
 
     def test_peak_rate_sees_bursts_the_average_hides(self):
         # 20 requests in 19 seconds, then one more 25 minutes later.
-        records = make_records(20) + [make_record("late", seconds=1500)]
-        _frame, _sessions, features = session_frame(records)
+        features = features_of(make_records(20) + [make_record("late", seconds=1500)])
         assert features.column("requests_per_minute")[0] < 1.0
         assert features.peak_rpm()[0] == pytest.approx(20.0)
         assert features.peak_rpm(window_seconds=10.0)[0] == pytest.approx(66.0)
@@ -162,21 +171,32 @@ class TestFeatureExtraction:
     def test_night_fraction(self):
         # BASE_TIME is 12:00 UTC, so shifting by 13h lands between 01:00 and 02:00.
         night_records = [make_record(f"r{i}", seconds=13 * 3600 + i) for i in range(4)]
-        assert extract_features(make_session(night_records)).night_fraction == 1.0
+        assert feature(night_records, "night_fraction") == 1.0
 
-    def test_feature_matrix_shape(self):
-        sessions = [make_session(make_records(3)), make_session(make_records(4, ip="10.0.0.9"))]
-        matrix = feature_matrix(sessions)
-        assert matrix.shape == (2, len(FEATURE_NAMES))
-        assert np.isfinite(matrix).all()
+    def test_matrix_of_several_sessions(self):
+        _frame, _sessions, features = session_frame(
+            make_records(3), make_records(4, ip="10.0.0.9")
+        )
+        assert features.values.shape == (2, len(FEATURE_NAMES))
+        assert np.isfinite(features.values).all()
+        assert features.column("request_count").tolist() == [3, 4]
 
-    def test_feature_matrix_empty(self):
-        assert feature_matrix([]).shape == (0, len(FEATURE_NAMES))
+    def test_matrix_of_no_sessions(self):
+        frame = RecordFrame.from_records([])
+        features = FeatureMatrix.from_frame(frame, sessionize_frame(frame))
+        assert features.values.shape == (0, len(FEATURE_NAMES))
+
+    def test_empty_session_is_rejected(self):
+        frame = RecordFrame.from_records(make_records(2))
+        codes = np.zeros(2, dtype=np.int64)
+        sessions = FrameSessions.back_to_back(frame, np.array([0, 0, 2]), ["s0", "s1"], codes, codes)
+        with pytest.raises(ColumnsError, match="without records"):
+            FeatureMatrix.from_frame(frame, sessions)
 
     def test_single_request_session_neutral_cv(self):
-        features = extract_features(make_session([make_record()]))
-        assert features.interarrival_cv == 1.0
-        assert features.mean_interarrival == 0.0
+        features = features_of([make_record()])
+        assert features.column("interarrival_cv")[0] == 1.0
+        assert features.column("mean_interarrival")[0] == 0.0
 
 
 class TestPseudoLabels:

@@ -5,6 +5,8 @@ from __future__ import annotations
 from datetime import datetime, timedelta, timezone
 from typing import Sequence
 
+import numpy as np
+
 from repro.columns import FeatureMatrix, FrameSessions, RecordFrame
 from repro.core.alerts import AlertMatrix, AlertSet
 from repro.logs.dataset import BENIGN, MALICIOUS, Dataset, GroundTruth
@@ -58,10 +60,7 @@ def make_records(count: int, *, gap_seconds: float = 1.0, **kwargs) -> list[LogR
 def make_session(records: Sequence[LogRecord], session_id: str = "s0") -> Session:
     """Wrap records (assumed same visitor) into a session."""
     first = records[0]
-    session = Session(session_id=session_id, client_ip=first.client_ip, user_agent=first.user_agent)
-    for record in records:
-        session.add(record)
-    return session
+    return Session(session_id, first.client_ip, first.user_agent, list(records))
 
 
 def session_frame(
@@ -71,12 +70,20 @@ def session_frame(
 
     Each group (assumed one visitor, in time order) becomes one session,
     in the order given -- the triple a detector's ``alert_columns`` and a
-    rule's ``matches_frame`` judge.
+    rule's ``matches_frame`` judge.  The frame holds the groups back to
+    back, as the stream's session frames do.
     """
-    sessions = FrameSessions.from_sessions(
-        [make_session(records, f"s{index}") for index, records in enumerate(record_groups)]
+    frame = RecordFrame.from_records([record for records in record_groups for record in records])
+    starts = np.cumsum([0, *map(len, record_groups)])
+    firsts = starts[:-1]
+    sessions = FrameSessions.back_to_back(
+        frame,
+        starts,
+        [f"s{index}" for index in range(len(record_groups))],
+        frame.codes["client_ip"][firsts],
+        frame.codes["user_agent"][firsts],
     )
-    return sessions.frame, sessions, FeatureMatrix.from_frame(sessions.frame, sessions)
+    return frame, sessions, FeatureMatrix.from_frame(frame, sessions)
 
 
 def rule_reason(rule, records: Sequence[LogRecord]) -> str | None:

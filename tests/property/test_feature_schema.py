@@ -1,108 +1,37 @@
 """Drift guard: the feature schema has exactly one definition.
 
-``SessionFeatures.vector()`` order, :data:`FEATURE_NAMES` and the
-:class:`~repro.columns.FeatureMatrix` column order must always agree --
-the single source of truth is :mod:`repro.columns.features`, and this
-suite makes any divergence (a reordered field, a renamed column, a
-matrix built in a different order) fail loudly.
+:data:`FEATURE_NAMES` fixes the :class:`~repro.columns.FeatureMatrix`
+column order, and :meth:`FeatureMatrix.column` must read every feature
+by its name from that position.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import pytest
 
-import numpy as np
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.columns import FEATURE_NAMES, FeatureMatrix, SessionFeatures
-from repro.columns.features import SessionArrays
-from repro.detectors import features as detector_features
-from tests.helpers import BROWSER_UA, SCRIPTED_UA, make_records, make_session
-
-
-def test_feature_names_match_dataclass_fields_in_order():
-    field_names = [field.name for field in dataclasses.fields(SessionFeatures)]
-    assert field_names[0] == "session_id"
-    assert tuple(field_names[1:]) == FEATURE_NAMES
-
-
-def test_detectors_features_reexports_the_same_objects():
-    # The legacy import site must alias, not copy, the schema.
-    assert detector_features.FEATURE_NAMES is FEATURE_NAMES
-    assert detector_features.SessionFeatures is SessionFeatures
-    assert detector_features.FeatureMatrix is FeatureMatrix
-
-
-@st.composite
-def feature_records(draw):
-    """A syntactically valid SessionFeatures with arbitrary values."""
-    finite = st.floats(
-        min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
-    )
-    return SessionFeatures(
-        session_id=draw(st.text(min_size=1, max_size=8)),
-        request_count=draw(st.integers(min_value=0, max_value=10_000)),
-        requests_per_minute=draw(finite),
-        mean_interarrival=draw(finite),
-        interarrival_cv=draw(finite),
-        error_rate=draw(finite),
-        no_content_fraction=draw(finite),
-        not_modified_fraction=draw(finite),
-        asset_fraction=draw(finite),
-        referrer_fraction=draw(finite),
-        unique_path_ratio=draw(finite),
-        head_fraction=draw(finite),
-        robots_hits=draw(st.integers(min_value=0, max_value=1_000)),
-        night_fraction=draw(finite),
-        scripted_agent=draw(st.booleans()),
-        headless_agent=draw(st.booleans()),
-        crawler_claim=draw(st.booleans()),
-    )
-
-
-@settings(max_examples=100, deadline=None)
-@given(features=feature_records())
-def test_vector_positions_match_feature_names(features):
-    vector = features.vector()
-    assert vector.shape == (len(FEATURE_NAMES),)
-    for position, name in enumerate(FEATURE_NAMES):
-        assert vector[position] == float(getattr(features, name))
-    assert features.as_dict() == dict(zip(FEATURE_NAMES, vector.tolist()))
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    count=st.integers(min_value=1, max_value=12),
-    gap=st.floats(min_value=0.05, max_value=90.0, allow_nan=False),
-    scripted=st.booleans(),
-)
-def test_matrix_row_round_trips_through_session_features(count, gap, scripted):
-    # FeatureMatrix.row(i).vector() must reproduce the matrix row exactly:
-    # the record object is a view of the matrix, never a recomputation.
-    session = make_session(
-        make_records(count, gap_seconds=gap, user_agent=SCRIPTED_UA if scripted else BROWSER_UA)
-    )
-    arrays = SessionArrays.from_session_records(
-        session.records, user_agent=session.user_agent, session_id=session.session_id
-    )
-    matrix = FeatureMatrix.from_arrays(arrays)
-    assert matrix.shape == (1, len(FEATURE_NAMES))
-    row = matrix.row(0)
-    assert row.session_id == session.session_id
-    assert np.array_equal(row.vector(), matrix.values[0])
-    # And the per-session extractor agrees bit for bit.
-    assert np.array_equal(detector_features.extract_features(session).vector(), matrix.values[0])
+from repro.columns import FEATURE_NAMES
+from repro.exceptions import ColumnsError
+from tests.helpers import SCRIPTED_UA, make_record, make_records, session_frame
 
 
 def test_matrix_column_lookup_follows_feature_names():
-    sessions = [make_session(make_records(4)), make_session(make_records(7, ip="10.9.9.9"))]
-    matrix = np.vstack([detector_features.extract_features(s).vector() for s in sessions])
-    arrays = [
-        SessionArrays.from_session_records(s.records, user_agent=s.user_agent, session_id=s.session_id)
-        for s in sessions
-    ]
-    built = [FeatureMatrix.from_arrays(a) for a in arrays]
+    _frame, _sessions, matrix = session_frame(
+        make_records(4),
+        make_records(7, ip="10.9.9.9", user_agent=SCRIPTED_UA, method="HEAD"),
+        [make_record("robots", ip="10.9.9.8", path="/robots.txt", status=404)],
+    )
+    assert matrix.names == FEATURE_NAMES
+    assert matrix.shape == (3, len(FEATURE_NAMES))
     for j, name in enumerate(FEATURE_NAMES):
-        for i, one in enumerate(built):
-            assert one.column(name)[0] == matrix[i, j]
+        assert matrix.column(name).tolist() == matrix.values[:, j].tolist()
+    assert matrix.column("request_count").tolist() == [4, 7, 1]
+    assert matrix.column("head_fraction").tolist() == [0.0, 1.0, 0.0]
+    assert matrix.column("robots_hits").tolist() == [0, 0, 1]
+    assert matrix.column("error_rate").tolist() == [0.0, 0.0, 1.0]
+    assert matrix.column("scripted_agent").tolist() == [0.0, 1.0, 0.0]
+
+
+def test_unknown_feature_name_is_rejected():
+    _frame, _sessions, matrix = session_frame(make_records(2))
+    with pytest.raises(ColumnsError, match="unknown feature"):
+        matrix.column("request_rate")

@@ -7,7 +7,8 @@ import importlib
 
 import pytest
 
-from repro.exceptions import AdjudicationError, SpecError
+from repro.exceptions import AdjudicationError, DetectorError, SpecError
+from repro.mitigation.actions import PolicyError
 from repro.obs.metrics import MetricsRegistry
 from repro.runspec import (
     AdjudicationSpec,
@@ -332,6 +333,86 @@ class TestModeValidation:
         # scale keeps this fast.
         dataset = build_dataset(TrafficSpec(scale=0.001, seed=1))
         assert dataset.metadata.name == "amadeus_march_2018"
+
+
+class TestComponentChecks:
+    """A misspelled component name or parameter fails before any traffic is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_traffic(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("traffic was built before the spec was checked")
+
+        execute_module = importlib.import_module("repro.runspec.execute")
+        monkeypatch.setattr(execute_module, "build_dataset", refuse)
+        monkeypatch.setattr(execute_module, "run_defense", refuse)
+
+    @pytest.fixture
+    def tuned_policy(self):
+        from repro.mitigation.policy import _POLICY_REGISTRY, register_policy, standard_policy
+
+        register_policy("tuned", lambda *, block_seconds=1800.0: standard_policy())
+        yield "tuned"
+        # The registry is module-global; leave no trace for other tests.
+        _POLICY_REGISTRY._factories.pop("tuned")
+
+    @pytest.mark.parametrize("mode", ["tables", "evaluate"])
+    def test_bad_batch_parameter(self, mode):
+        spec = RunSpec(
+            mode=mode,
+            traffic=SMALL_TRAFFIC,
+            detectors=(DetectorSpec("rate-limit", params={"treshold": 3}), DetectorSpec("inhouse")),
+        )
+        with pytest.raises(DetectorError, match=r"'treshold' \(did you mean 'threshold_rpm'\?\)"):
+            execute(spec)
+
+    def test_bad_online_parameter(self):
+        spec = RunSpec(
+            mode="stream",
+            traffic=SMALL_TRAFFIC,
+            detectors=(DetectorSpec("anomaly", params={"contamnation": 0.1}),),
+        )
+        with pytest.raises(DetectorError, match=r"'contamnation' \(did you mean 'contamination'\?\)"):
+            execute(spec)
+
+    def test_bad_policy_parameter(self, tuned_policy):
+        spec = RunSpec(mode="defend", policy=PolicySpec(tuned_policy, params={"block_secs": 60}))
+        with pytest.raises(PolicyError, match=r"'block_secs' \(did you mean 'block_seconds'\?\)"):
+            execute(spec)
+        with pytest.raises(PolicyError, match="parameter 'strict'"):
+            execute(RunSpec(mode="defend", policy=PolicySpec(params={"strict": True})))
+
+    @pytest.mark.parametrize(
+        ("spec", "error", "match"),
+        [
+            (
+                RunSpec(mode="tables", traffic=SMALL_TRAFFIC, detectors=(DetectorSpec("rate-limt"), DetectorSpec("inhouse"))),
+                DetectorError,
+                "did you mean 'rate-limit'",
+            ),
+            (
+                RunSpec(mode="stream", traffic=SMALL_TRAFFIC, detectors=(DetectorSpec("inhuose"),)),
+                DetectorError,
+                "did you mean 'inhouse'",
+            ),
+            (RunSpec(mode="defend", policy=PolicySpec("standad")), PolicyError, "did you mean 'standard'"),
+        ],
+    )
+    def test_bad_name(self, spec, error, match):
+        with pytest.raises(error, match=match):
+            execute(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            RunSpec(mode="tables", traffic=SMALL_TRAFFIC, detectors=(DetectorSpec("rate-limit", params={"threshold_rpm": 3}), DetectorSpec("inhouse"))),
+            RunSpec(mode="stream", traffic=SMALL_TRAFFIC, detectors=(DetectorSpec("anomaly", params={"contamination": 0.1}),)),
+            RunSpec(mode="defend", policy=PolicySpec("strict")),
+        ],
+    )
+    def test_valid_components_reach_the_traffic(self, spec):
+        with pytest.raises(AssertionError, match="traffic was built"):
+            execute(spec)
 
 
 class TestBuildDataset:

@@ -4,15 +4,10 @@ from __future__ import annotations
 
 from datetime import timedelta
 
-import numpy as np
 import pytest
 
-from repro.columns import FeatureMatrix, FrameSessions
-from repro.detectors import features as record_features
 from repro.detectors.inhouse import InHouseHeuristicDetector
 from repro.detectors.ratelimit import RateLimitDetector
-from repro.exceptions import ColumnsError
-from repro.logs.sessionization import Session, Sessionizer
 from repro.stream import StreamEngine
 from repro.stream.columnar import SessionColumns, session_columns
 from repro.stream.detectors import (
@@ -35,28 +30,11 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def sessions(dataset):
-    return Sessionizer().sessionize(dataset.records)
-
-
-class TestFrameSessionsFromSessions:
-    def test_round_trips_through_to_sessions(self, sessions):
-        spans = FrameSessions.from_sessions(sessions)
-        rebuilt = spans.to_sessions()
-        assert [s.session_id for s in rebuilt] == [s.session_id for s in sessions]
-        for original, copy in zip(sessions, rebuilt):
-            assert (copy.client_ip, copy.user_agent) == (original.client_ip, original.user_agent)
-            assert copy.request_ids() == original.request_ids()
-            assert copy.records == original.records
-
-    def test_features_match_the_record_path_bit_for_bit(self, sessions):
-        spans = FrameSessions.from_sessions(sessions)
-        matrix = FeatureMatrix.from_frame(spans.frame, spans)
-        expected = record_features.feature_matrix(sessions)
-        assert np.array_equal(matrix.values, expected)
-
-    def test_empty_session_is_rejected(self):
-        with pytest.raises(ColumnsError):
-            FrameSessions.from_sessions([Session("s0", "10.0.0.1", "agent")])
+    sessionizer = IncrementalSessionizer()
+    closed = []
+    for record in dataset_replay(dataset):
+        closed.extend(sessionizer.observe(record).closed)
+    return closed + sessionizer.flush()
 
 
 class TestSessionColumns:
@@ -77,7 +55,7 @@ class TestSessionColumns:
         session = make_session(make_records(5))
         first, index = session_columns(session)
         assert session_columns(session) == (first, index)
-        session.add(make_record("r9", seconds=9))
+        session.records.append(make_record("r9", seconds=9))
         second, _ = session_columns(session)
         assert second is not first
         assert len(second.spans.frame) == 6

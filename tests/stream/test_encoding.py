@@ -21,7 +21,7 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
-from repro.columns import FeatureMatrix, FrameSessions, RecordFrame, sessionize_frame
+from repro.columns import FeatureMatrix, RecordFrame, sessionize_frame
 from repro.detectors.inhouse import InHouseHeuristicDetector
 from repro.detectors.ratelimit import RateLimitDetector
 from repro.stream import (
@@ -63,7 +63,6 @@ def test_replay_builds_no_frame_from_record_objects(balanced_records, monkeypatc
         raise AssertionError("a replay columnarised record objects")
 
     monkeypatch.setattr(RecordFrame, "from_records", refuse)
-    monkeypatch.setattr(FrameSessions, "from_sessions", refuse)
     result = _engine().run(iter(balanced_records))
     assert result.stats.records == len(balanced_records)
     assert result.stats.sessions_closed > 100

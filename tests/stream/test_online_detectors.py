@@ -32,7 +32,7 @@ def _feed(detector, records):
     session = Session(session_id="s0", client_ip=records[0].client_ip, user_agent=records[0].user_agent)
     verdicts = []
     for record in records:
-        session.add(record)
+        session.records.append(record)
         verdicts.append(detector.observe(record, session))
     return session, verdicts
 

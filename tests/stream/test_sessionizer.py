@@ -6,7 +6,7 @@ from datetime import timedelta
 
 import pytest
 
-from repro.logs.sessionization import Sessionizer
+from repro.columns import RecordFrame, sessionize_frame
 from repro.stream.sessionizer import IncrementalSessionizer
 from tests.helpers import make_record, make_records
 
@@ -24,7 +24,7 @@ class TestIncrementalSessionizer:
             assert not update.closed
         assert sessionizer.open_sessions == 1
         (session,) = sessionizer.flush()
-        assert session.request_count == 10
+        assert len(session) == 10
         assert session.session_id == "s0"
 
     def test_gap_beyond_timeout_starts_new_session(self):
@@ -66,7 +66,7 @@ class TestIncrementalSessionizer:
 
     def test_matches_batch_partition_on_sorted_stream(self, small_dataset):
         records = sorted(small_dataset.records, key=lambda r: r.timestamp)
-        batch = Sessionizer().sessionize(records)
+        batch = sessionize_frame(RecordFrame.from_records(records))
 
         incremental = IncrementalSessionizer()
         closed = []
@@ -74,9 +74,10 @@ class TestIncrementalSessionizer:
             closed.extend(incremental.observe(record).closed)
         closed.extend(incremental.flush())
 
-        assert _partition(closed) == _partition(batch)
+        groups = batch.request_id_groups()
+        assert _partition(closed) == {tuple(group) for group in groups}
         # Session ids are assigned in the same creation order as the batch scan.
-        by_requests_batch = {tuple(s.request_ids()): s.session_id for s in batch}
+        by_requests_batch = {tuple(group): s for group, s in zip(groups, batch.session_ids)}
         by_requests_stream = {tuple(s.request_ids()): s.session_id for s in closed}
         assert by_requests_batch == by_requests_stream
 

@@ -2,20 +2,11 @@
 
 from __future__ import annotations
 
-from datetime import timedelta
-
 import pytest
 
 from repro.exceptions import TraceError
 from repro.logs.dataset import BENIGN, MALICIOUS, Dataset, DatasetMetadata, GroundTruth
-from repro.trace import (
-    concat_traces,
-    interleave_traces,
-    read_trace,
-    sample_trace,
-    shift_trace,
-    write_trace,
-)
+from repro.trace import interleave_traces, read_trace, write_trace
 from tests.helpers import make_record, make_records
 
 
@@ -29,84 +20,6 @@ def _write(tmp_path, name, records, *, labels=None):
     path = str(tmp_path / f"{name}.trace")
     write_trace(dataset, path)
     return path
-
-
-class TestConcat:
-    def test_concatenates_and_reassigns_ids(self, tmp_path):
-        a = _write(tmp_path, "a", make_records(4))
-        b = _write(tmp_path, "b", make_records(3, gap_seconds=2.0))
-        out = str(tmp_path / "out.trace")
-        info = concat_traces([a, b], out)
-        assert info.records == 7
-        replayed = read_trace(out)
-        assert [r.request_id for r in replayed] == [f"r{i}" for i in range(7)]
-
-    def test_labels_survive_when_all_inputs_are_labelled(self, tmp_path):
-        a = _write(tmp_path, "a", make_records(2), labels=[MALICIOUS, BENIGN])
-        b = _write(tmp_path, "b", make_records(2), labels=[BENIGN, BENIGN])
-        out = str(tmp_path / "out.trace")
-        assert concat_traces([a, b], out).labelled
-        truth = read_trace(out).ground_truth
-        assert truth.label_of("r0") == MALICIOUS
-        assert truth.actor_class_of("r0") == "unit_actor"
-
-    def test_labels_are_dropped_when_any_input_is_unlabelled(self, tmp_path):
-        a = _write(tmp_path, "a", make_records(2), labels=[MALICIOUS, BENIGN])
-        b = _write(tmp_path, "b", make_records(2))
-        out = str(tmp_path / "out.trace")
-        assert not concat_traces([a, b], out).labelled
-
-    def test_requires_at_least_one_input(self, tmp_path):
-        with pytest.raises(TraceError, match="at least one"):
-            concat_traces([], str(tmp_path / "out.trace"))
-
-
-class TestShift:
-    def test_shifts_every_timestamp(self, tmp_path):
-        path = _write(tmp_path, "a", make_records(3))
-        out = str(tmp_path / "out.trace")
-        shift_trace(path, out, seconds=3600)
-        original = read_trace(path).records
-        shifted = read_trace(out).records
-        for before, after in zip(original, shifted):
-            assert after.timestamp - before.timestamp == timedelta(hours=1)
-            assert after.request_id == before.request_id
-
-    def test_negative_shift_moves_backwards(self, tmp_path):
-        path = _write(tmp_path, "a", make_records(2))
-        out = str(tmp_path / "out.trace")
-        shift_trace(path, out, seconds=-60)
-        assert read_trace(out).records[0].timestamp == make_record("r0").timestamp - timedelta(
-            minutes=1
-        )
-
-
-class TestSample:
-    def test_sample_is_deterministic_per_seed(self, tmp_path):
-        path = _write(tmp_path, "a", make_records(200))
-        out1 = str(tmp_path / "s1.trace")
-        out2 = str(tmp_path / "s2.trace")
-        sample_trace(path, out1, fraction=0.4, seed=9)
-        sample_trace(path, out2, fraction=0.4, seed=9)
-        assert [r.request_id for r in read_trace(out1)] == [
-            r.request_id for r in read_trace(out2)
-        ]
-
-    def test_sample_keeps_roughly_the_fraction(self, tmp_path):
-        path = _write(tmp_path, "a", make_records(400))
-        out = str(tmp_path / "s.trace")
-        info = sample_trace(path, out, fraction=0.25, seed=1)
-        assert 50 <= info.records <= 150
-
-    def test_full_fraction_keeps_everything(self, tmp_path):
-        path = _write(tmp_path, "a", make_records(10))
-        out = str(tmp_path / "s.trace")
-        assert sample_trace(path, out, fraction=1.0).records == 10
-
-    def test_invalid_fraction_is_rejected(self, tmp_path):
-        path = _write(tmp_path, "a", make_records(2))
-        with pytest.raises(TraceError, match="fraction"):
-            sample_trace(path, str(tmp_path / "s.trace"), fraction=0.0)
 
 
 class TestInterleave:
@@ -152,3 +65,36 @@ class TestInterleave:
         ordered = _write(tmp_path, "o", make_records(2))
         with pytest.raises(TraceError, match="time-ordered"):
             interleave_traces(unordered, ordered, str(tmp_path / "mix.trace"))
+
+    def test_labels_survive_when_both_inputs_are_labelled(self, tmp_path):
+        base = _write(tmp_path, "base", make_records(2), labels=[BENIGN, BENIGN])
+        overlay = _write(
+            tmp_path, "overlay", [make_record("o0", seconds=0.5, ip="10.99.0.1")], labels=[MALICIOUS]
+        )
+        out = str(tmp_path / "mix.trace")
+        assert interleave_traces(base, overlay, out).labelled
+        truth = read_trace(out).ground_truth
+        assert [truth.label_of(f"r{i}") for i in range(3)] == [BENIGN, MALICIOUS, BENIGN]
+        assert truth.actor_class_of("r1") == "unit_actor"
+
+    @pytest.mark.parametrize("unlabelled", ["base", "overlay"])
+    def test_labels_are_dropped_when_either_input_is_unlabelled(self, tmp_path, unlabelled):
+        labels = {"base": [BENIGN, BENIGN], "overlay": [MALICIOUS]}
+        labels[unlabelled] = None
+        base = _write(tmp_path, "base", make_records(2), labels=labels["base"])
+        overlay = _write(
+            tmp_path,
+            "overlay",
+            [make_record("o0", seconds=0.5, ip="10.99.0.1")],
+            labels=labels["overlay"],
+        )
+        out = str(tmp_path / "mix.trace")
+        assert not interleave_traces(base, overlay, out).labelled
+        assert not read_trace(out).is_labelled
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5])
+    def test_sample_overlay_outside_the_unit_interval_is_rejected(self, tmp_path, fraction):
+        base = _write(tmp_path, "base", make_records(2))
+        overlay = _write(tmp_path, "overlay", make_records(2, ip="10.99.0.1"))
+        with pytest.raises(TraceError, match="sample_overlay"):
+            interleave_traces(base, overlay, str(tmp_path / "mix.trace"), sample_overlay=fraction)
