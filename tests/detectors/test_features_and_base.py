@@ -189,7 +189,8 @@ class TestFeatureExtraction:
     def test_empty_session_is_rejected(self):
         frame = RecordFrame.from_records(make_records(2))
         codes = np.zeros(2, dtype=np.int64)
-        sessions = FrameSessions.back_to_back(frame, np.array([0, 0, 2]), ["s0", "s1"], codes, codes)
+        starts = np.array([0, 0, 2])
+        sessions = FrameSessions.back_to_back(frame, starts, ["s0", "s1"], codes, codes)
         with pytest.raises(ColumnsError, match="without records"):
             FeatureMatrix.from_frame(frame, sessions)
 

@@ -386,7 +386,11 @@ class TestComponentChecks:
         ("spec", "error", "match"),
         [
             (
-                RunSpec(mode="tables", traffic=SMALL_TRAFFIC, detectors=(DetectorSpec("rate-limt"), DetectorSpec("inhouse"))),
+                RunSpec(
+                    mode="tables",
+                    traffic=SMALL_TRAFFIC,
+                    detectors=(DetectorSpec("rate-limt"), DetectorSpec("inhouse")),
+                ),
                 DetectorError,
                 "did you mean 'rate-limit'",
             ),
@@ -405,8 +409,19 @@ class TestComponentChecks:
     @pytest.mark.parametrize(
         "spec",
         [
-            RunSpec(mode="tables", traffic=SMALL_TRAFFIC, detectors=(DetectorSpec("rate-limit", params={"threshold_rpm": 3}), DetectorSpec("inhouse"))),
-            RunSpec(mode="stream", traffic=SMALL_TRAFFIC, detectors=(DetectorSpec("anomaly", params={"contamination": 0.1}),)),
+            RunSpec(
+                mode="tables",
+                traffic=SMALL_TRAFFIC,
+                detectors=(
+                    DetectorSpec("rate-limit", params={"threshold_rpm": 3}),
+                    DetectorSpec("inhouse"),
+                ),
+            ),
+            RunSpec(
+                mode="stream",
+                traffic=SMALL_TRAFFIC,
+                detectors=(DetectorSpec("anomaly", params={"contamination": 0.1}),),
+            ),
             RunSpec(mode="defend", policy=PolicySpec("strict")),
         ],
     )
