@@ -57,31 +57,40 @@ class TestFromDataset:
         truth = frame.ground_truth()
         assert truth.malicious_ids() == scenario_dataset.ground_truth.malicious_ids()
 
-    def test_derived_flags_match_record_properties(self, scenario_dataset):
-        # The frame's per-row flags and the per-session agent flags the
-        # features read, against the records' own properties.  The extra
-        # visitors make sure every agent class occurs.
+    @pytest.fixture(scope="class")
+    def frames(self, scenario_dataset):
+        """The scenario's frame, and one built from its records plus one
+        visitor of each agent class the generated traffic may lack, each
+        with the records it was built from."""
         extras = [
             make_record("x0", ip="10.9.0.1", user_agent=HEADLESS_UA),
             make_record("x1", ip="10.9.0.2", user_agent=SCRIPTED_UA, method="HEAD"),
             make_record("x2", ip="10.9.0.3", user_agent=CRAWLER_UA),
         ]
         records = scenario_dataset.records + extras
-        for frame, frame_records in (
+        return [
             (RecordFrame.from_dataset(scenario_dataset), scenario_dataset.records),
             (RecordFrame.from_records(records), records),
-        ):
+        ]
+
+    def test_derived_flags_match_record_properties(self, frames):
+        for frame, records in frames:
             assets = frame.path_is_asset()
             referrers = frame.has_referrer()
             nights = frame.night_flags()
             robots = frame.path_is_robots()
             heads = frame.method_is("HEAD")
-            for index, record in enumerate(frame_records):
+            for index, record in enumerate(records):
                 assert bool(assets[index]) == record.is_asset_request
                 assert bool(referrers[index]) == record.has_referrer
                 assert bool(nights[index]) == (record.timestamp.hour < 6)
                 assert bool(robots[index]) == (record.url_path == "/robots.txt")
                 assert bool(heads[index]) == (record.method is RequestMethod.HEAD)
+        assert heads.any()
+
+    def test_agent_flags_match_the_agent_classifiers(self, frames):
+        # The per-session agent flags the features read.
+        for frame, _records in frames:
             sessions = sessionize_frame(frame)
             arrays = SessionArrays.from_frame(frame, sessions)
             for index in range(len(sessions)):
@@ -89,8 +98,7 @@ class TestFromDataset:
                 assert bool(arrays.scripted[index]) == is_scripted_agent(agent)
                 assert bool(arrays.headless[index]) == is_headless_agent(agent)
                 assert bool(arrays.crawler_claim[index]) == is_known_crawler_agent(agent)
-        assert heads.any() and arrays.scripted.any()
-        assert arrays.headless.any() and arrays.crawler_claim.any()
+        assert arrays.scripted.any() and arrays.headless.any() and arrays.crawler_claim.any()
 
     def test_url_path_codes_distinguish_query_strings(self):
         records = [

@@ -99,9 +99,30 @@ class TestSessionizeFrame:
         records = [make_record("late", seconds=50), make_record("early", seconds=0)]
         assert _frame_sessions(records) == [["early", "late"]]
 
+    def test_interleaved_visitors_keep_their_own_time_order(self):
+        records = [
+            make_record("b1", ip="10.0.0.2", seconds=3),
+            make_record("a0", ip="10.0.0.1", seconds=0),
+            make_record("b0", ip="10.0.0.2", seconds=1),
+            make_record("a1", ip="10.0.0.1", seconds=2),
+        ]
+        assert _frame_sessions(records) == [["a0", "a1"], ["b0", "b1"]]
+
     def test_custom_timeout(self):
         records = make_records(2, gap_seconds=120)
         assert _frame_sessions(records, timeout=timedelta(minutes=1)) == [["r0"], ["r1"]]
+
+    def test_gap_equal_to_timeout_stays_in_session(self):
+        records = make_records(3, gap_seconds=60)
+        assert _frame_sessions(records, timeout=timedelta(minutes=1)) == [["r0", "r1", "r2"]]
+
+    def test_default_timeout_is_thirty_idle_minutes(self):
+        records = [
+            make_record("a", seconds=0),
+            make_record("b", seconds=30 * 60),
+            make_record("c", seconds=60 * 60 + 1),
+        ]
+        assert _frame_sessions(records) == [["a", "b"], ["c"]]
 
     @pytest.mark.parametrize("seconds", [0, -60])
     def test_non_positive_timeout_rejected(self, seconds):
@@ -139,35 +160,53 @@ class TestScenarioEquivalence:
         assert_matches_reference([make_record("only")])
 
 
+VISITORS = [
+    ("10.0.0.1", "agent-a"),
+    ("10.0.0.1", "agent-b"),
+    ("10.0.0.2", "agent-a"),
+    ("192.168.7.9", "other"),
+]
+
+
+@st.composite
+def tied_records(draw):
+    """Up to 40 records of four visitors, with duplicate timestamps across
+    and within visitors and gaps that straddle any timeout."""
+    data = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=3),  # visitor index
+                st.integers(min_value=0, max_value=7_200),  # offset seconds
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    records = []
+    for index, (visitor, offset) in enumerate(data):
+        ip, agent = VISITORS[visitor]
+        records.append(make_record(f"r{index}", seconds=float(offset), ip=ip, user_agent=agent))
+    return records
+
+
+@settings(max_examples=120, deadline=None)
+@given(records=tied_records(), timeout_minutes=st.integers(min_value=1, max_value=45))
+def test_hypothesis_adversarial_ties_and_timeouts(records, timeout_minutes):
+    # The scan's tie-breaking (stable time sort, visitor-first-seen
+    # order, stable final sort) must survive vectorization.
+    assert_matches_reference(records, timedelta(minutes=timeout_minutes))
+
+
 @settings(max_examples=120, deadline=None)
 @given(
-    data=st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=3),  # visitor index
-            st.integers(min_value=0, max_value=7_200),  # offset seconds
-        ),
-        min_size=1,
-        max_size=40,
-    ),
+    records=tied_records(),
     timeout_minutes=st.integers(min_value=1, max_value=45),
     eviction_interval=st.integers(min_value=1, max_value=20),
 )
-def test_hypothesis_adversarial_ties_and_timeouts(data, timeout_minutes, eviction_interval):
-    # Duplicate timestamps across and within visitors, gaps straddling
-    # the timeout, interleaved visitors: the scan's tie-breaking (stable
-    # time sort, visitor-first-seen order, stable final sort) must
-    # survive vectorization, and the stream must open the same sessions
-    # under the same ids at any eviction cadence.
-    visitors = [("10.0.0.1", "agent-a"), ("10.0.0.1", "agent-b"), ("10.0.0.2", "agent-a"), ("192.168.7.9", "other")]
-    records = []
-    for index, (visitor, offset) in enumerate(data):
-        ip, agent = visitors[visitor]
-        records.append(
-            make_record(f"r{index}", seconds=float(offset), ip=ip, user_agent=agent)
-        )
-    timeout = timedelta(minutes=timeout_minutes)
-    assert_matches_reference(records, timeout)
-    assert_stream_matches(records, timeout, eviction_interval)
+def test_hypothesis_stream_opens_the_batch_sessions(records, timeout_minutes, eviction_interval):
+    # Fed the same records in time order, the stream must open the batch
+    # sessions under the same ids at any eviction cadence.
+    assert_stream_matches(records, timedelta(minutes=timeout_minutes), eviction_interval)
 
 
 @settings(max_examples=40, deadline=None)

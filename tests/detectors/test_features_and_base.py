@@ -120,6 +120,23 @@ class TestFeatureExtraction:
         assert features.column("scripted_agent")[0] == 1.0
         assert features.column("headless_agent")[0] == 0.0
 
+    def test_headless_agent_flag(self):
+        agent = "Mozilla/5.0 (X11; Linux x86_64) HeadlessChrome/64.0.3282.186 Safari/537.36"
+        features = features_of(make_records(3, user_agent=agent))
+        assert features.column("headless_agent")[0] == 1.0
+        assert features.column("scripted_agent")[0] == 0.0
+
+    def test_crawler_claim_flag(self):
+        agent = "Mozilla/5.0 (compatible; Googlebot/2.1; +http://www.google.com/bot.html)"
+        assert feature(make_records(3, user_agent=agent), "crawler_claim") == 1.0
+        assert feature(make_records(3), "crawler_claim") == 0.0
+
+    def test_requests_per_minute_over_the_session_duration(self):
+        # The duration is floored at one second; one request counts as one.
+        assert feature(make_records(7, gap_seconds=10), "requests_per_minute") == pytest.approx(7.0)
+        assert feature(make_records(2, gap_seconds=0), "requests_per_minute") == pytest.approx(120.0)
+        assert feature([make_record()], "requests_per_minute") == 1.0
+
     def test_asset_and_referrer_fractions(self):
         records = [
             make_record("a", path="/static/css/app.css", referrer="https://shop.example.com/"),

@@ -407,6 +407,28 @@ class TestComponentChecks:
             execute(spec)
 
     @pytest.mark.parametrize(
+        ("spec", "match"),
+        [
+            # A batch-only detector in the stream, an online-only one in the tables.
+            (
+                RunSpec(mode="stream", traffic=SMALL_TRAFFIC, detectors=(DetectorSpec("commercial"),)),
+                "unknown online detector 'commercial'",
+            ),
+            (
+                RunSpec(
+                    mode="tables",
+                    traffic=SMALL_TRAFFIC,
+                    detectors=(DetectorSpec("request-rate"), DetectorSpec("inhouse")),
+                ),
+                "unknown detector 'request-rate'",
+            ),
+        ],
+    )
+    def test_each_mode_checks_its_own_registry(self, spec, match):
+        with pytest.raises(DetectorError, match=match):
+            execute(spec)
+
+    @pytest.mark.parametrize(
         "spec",
         [
             RunSpec(

@@ -51,6 +51,70 @@ class TestRegistry:
         assert "available: ['a', 'b']" in message
 
 
+class WidgetError(ReproError):
+    pass
+
+
+def _widget(size, *, colour="red", threshold_rpm=60.0):
+    return ("widget", size, colour, threshold_rpm)
+
+
+class TestRegistryCheck:
+    """``Registry.check`` resolves a name and binds params without building anything."""
+
+    @pytest.fixture
+    def registry(self):
+        registry = Registry("widget", WidgetError)
+        registry.register("widget", _widget)
+        return registry
+
+    def test_accepts_parameters_the_factory_takes(self, registry):
+        registry.check("widget", {})
+        registry.check("widget", {"size": 3, "colour": "blue", "threshold_rpm": 5.0})
+
+    def test_does_not_call_the_factory(self):
+        def refuse(**_kwargs):
+            raise AssertionError("check built the component")
+
+        registry = Registry("widget", WidgetError)
+        registry.register("refuse", refuse)
+        registry.check("refuse", {"anything": 1})
+
+    def test_misspelled_parameter_names_the_nearest_one(self, registry):
+        expected = r"'widget' parameter 'treshold_rpm' \(did you mean 'threshold_rpm'\?\)"
+        with pytest.raises(WidgetError, match=expected):
+            registry.check("widget", {"colour": "blue", "treshold_rpm": 5.0})
+
+    def test_distant_parameter_lists_the_accepted_ones(self, registry):
+        with pytest.raises(WidgetError) as caught:
+            registry.check("widget", {"zzzz": 1})
+        assert "did you mean" not in str(caught.value)
+        assert "available: ['colour', 'size', 'threshold_rpm']" in str(caught.value)
+
+    def test_unknown_name_is_resolved_first(self, registry):
+        with pytest.raises(WidgetError, match="unknown widget 'widgt' \\(did you mean 'widget'"):
+            registry.check("widgt", {"zzzz": 1})
+
+    def test_var_keyword_factory_takes_any_parameter(self):
+        registry = Registry("widget", WidgetError)
+        registry.register("open", lambda **kwargs: kwargs)
+        registry.check("open", {"any": 1, "name": 2})
+
+    def test_positional_only_parameter_is_not_taken_by_keyword(self):
+        def positional(size, /, *, colour="red"):
+            return size, colour
+
+        registry = Registry("widget", WidgetError)
+        registry.register("positional", positional)
+        with pytest.raises(WidgetError, match=r"parameter 'size'.*available: \['colour'\]"):
+            registry.check("positional", {"size": 3})
+
+    def test_factory_without_a_signature_is_not_checked(self):
+        registry = Registry("widget", WidgetError)
+        registry.register("mapping", dict)
+        registry.check("mapping", {"anything": 1})
+
+
 class TestBuiltinRegistries:
     def test_detector_lookup_miss(self):
         from repro.detectors.registry import create_detector

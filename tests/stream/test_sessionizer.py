@@ -35,6 +35,14 @@ class TestIncrementalSessionizer:
         assert [s.request_ids() for s in update.closed] == [["a"]]
         assert update.session.session_id == "s1"
 
+    def test_gap_equal_to_timeout_stays_in_session(self):
+        sessionizer = IncrementalSessionizer(timeout=timedelta(minutes=30), eviction_interval=1)
+        sessionizer.observe(make_record("a", seconds=0))
+        update = sessionizer.observe(make_record("b", seconds=30 * 60))
+        assert not update.opened
+        assert not update.closed
+        assert update.session.request_ids() == ["a", "b"]
+
     def test_eviction_closes_idle_sessions_of_other_visitors(self):
         sessionizer = IncrementalSessionizer(timeout=timedelta(minutes=30), eviction_interval=1)
         sessionizer.observe(make_record("idle", seconds=0, ip="10.0.0.1"))
